@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .errors import FoldsError, OpenFormula, ParseError, SortMismatch
+from .errors import FoldsError, OpenFormula, ParseError
 from .finsem import (check_saturation, eval_card, eval_prop, satisfies,
                      saturation_profile, validate_structure)
 from .homspan import Hom, _hom_search, find_span, hsip_decide, is_fibsurj
@@ -162,7 +162,7 @@ def parse_structure(text, sig):
     anonymous (``(ida)``) or bare names for empty boundaries."""
     p = _Parser(text)
     p.expect("structure")
-    name = p.ident("structure name")
+    p.ident("structure name")
     p.expect("over")
     signame = p.ident("signature name")
     if signame != sig.name:
@@ -198,9 +198,7 @@ def parse_structure(text, sig):
         p.expect("}")
         p.accept(";")
     p.done()
-    M = validate_structure(sig, {"carriers": carriers, "maps": maps})
-    M.name = name
-    return M
+    return validate_structure(sig, {"carriers": carriers, "maps": maps})
 
 
 def _parse_row(p):
@@ -314,13 +312,10 @@ def _and(p, sig, env):
     return args[0] if len(args) == 1 else And(tuple(args))
 
 
-_FRESH = 0
-
-
-def _fresh_atom_name():
-    global _FRESH
-    _FRESH += 1
-    return f"_{_FRESH}"
+# The variable behind an atom or a side of ~= stands only for its boundary:
+# it is never printed, bound, compared by alpha_eq or evaluated, so every
+# such variable takes this name, which no identifier can spell.
+_ATOM_VAR = ""
 
 
 def _unary(p, sig, env):
@@ -332,10 +327,10 @@ def _unary(p, sig, env):
         phi = _quant(p, sig, env)
         p.expect(")")
         return phi
-    alpha = _sort_app(p, sig, env, _fresh_atom_name())
+    alpha = _sort_app(p, sig, env, _ATOM_VAR)
     if p.accept("~="):
         tok = p.peek()
-        beta = _sort_app(p, sig, env, _fresh_atom_name())
+        beta = _sort_app(p, sig, env, _ATOM_VAR)
         if beta.sort != alpha.sort:
             raise ParseError("~= needs two applications of the same "
                              "sort", tok.line, tok.col)
@@ -386,7 +381,7 @@ def parse_theory(text, sig):
 def format_signature(sig) -> str:
     by_sort = {K: [] for K in sig.sorts}
     for lhs, rhs in sig.equations:
-        by_sort[sig._gen_by_name[lhs[0]].dom].append((lhs, rhs))
+        by_sort[sig.gen(lhs[0]).dom].append((lhs, rhs))
     lines = [f"signature {sig.name} {{"]
     for K in sig.sorts:
         gens = sig.out_gens(K)

@@ -13,13 +13,13 @@ formula wherever the saturation precondition makes the two agree.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import (FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
                      SortMismatch, UnboundVariable, UnknownName, UnknownSort)
 from .isogen import ind
-from .sigcore import Arrow, Signature
+from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
                      Implies, Or, Top, Variable, mk_var)
 
@@ -32,6 +32,8 @@ class FinStructure:
         self.carriers = {s: tuple(carriers.get(s, ())) for s in sig.sorts}
         self.maps = {g.name: dict(maps.get(g.name, {})) for g in sig.gens}
         self._evaluator = None
+        self._iso_cache = {}  # (sort, a, b) -> card of Ind, see card_iso_elems
+        self._profile = None  # see saturation_profile
 
     def carrier(self, sort):
         if sort not in self.carriers:
@@ -41,9 +43,9 @@ class FinStructure:
     def apply_gen(self, gen_name, elem):
         return self.maps[gen_name][elem]
 
-    def apply(self, arrow: Arrow, elem):
-        """Apply the map of a hom-class along one representative path."""
-        for gen_name in arrow.path:
+    def apply(self, path, elem):
+        """Apply the maps of a generator path, first generator first."""
+        for gen_name in path:
             elem = self.maps[gen_name][elem]
         return elem
 
@@ -78,29 +80,22 @@ def validate_structure(sig: Signature, raw) -> FinStructure:
             if e not in dom:
                 raise NonTotalMap(
                     f"map {g.name!r} defined on stray element {e!r}")
-    # equal declared paths must induce equal maps
+    # maps that agree on both sides of each declared equation, at every
+    # element, respect the congruence the equations generate
     for s in sig.sorts:
-        for arrow in sig.out(s):
-            paths = sig.class_members(arrow)
+        for lhs, rhs in sig.equations_at(s):
             for e in M.carrier(s):
-                images = {_walk(M, p, e) for p in paths}
-                if len(images) > 1:
+                if M.apply(lhs, e) != M.apply(rhs, e):
                     raise FunctorialityError(
-                        f"maps disagree on {e!r} along the class "
-                        f"{arrow.name!r}")
+                        f"maps disagree on {e!r} along the equation "
+                        f"{'.'.join(lhs)} = {'.'.join(rhs)}")
     return M
-
-
-def _walk(M, path, elem):
-    for g in path:
-        elem = M.maps[g][elem]
-    return elem
 
 
 def boundary_of(M: FinStructure, K: str, elem) -> dict:
     """The boundary instance of an element: its image along every
     non-identity hom-class out of K."""
-    return {q: M.apply(q, elem) for q in M.sig.out(K)}
+    return {q: M.apply(q.path, elem) for q in M.sig.out(K)}
 
 
 def boundary_instances(M: FinStructure, K: str) -> list:
@@ -204,14 +199,14 @@ class _Evaluator:
             return (b ** a) * (a ** b)
         if isinstance(phi, Forall):
             n = 1
-            for e in self._range_of(phi.var, asg):
+            for e in self._fiber_of(phi.var, asg):
                 n *= self.card(phi.body, {**asg, phi.var: e})
                 if n == 0:
                     return 0
             return n
         if isinstance(phi, Exists):
             counts = (self.card(phi.body, {**asg, phi.var: e})
-                      for e in self._range_of(phi.var, asg))
+                      for e in self._fiber_of(phi.var, asg))
             if phi.untruncated:
                 return sum(counts)
             return _truth(sum(_truth(c) for c in counts))
@@ -222,14 +217,11 @@ class _Evaluator:
     def _fiber_of(self, var: Variable, asg):
         delta = {}
         for q in self.sig.out(var.sort):
-            w = var.proj_along(q)
+            w = var.proj_along(q.path)
             if w not in asg:
                 raise UnboundVariable(f"{w.name!r} is not assigned")
             delta[q] = asg[w]
         return fiber(self.M, var.sort, delta)
-
-    def _range_of(self, var, asg):
-        return self._fiber_of(var, asg)
 
     def _equiv_card(self, node: Equiv, asg):
         """Sum over fiber bijections of the product of pointwise
@@ -364,9 +356,7 @@ def equiv_card_via_formula(M: FinStructure, K: str, d1, d2) -> int:
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     """card of Ind(x, y) with x, y standing over the element boundaries
     of a and b."""
-    cache = getattr(M, "_iso_cache", None)
-    if cache is None:
-        cache = M._iso_cache = {}
+    cache = M._iso_cache
     key = (K, a, b)
     if key not in cache:
         xv, yv, asg = _pair_context(M, K, a, b)
@@ -406,9 +396,8 @@ def saturated_at(M: FinStructure, K: str) -> bool:
 
 def saturation_profile(M: FinStructure) -> dict:
     """Per-level saturation booleans plus the total flag."""
-    cached = getattr(M, "_profile", None)
-    if cached is not None:
-        return dict(cached)
+    if M._profile is not None:
+        return dict(M._profile)
     sig = M.sig
     by_sort = {K: saturated_at(M, K) for K in sig.sorts}
     profile = {}

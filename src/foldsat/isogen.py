@@ -12,6 +12,7 @@ deduplicated up to contextual equivalence.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import (BoundaryMismatch, FunctorialityError, IncompatibleSort,
@@ -30,10 +31,6 @@ class FillerPattern:
     alpha: Variable
     beta: Variable
     quantified: tuple  # fresh variables, outermost first
-
-    @property
-    def context(self):
-        return frozenset(self.quantified)
 
 
 def enum_fillers(sig: Signature, R: str, p: Arrow, x: Variable,
@@ -64,14 +61,14 @@ def enum_fillers(sig: Signature, R: str, p: Arrow, x: Variable,
         if q == p:
             return x
         if q in derived:
-            return x.proj_along(derived[q])
+            return x.proj_along(derived[q].path)
         return val[q]
 
     def b_val(q, val):
         if q == p:
             return y
         if q in derived:
-            return y.proj_along(derived[q])
+            return y.proj_along(derived[q].path)
         return val[q]
 
     results = []
@@ -156,19 +153,17 @@ def ind_at(sig: Signature, R: str, p: Arrow, x: Variable,
     return conj(formulas)
 
 
-_IND_CACHE = {}
+# signature -> {(x, y): Ind(x, y)}; an entry lives as long as its signature
+_IND_CACHE = weakref.WeakKeyDictionary()
 
 
 def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
     """The indistinguishability formula Ind(x, y); when the boundaries
     coincide this is the isomorphism formula x ~ y."""
-    key = (id(sig), x, y)
-    cached = _IND_CACHE.get(key)
-    if cached is not None and cached[0] is sig:
-        return cached[1]
-    result = _ind(sig, x, y)
-    _IND_CACHE[key] = (sig, result)
-    return result
+    table = _IND_CACHE.setdefault(sig, {})
+    if (x, y) not in table:
+        table[(x, y)] = _ind(sig, x, y)
+    return table[(x, y)]
 
 
 def _ind(sig: Signature, x: Variable, y: Variable) -> Formula:

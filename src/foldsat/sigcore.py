@@ -1,14 +1,16 @@
 """Signatures as finite inverse categories.
 
-A signature is given by sorts, generating arrows and path equations.  All
-composite arrows are materialized as paths of generators and identified
-modulo the congruence generated by the declared equations, so hom-sets are
-exact and deterministic.
+A signature is given by sorts, generating arrows and path equations.  Its
+hom-sets are the generator paths modulo the congruence the declared
+equations generate.  One topological order of the sorts serves the cycle
+check, the levels and the hom-classes: the classes out of a sort are built
+from its generators and the already-built classes of their codomains, so
+no generator path is enumerated and hom-sets are exact and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CompositionError, CycleError, NameClashError, UnknownSort
 
@@ -26,11 +28,13 @@ class Gen:
 
 @dataclass(frozen=True)
 class Arrow:
-    """A hom-class, represented by its canonical generator path.
+    """A hom-class, represented by its canonical generator path: the least
+    member by length, then by the declaration index of each generator.
 
     The empty path is the identity.  Arrows must be obtained through
-    ``Signature.cls`` so that equal paths share one representative; equality
-    of ``Arrow`` values then decides equality in the category.
+    ``Signature.cls``, ``compose``, ``hom`` or ``out`` so that equal paths
+    share one representative; equality of ``Arrow`` values then decides
+    equality in the category.
     """
 
     path: Path
@@ -65,7 +69,7 @@ class Signature:
     :func:`validate_signature`.
     """
 
-    def __init__(self, name, sorts, gens, equations, _token=None):
+    def __init__(self, name, sorts, gens, equations, order, _token=None):
         if _token is not _BUILD_TOKEN:
             raise TypeError("use validate_signature() to build a Signature")
         self.name = name
@@ -74,99 +78,82 @@ class Signature:
         self.equations = tuple(equations)
         self._gen_by_name = {g.name: g for g in self.gens}
         self._gen_index = {g.name: i for i, g in enumerate(self.gens)}
-        self._build_classes()
-        self._compute_levels()
+        self._identity = {s: Arrow((), s, s) for s in self.sorts}
+        self._equations_at = {s: [] for s in self.sorts}
+        for lhs, rhs in self.equations:
+            self._equations_at[self._gen_by_name[lhs[0]].dom].append(
+                (lhs, rhs))
+        self._compute_levels(order)
+        self._build_classes(order)
 
     # -- construction ----------------------------------------------------
 
-    def _all_paths(self):
-        """All non-empty composable generator paths (finite: DAG)."""
-        out_of = {s: [] for s in self.sorts}
-        for g in self.gens:
-            out_of[g.dom].append(g)
-        paths = []
-        stack = [((g.name,), g.dom, g.cod) for g in self.gens]
-        while stack:
-            path, dom, cod = stack.pop()
-            paths.append((path, dom, cod))
-            for g in out_of[cod]:
-                stack.append((path + (g.name,), dom, g.cod))
-        return paths
+    def _compute_levels(self, order):
+        """Levels along a topological order (domains before codomains)."""
+        levels = dict.fromkeys(order, 1)
+        for s in order:
+            for g in self.out_gens(s):
+                levels[g.cod] = max(levels[g.cod], levels[s] + 1)
+        self.levels = levels
+        self.height = max(levels.values()) if levels else 1
 
-    def _build_classes(self):
-        paths = self._all_paths()
-        parent = {p: p for p, _, _ in paths}
-        ends = {p: (d, c) for p, d, c in paths}
+    def _build_classes(self, order):
+        """Hom-classes out of each sort, codomains before domains.
 
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
-
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-
-        # one-step rewrites by declared equations, at every position;
-        # union-find supplies the transitive closure
-        for lhs, rhs in self.equations:
-            n = len(lhs)
-            for p, _, _ in paths:
-                for i in range(len(p) - n + 1):
-                    if p[i:i + n] == lhs:
-                        union(p, p[:i] + rhs + p[i + n:])
-
-        classes = {}
-        for p, _, _ in paths:
-            classes.setdefault(find(p), []).append(p)
-
+        A class out of ``s`` is a generator ``g: s -> t`` followed by the
+        identity or a class ``c`` out of ``t``; ``self._ext[c.path][g]`` is
+        that class.  The canonical path of ``c`` determines ``c`` once ``g``
+        is known, and ``()`` stands for the identity of ``g``'s codomain.
+        Such pairs are merged only by ``lhs.c = rhs.c`` for an equation
+        starting at ``s``: any other one-step rewrite acts inside ``c`` and
+        is already quotiented there.
+        """
         def path_key(p):
             return (len(p), tuple(self._gen_index[g] for g in p))
 
-        self._class_of = {}
-        self._hom = {}
         sort_index = {s: i for i, s in enumerate(self.sorts)}
-        for members in classes.values():
-            canon = min(members, key=path_key)
-            dom, cod = ends[canon]
-            arrow = Arrow(canon, dom, cod)
-            for p in members:
-                if ends[p] != (dom, cod):
-                    raise CompositionError(
-                        f"equation closure identifies arrows with mismatched "
-                        f"endpoints: {'.'.join(canon)} vs {'.'.join(p)}")
-                self._class_of[p] = arrow
-            self._hom.setdefault((dom, cod), []).append(arrow)
-        for key in self._hom:
-            self._hom[key].sort(key=lambda a: path_key(a.path))
-            self._hom[key] = tuple(self._hom[key])
+        self._ext = {(): {}}
         self._out = {}
-        for s in self.sorts:
-            arrows = [a for (d, _c), hs in self._hom.items() if d == s
-                      for a in hs]
+        self._hom = {}
+        for s in reversed(order):
+            pairs = [(g.name, c) for g in self.out_gens(s)
+                     for c in (self._identity[g.cod],) + self._out[g.cod]]
+            parent = {pair: pair for pair in pairs}
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for lhs, rhs in self._equations_at[s]:
+                t = self._gen_by_name[lhs[-1]].cod
+                for c in (self._identity[t],) + self._out[t]:
+                    a = (lhs[0], self._fold(lhs[1:], c))
+                    b = (rhs[0], self._fold(rhs[1:], c))
+                    parent[find(a)] = find(b)
+            members = {}
+            for pair in pairs:
+                members.setdefault(find(pair), []).append(pair)
+            arrows = []
+            for group in members.values():
+                canon = min(((g,) + c.path for g, c in group), key=path_key)
+                arrow = Arrow(canon, s, group[0][1].cod)
+                self._ext[canon] = {}
+                for g, c in group:
+                    self._ext[c.path][g] = arrow
+                arrows.append(arrow)
             arrows.sort(key=lambda a: (sort_index[a.cod], path_key(a.path)))
             self._out[s] = tuple(arrows)
+            for a in arrows:
+                self._hom.setdefault((s, a.cod), []).append(a)
+        self._hom = {k: tuple(v) for k, v in self._hom.items()}
 
-    def _compute_levels(self):
-        incoming = {s: [] for s in self.sorts}
-        for g in self.gens:
-            incoming[g.cod].append(g.dom)
-        levels = {}
-
-        def level(s):
-            if s not in levels:
-                if not incoming[s]:
-                    levels[s] = 1
-                else:
-                    levels[s] = 1 + max(level(d) for d in incoming[s])
-            return levels[s]
-
-        for s in self.sorts:
-            level(s)
-        self.levels = levels
-        self.height = max(levels.values()) if levels else 1
+    def _fold(self, path, then: Arrow) -> Arrow:
+        """The class of ``path`` followed by ``then``."""
+        for g in reversed(path):
+            then = self._ext[then.path][g]
+        return then
 
     # -- queries ---------------------------------------------------------
 
@@ -178,24 +165,23 @@ class Signature:
     def identity(self, sort) -> Arrow:
         if sort not in self.levels:
             raise UnknownSort(sort)
-        return Arrow((), sort, sort)
+        return self._identity[sort]
 
     def cls(self, path: Path) -> Arrow:
         """Canonical hom-class of a generator path."""
         if not path:
             raise ValueError("empty path needs a sort; use identity()")
-        if path not in self._class_of:
-            raise UnknownSort(f"not a composable path: {'.'.join(path)}")
-        return self._class_of[path]
+        try:
+            return self._fold(path[:-1], self._ext[()][path[-1]])
+        except KeyError:
+            raise UnknownSort(
+                f"not a composable path: {'.'.join(path)}") from None
 
     def compose(self, first: Arrow, then: Arrow) -> Arrow:
         """Composite then∘first (apply ``first``, then ``then``)."""
         if first.cod != then.dom:
             raise CompositionError(f"{first!r} then {then!r} not composable")
-        path = first.path + then.path
-        if not path:
-            return self.identity(first.dom)
-        return self._class_of[path]
+        return self._fold(first.path, then)
 
     def hom(self, dom, cod):
         """All arrows dom→cod (including the identity when dom == cod)."""
@@ -213,11 +199,9 @@ class Signature:
             raise UnknownSort(sort)
         return self._out[sort]
 
-    def class_members(self, arrow: Arrow):
-        """All generator paths in the hom-class of ``arrow``."""
-        if arrow.is_identity:
-            return ((),)
-        return tuple(p for p, a in self._class_of.items() if a == arrow)
+    def equations_at(self, sort):
+        """The declared equations whose paths start at ``sort``."""
+        return self._equations_at[sort]
 
     def out_gens(self, sort):
         return tuple(g for g in self.gens if g.dom == sort)
@@ -230,6 +214,26 @@ class Signature:
 
 
 _BUILD_TOKEN = object()
+
+
+def _topological_order(sorts, gens) -> list:
+    """The sorts with every arrow's domain before its codomain (Kahn's
+    algorithm); raises :class:`CycleError` when the arrows have a cycle."""
+    indegree = {s: 0 for s in sorts}
+    targets = {s: [] for s in sorts}
+    for g in gens:
+        indegree[g.cod] += 1
+        targets[g.dom].append(g.cod)
+    order = [s for s in sorts if not indegree[s]]
+    for s in order:
+        for t in targets[s]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                order.append(t)
+    if len(order) < len(sorts):
+        stuck = next(g for g in gens if indegree[g.dom] and indegree[g.cod])
+        raise CycleError(f"cycle through sorts {stuck.dom} -> {stuck.cod}")
+    return order
 
 
 def validate_signature(raw, name="sig") -> Signature:
@@ -263,25 +267,10 @@ def validate_signature(raw, name="sig") -> Signature:
         raise NameClashError("; ".join(diags))
 
     # inverse check: generator graph on sorts must be a DAG with no loops
-    adj = {s: set() for s in sorts}
     for g in gens:
         if g.dom == g.cod:
             raise CycleError(f"endomorphism arrow {g.name} on sort {g.dom}")
-        adj[g.dom].add(g.cod)
-    state = {}
-
-    def visit(s):
-        state[s] = 1
-        for t in adj[s]:
-            if state.get(t) == 1:
-                raise CycleError(f"cycle through sorts {s} -> {t}")
-            if t not in state:
-                visit(t)
-        state[s] = 2
-
-    for s in sorts:
-        if s not in state:
-            visit(s)
+    order = _topological_order(sorts, gens)
 
     by_name = {g.name: g for g in gens}
     equations = []
@@ -304,7 +293,8 @@ def validate_signature(raw, name="sig") -> Signature:
                 f"{'.'.join(lhs)} = {'.'.join(rhs)}")
         equations.append((lhs, rhs))
 
-    sig = Signature(name, sorts, gens, equations, _token=_BUILD_TOKEN)
+    sig = Signature(name, sorts, gens, equations, order,
+                    _token=_BUILD_TOKEN)
 
     declared = raw.get("levels")
     if declared:

@@ -10,12 +10,11 @@ variable only through its boundary, matching the convention that
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (FunctorialityError, IllFormedContext, SortMismatch,
                      UnknownSort)
-from .sigcore import Arrow, Signature
+from .sigcore import Signature
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,10 @@ class Variable:
     def proj_map(self):
         return dict(self.proj)
 
-    def proj_along(self, arrow: Arrow) -> "Variable":
+    def proj_along(self, path) -> "Variable":
+        """The projection along a generator path, first generator first."""
         v = self
-        for g in arrow.path:
+        for g in path:
             v = v.proj_map()[g]
         return v
 
@@ -62,7 +62,9 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
 
     ``fillers`` maps each generating arrow name out of ``sort`` to an
     already-built variable.  Validation checks sorts and that equal paths
-    out of ``sort`` project to the same variable.
+    out of ``sort`` project to the same variable: both sides of each
+    declared equation agree at every variable of the dependency closure,
+    which is enough for every pair of paths the equations identify.
     """
     if sort not in sig.levels:
         raise UnknownSort(sort)
@@ -83,21 +85,21 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     if extra:
         raise FunctorialityError(f"unknown positions for {sort}: {extra}")
     var = Variable(name, sort, tuple(proj))
-    # equal paths must yield equal projections
-    for arrow in sig.out(sort):
-        results = {_walk(var, p) for p in sig.class_members(arrow)}
-        if len(results) != 1:
-            raise FunctorialityError(
-                f"variable {name}:{sort} breaks equation on class "
-                f"{arrow.name}")
+    # the dependency closure is walked by object identity: hashing a
+    # variable, as dep() does, walks its boundary once per path
+    stack, seen = [var], set()
+    while stack:
+        w = stack.pop()
+        if id(w) in seen:
+            continue
+        seen.add(id(w))
+        for lhs, rhs in sig.equations_at(w.sort):
+            if w.proj_along(lhs) != w.proj_along(rhs):
+                raise FunctorialityError(
+                    f"variable {name}:{sort} breaks equation "
+                    f"{'.'.join(lhs)} = {'.'.join(rhs)} at {w.name}")
+        stack.extend(v for _, v in w.proj)
     return var
-
-
-def _walk(var: Variable, path) -> Variable:
-    v = var
-    for g in path:
-        v = v.proj_map()[g]
-    return v
 
 
 # -- contexts -----------------------------------------------------------
@@ -234,42 +236,6 @@ def conj(args) -> Formula:
 
 
 # -- substitution -------------------------------------------------------
-
-def all_var_names(phi: Formula):
-    names = set()
-
-    def rec_var(v):
-        names.add(v.name)
-        for _, w in v.proj:
-            rec_var(w)
-
-    def rec(f):
-        if isinstance(f, Atom):
-            rec_var(f.var)
-        elif isinstance(f, (And, Or)):
-            for a in f.args:
-                rec(a)
-        elif isinstance(f, (Implies, Iff)):
-            rec(f.lhs)
-            rec(f.rhs)
-        elif isinstance(f, (Forall, Exists)):
-            rec_var(f.var)
-            rec(f.body)
-        elif isinstance(f, Equiv):
-            rec_var(f.alpha)
-            rec_var(f.beta)
-
-    rec(phi)
-    return names
-
-
-def fresh_names(prefix, used):
-    for i in itertools.count(1):
-        cand = f"{prefix}{i}"
-        if cand not in used:
-            used.add(cand)
-            yield cand
-
 
 def map_var(v: Variable, s: dict) -> Variable:
     if v in s:
@@ -443,21 +409,14 @@ def compatible_sorts(sig: Signature, x: Variable) -> tuple:
     respected by x's projection coincidences."""
     K = x.sort
     lv = sig.level(K)
+    positions = [(p, x.proj_along(p.path)) for p in sig.out(K)]
     out = []
     for R in sig.sorts:
         if sig.level(R) >= lv:
             continue
-        ok = True
-        for q in sig.hom(R, K):
-            for p1 in sig.out(K):
-                for p2 in sig.out(K):
-                    if p1.cod != p2.cod:
-                        continue
-                    if sig.compose(q, p1) == sig.compose(q, p2):
-                        if x.proj_along(p1) != x.proj_along(p2):
-                            ok = False
-            if not ok:
-                break
-        if ok:
+        # positions of x that R identifies through q must project alike
+        image = {}
+        if all(image.setdefault((q.path, sig.compose(q, p).path), v) == v
+               for q in sig.hom(R, K) for p, v in positions):
             out.append(R)
     return tuple(out)

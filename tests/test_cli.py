@@ -83,6 +83,11 @@ def test_formula_connectives(lcat, models):
     assert eval_prop(M, psi)
 
 
+def test_parsing_twice_gives_equal_formulas(lcat):
+    text = "forall x:O. forall f:A(x,x). I(f) & A(x,x) ~= A(x,x)"
+    assert parse_formula(text, lcat) == parse_formula(text, lcat)
+
+
 def test_parse_errors(lcat):
     with pytest.raises(ParseError):
         parse_formula("forall x:O", lcat)
