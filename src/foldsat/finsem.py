@@ -13,7 +13,8 @@ formula wherever the saturation precondition makes the two agree.
 
 from __future__ import annotations
 
-from itertools import permutations
+from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
@@ -25,15 +26,24 @@ from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
 
 
 class FinStructure:
-    """Finite functorial interpretation of a signature."""
+    """Finite functorial interpretation of a signature.
+
+    Read-only: ``carriers`` maps each sort to a tuple and ``maps`` each
+    generator to a read-only mapping, so the caches below cannot go
+    stale.
+    """
 
     def __init__(self, sig: Signature, carriers, maps):
         self.sig = sig
-        self.carriers = {s: tuple(carriers.get(s, ())) for s in sig.sorts}
-        self.maps = {g.name: dict(maps.get(g.name, {})) for g in sig.gens}
+        self.carriers = MappingProxyType(
+            {s: tuple(carriers.get(s, ())) for s in sig.sorts})
+        self.maps = MappingProxyType(
+            {g.name: MappingProxyType(dict(maps.get(g.name, {})))
+             for g in sig.gens})
         self._evaluator = None
         self._iso_cache = {}  # (sort, a, b) -> card of Ind, see card_iso_elems
         self._profile = None  # see saturation_profile
+        self._fibers = {}  # sort -> fiber index, see fibers
 
     def carrier(self, sort):
         if sort not in self.carriers:
@@ -48,6 +58,22 @@ class FinStructure:
         for gen_name in path:
             elem = self.maps[gen_name][elem]
         return elem
+
+    def fibers(self, sort) -> dict:
+        """The elements of ``sort`` by boundary: a map from the tuple of
+        their images along ``sig.out(sort)`` to the elements over it, in
+        carrier order.  Built on first use; ``fiber`` adds each valid
+        boundary it finds empty, mapped to ``()``."""
+        index = self._fibers.get(sort)
+        if index is None:
+            out = self.sig.out(sort)
+            groups = {}
+            for e in self.carrier(sort):
+                key = tuple(self.apply(q.path, e) for q in out)
+                groups.setdefault(key, []).append(e)
+            index = {key: tuple(es) for key, es in groups.items()}
+            self._fibers[sort] = index
+        return index
 
     def evaluator(self):
         if self._evaluator is None:
@@ -100,23 +126,27 @@ def boundary_of(M: FinStructure, K: str, elem) -> dict:
 
 def boundary_instances(M: FinStructure, K: str) -> list:
     """All consistent boundary instances for sort K, in deterministic
-    order."""
+    order.
+
+    Positions are filled deepest codomain first, so when position q is
+    reached the images its element must have are already chosen, and its
+    candidates are the fiber over them."""
     sig = M.sig
-    classes = sorted(sig.out(K), key=lambda a: (-sig.level(a.cod),
-                                                sig.out(K).index(a)))
+    out = sig.out(K)
+    classes = sorted(out, key=lambda a: (-sig.level(a.cod), out.index(a)))
+    under = [(q, tuple(sig.compose(q, r) for r in sig.out(q.cod)))
+             for q in classes]
     results = []
 
     def assign(i, val):
-        if i == len(classes):
+        if i == len(under):
             results.append(dict(val))
             return
-        q = classes[i]
-        for e in M.carrier(q.cod):
-            if all(M.apply_gen(g.name, e) == val[sig.compose(q, sig.cls(
-                    (g.name,)))] for g in sig.out_gens(q.cod)):
-                val[q] = e
-                assign(i + 1, val)
-                del val[q]
+        q, below = under[i]
+        for e in M.fibers(q.cod).get(tuple(val[r] for r in below), ()):
+            val[q] = e
+            assign(i + 1, val)
+            del val[q]
 
     assign(0, {})
     return results
@@ -126,9 +156,16 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
     """The elements of M(K) lying over a boundary instance."""
     sig = M.sig
     classes = sig.out(K)
-    if set(delta) != set(classes):
+    if len(delta) != len(classes) or not all(q in delta for q in classes):
         raise InvalidBoundary(
             f"boundary for {K!r} must assign exactly its positions")
+    key = tuple(delta[q] for q in classes)
+    index = M.fibers(K)
+    found = index.get(key)
+    if found is not None:
+        # the boundary of an element, valid by functoriality, or one
+        # validated here before
+        return found
     for q in classes:
         e = delta[q]
         if e not in M.carrier(q.cod):
@@ -140,115 +177,209 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
                 raise InvalidBoundary(
                     f"boundary for {K!r} violates {g.name!r} naturality "
                     f"at position {q.name!r}")
-    return tuple(e for e in M.carrier(K) if boundary_of(M, K, e) == delta)
+    index[key] = ()
+    return ()
 
 
-def _truth(n):
-    return 1 if n > 0 else 0
+def _permanent(rows) -> int:
+    """The permanent of a square matrix of non-negative integers: the sum
+    over bijections from rows to columns of the product of the chosen
+    entries.  Dynamic programming over the set of columns the first rows
+    use, so 2**n sets at most rather than n! bijections."""
+    ways = {0: 1}
+    for row in rows:
+        nxt = {}
+        for used, n in ways.items():
+            for j, w in enumerate(row):
+                bit = 1 << j
+                if w and not used & bit:
+                    nxt[used | bit] = nxt.get(used | bit, 0) + n * w
+        ways = nxt
+    return sum(ways.values())
+
+
+_UNSET = object()
+
+
+def _restore(env, slot, saved):
+    if saved is _UNSET:
+        env.pop(slot, None)
+    else:
+        env[slot] = saved
 
 
 class _Evaluator:
-    """Memoizing witness-count evaluator bound to one structure."""
+    """Memoizing witness-count evaluator bound to one structure.
+
+    Each formula is compiled once into a count function over an
+    environment that maps variable slots (small integers, one per
+    variable) to elements.  A count function memoizes its results on the
+    values of its free variables, read from the environment with one
+    ``itemgetter`` call.  Quantifiers bind their variable in place and
+    restore it afterwards.
+    """
 
     def __init__(self, M: FinStructure):
         self.M = M
         self.sig = M.sig
-        self._fv = {}
-        self._inner = {}
-        self._memo = {}
-
-    def fv(self, phi):
-        if phi not in self._fv:
-            self._fv[phi] = frozenset(phi.free_vars())
-        return self._fv[phi]
+        self._slot = {}  # variable -> slot
+        self._compiled = {}  # formula -> count function
 
     def card(self, phi, asg):
-        fv = self.fv(phi)
-        for v in fv:
+        for v in phi.free_vars():
             if v not in asg:
                 raise UnboundVariable(f"{v.name!r} is not assigned")
-        key = (phi, frozenset((v, asg[v]) for v in fv))
-        if key in self._memo:
-            return self._memo[key]
-        n = self._card(phi, asg)
-        self._memo[key] = n
-        return n
+        return self._count(phi)({self._slot_of(v): e for v, e in asg.items()})
 
-    def _card(self, phi, asg):
-        M = self.M
+    def _slot_of(self, var):
+        slot = self._slot.get(var)
+        if slot is None:
+            slot = self._slot[var] = len(self._slot)
+        return slot
+
+    def _values(self, vars_):
+        """A function from an environment to the tuple of values of
+        ``vars_``."""
+        slots = [self._slot_of(v) for v in vars_]
+        if len(slots) > 1:
+            return itemgetter(*slots)
+        if slots:
+            s = slots[0]
+            return lambda env: (env[s],)
+        return lambda env: ()
+
+    def _count(self, phi):
+        fn = self._compiled.get(phi)
+        if fn is None:
+            count = self._build(phi)
+            key_of, table = self._values(phi.free_vars()), {}
+
+            def fn(env):
+                key = key_of(env)
+                n = table.get(key)
+                if n is None:
+                    n = table[key] = count(env)
+                return n
+
+            self._compiled[phi] = fn
+        return fn
+
+    def _build(self, phi):
+        """The unmemoized count function of one node."""
         if isinstance(phi, Top):
-            return 1
+            return lambda env: 1
         if isinstance(phi, Bottom):
-            return 0
+            return lambda env: 0
         if isinstance(phi, Atom):
-            return _truth(len(self._fiber_of(phi.var, asg)))
+            fib = self._fiber_fn(phi.var)
+            return lambda env: 1 if fib(env) else 0
         if isinstance(phi, And):
-            n = 1
-            for a in phi.args:
-                n *= self.card(a, asg)
-                if n == 0:
-                    return 0
-            return n
+            args = [self._count(a) for a in phi.args]
+
+            def conj(env):
+                n = 1
+                for a in args:
+                    n *= a(env)
+                    if n == 0:
+                        return 0
+                return n
+            return conj
         if isinstance(phi, Or):
-            return _truth(sum(_truth(self.card(a, asg)) for a in phi.args))
+            args = [self._count(a) for a in phi.args]
+            return lambda env: 1 if any(a(env) for a in args) else 0
         if isinstance(phi, Implies):
-            a = self.card(phi.lhs, asg)
-            return self.card(phi.rhs, asg) ** a
+            lhs, rhs = self._count(phi.lhs), self._count(phi.rhs)
+
+            def implies(env):
+                a = lhs(env)
+                return rhs(env) ** a if a else 1
+            return implies
         if isinstance(phi, Iff):
-            a, b = self.card(phi.lhs, asg), self.card(phi.rhs, asg)
-            return (b ** a) * (a ** b)
-        if isinstance(phi, Forall):
-            n = 1
-            for e in self._fiber_of(phi.var, asg):
-                n *= self.card(phi.body, {**asg, phi.var: e})
-                if n == 0:
-                    return 0
-            return n
-        if isinstance(phi, Exists):
-            counts = (self.card(phi.body, {**asg, phi.var: e})
-                      for e in self._fiber_of(phi.var, asg))
-            if phi.untruncated:
-                return sum(counts)
-            return _truth(sum(_truth(c) for c in counts))
+            lhs, rhs = self._count(phi.lhs), self._count(phi.rhs)
+
+            def iff(env):
+                a, b = lhs(env), rhs(env)
+                return (b ** a) * (a ** b)
+            return iff
+        if isinstance(phi, (Forall, Exists)):
+            return self._quantifier(phi)
         if isinstance(phi, Equiv):
-            return self._equiv_card(phi, asg)
+            return self._equiv(phi)
         raise TypeError(f"unknown formula node {phi!r}")
 
-    def _fiber_of(self, var: Variable, asg):
-        delta = {}
-        for q in self.sig.out(var.sort):
-            w = var.proj_along(q.path)
-            if w not in asg:
-                raise UnboundVariable(f"{w.name!r} is not assigned")
-            delta[q] = asg[w]
-        return fiber(self.M, var.sort, delta)
+    def _quantifier(self, phi):
+        """Forall multiplies over the fiber, the untruncated existential
+        sums, and the truncated one stops at the first witness."""
+        slot = self._slot_of(phi.var)
+        fib, body = self._fiber_fn(phi.var), self._count(phi.body)
+        forall = isinstance(phi, Forall)
+        truncated = not forall and not phi.untruncated
 
-    def _equiv_card(self, node: Equiv, asg):
+        def quantify(env):
+            saved = env.get(slot, _UNSET)
+            n = 1 if forall else 0
+            for e in fib(env):
+                env[slot] = e
+                c = body(env)
+                if forall:
+                    n *= c
+                    if n == 0:
+                        break
+                elif truncated:
+                    if c:
+                        n = 1
+                        break
+                else:
+                    n += c
+            _restore(env, slot, saved)
+            return n
+        return quantify
+
+    def _fiber_fn(self, var: Variable):
+        """A function from an environment to the fiber ``var`` ranges
+        over."""
+        K = var.sort
+        out = self.sig.out(K)
+        key_of = self._values(var.proj_along(q.path) for q in out)
+        index, M = self.M.fibers(K), self.M
+
+        def fib(env):
+            key = key_of(env)
+            found = index.get(key)
+            if found is None:  # fiber() validates the boundary
+                found = fiber(M, K, dict(zip(out, key)))
+            return found
+        return fib
+
+    def _equiv(self, node: Equiv):
         """Sum over fiber bijections of the product of pointwise
-        indistinguishability counts."""
-        f1 = self._fiber_of(node.alpha, asg)
-        f2 = self._fiber_of(node.beta, asg)
-        if len(f1) != len(f2):
-            return 0
-        xv, yv, inner = self._inner_ind(node)
-        if not f1:
-            return 1
-        total = 0
-        for image in permutations(f2):
-            n = 1
-            for a, b in zip(f1, image):
-                n *= self.card(inner, {**asg, xv: a, yv: b})
-                if n == 0:
-                    break
-            total += n
-        return total
+        indistinguishability counts: the permanent of their matrix."""
+        f1, f2 = self._fiber_fn(node.alpha), self._fiber_fn(node.beta)
+        xv = Variable("a*", node.sort, node.alpha.proj)
+        yv = Variable("b*", node.sort, node.beta.proj)
+        sx, sy = self._slot_of(xv), self._slot_of(yv)
+        inner = None  # the count of Ind(a*, b*), built when first needed
 
-    def _inner_ind(self, node: Equiv):
-        if node not in self._inner:
-            xv = Variable("a*", node.sort, node.alpha.proj)
-            yv = Variable("b*", node.sort, node.beta.proj)
-            self._inner[node] = (xv, yv, ind(self.sig, xv, yv))
-        return self._inner[node]
+        def equiv(env):
+            nonlocal inner
+            left, right = f1(env), f2(env)
+            if len(left) != len(right):
+                return 0
+            if inner is None:
+                inner = self._count(ind(self.sig, xv, yv))
+            saved = env.get(sx, _UNSET), env.get(sy, _UNSET)
+            rows = []
+            for a in left:
+                env[sx] = a
+                row = []
+                for b in right:
+                    env[sy] = b
+                    row.append(inner(env))
+                rows.append(row)
+            _restore(env, sx, saved[0])
+            _restore(env, sy, saved[1])
+            return _permanent(rows)
+        return equiv
 
 
 def _check_assignment(M, phi, asg):
@@ -311,18 +442,35 @@ def element_variable(M: FinStructure, sort: str, elem, cache, prefix=""):
     return v
 
 
-def _pair_context(M, K, a, b):
-    """Two distinct variables of sort K carrying the element boundaries
-    of a and b, plus the assignment realizing them."""
-    cache = {}
-    va = element_variable(M, K, a, cache)
-    vb = element_variable(M, K, b, cache)
-    xv = Variable("x*", K, va.proj)
-    yv = Variable("y*", K, vb.proj)
-    asg = {v: e for (s, e, _), v in cache.items()}
-    asg[xv] = a
-    asg[yv] = b
-    return xv, yv, asg
+def _pair_by_position(M: FinStructure, K: str, over_x, over_y):
+    """Variables x*, y* of sort K whose generator positions ``g`` hold
+    the elements ``over_x[g]`` and ``over_y[g]``, plus the assignment of
+    their boundary variables.
+
+    Each boundary element becomes one variable, named after its sort and
+    the order in which the walk first reaches it, not after the element.
+    Two pairs whose boundaries coincide in the same pattern therefore get
+    the same x* and y*, and so the same ``Ind(x*, y*)``.
+    """
+    sig = M.sig
+    var_of, asg, count = {}, {}, {}
+
+    def mirror(sort, elem):
+        v = var_of.get((sort, elem))
+        if v is None:
+            proj = tuple((g.name, mirror(g.cod, M.apply_gen(g.name, elem)))
+                         for g in sig.out_gens(sort))
+            count[sort] = count.get(sort, 0) + 1
+            v = Variable(f"{sort.lower()}_{count[sort]}", sort, proj)
+            var_of[(sort, elem)] = v
+            asg[v] = elem
+        return v
+
+    def top(name, over):
+        return Variable(name, K, tuple((g.name, mirror(g.cod, over[g.name]))
+                                       for g in sig.out_gens(K)))
+
+    return top("x*", over_x), top("y*", over_y), asg
 
 
 def boundary_pair_context(M: FinStructure, K: str, d1, d2):
@@ -330,16 +478,13 @@ def boundary_pair_context(M: FinStructure, K: str, d1, d2):
     and d2 (sharing boundary variables where the elements coincide),
     plus the assignment of their boundary variables."""
     sig = M.sig
-    cache = {}
 
-    def fillers(delta):
-        return {g.name: element_variable(M, g.cod,
-                                         delta[sig.cls((g.name,))], cache)
-                for g in sig.out_gens(K)}
+    def over(delta):
+        return {g.name: delta[sig.cls((g.name,))] for g in sig.out_gens(K)}
 
-    xt = mk_var(sig, "x*", K, fillers(d1))
-    yt = Variable("y*", K, mk_var(sig, "y*", K, fillers(d2)).proj)
-    asg = {v: e for (s, e, _), v in cache.items()}
+    xt, yt, asg = _pair_by_position(M, K, over(d1), over(d2))
+    for v in (xt, yt):
+        mk_var(sig, v.name, K, v.proj_map())
     return xt, yt, asg
 
 
@@ -359,7 +504,12 @@ def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     cache = M._iso_cache
     key = (K, a, b)
     if key not in cache:
-        xv, yv, asg = _pair_context(M, K, a, b)
+        gens = M.sig.out_gens(K)
+        xv, yv, asg = _pair_by_position(
+            M, K, {g.name: M.apply_gen(g.name, a) for g in gens},
+            {g.name: M.apply_gen(g.name, b) for g in gens})
+        asg[xv] = a
+        asg[yv] = b
         phi = ind(M.sig, xv, yv)
         fv = phi.free_vars()
         cache[key] = eval_card(M, phi,
@@ -421,10 +571,5 @@ def equiv_card_via_bijections(M: FinStructure, K: str, d1, d2) -> int:
     f1, f2 = fiber(M, K, d1), fiber(M, K, d2)
     if len(f1) != len(f2):
         return 0
-    if not f1:
-        return 1
-    total = 0
-    for image in permutations(f2):
-        if all(ind_truth_elems(M, K, a, b) for a, b in zip(f1, image)):
-            total += 1
-    return total
+    return _permanent([[int(ind_truth_elems(M, K, a, b)) for b in f2]
+                       for a in f1])

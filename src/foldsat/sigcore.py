@@ -252,16 +252,17 @@ def validate_signature(raw, name="sig") -> Signature:
             diags.append(f"duplicate sort name: {s}")
         seen.add(s)
     gens = []
-    gen_names = {}
+    gen_names = set()
     for entry in raw.get("arrows", []):
         gname, dom, cod = entry
         if dom not in seen or cod not in seen:
             diags.append(f"dangling arrow {gname}: {dom}->{cod}")
             continue
-        if (gname, dom) in gen_names or gname in seen:
+        # equations, structure maps and paths name a generator alone
+        if gname in gen_names or gname in seen:
             diags.append(f"duplicate arrow name: {gname}")
             continue
-        gen_names[(gname, dom)] = True
+        gen_names.add(gname)
         gens.append(Gen(gname, dom, cod))
     if diags:
         raise NameClashError("; ".join(diags))

@@ -10,20 +10,43 @@ variable only through its boundary, matching the convention that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import (FunctorialityError, IllFormedContext, SortMismatch,
                      UnknownSort)
 from .sigcore import Signature
 
 
-@dataclass(frozen=True)
+def _term(cls):
+    """A frozen dataclass that computes its structural hash once, when it
+    is built.
+
+    The hash equals the one ``dataclass`` would compute, but it hashes a
+    tuple of already hashed children instead of the whole tree.
+    """
+    def __post_init__(self):
+        self.__dict__["_hash"] = hash(tuple(getattr(self, n) for n in names))
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    cls.__hash__ = _stored_hash
+    return cls
+
+
+def _stored_hash(term):
+    return term._hash
+
+
+@_term
 class Variable:
     """A typed variable with structural projections.
 
     ``proj`` assigns a variable to every generating arrow out of ``sort``,
     in declaration order.  Equality is structural, so two occurrences of
-    "the same" variable compare equal.
+    "the same" variable compare equal.  The hash, ``dep()`` and
+    ``boundary()`` are computed once per variable.
     """
 
     name: str
@@ -40,15 +63,23 @@ class Variable:
             v = v.proj_map()[g]
         return v
 
-    def dep(self) -> frozenset:
-        """dep(x): x together with all its (transitive) projections."""
+    @cached_property
+    def _dep(self):
         out = {self}
         for _, v in self.proj:
             out |= v.dep()
         return frozenset(out)
 
+    @cached_property
+    def _boundary(self):
+        return self._dep - {self}
+
+    def dep(self) -> frozenset:
+        """dep(x): x together with all its (transitive) projections."""
+        return self._dep
+
     def boundary(self) -> frozenset:
-        return self.dep() - {self}
+        return self._boundary
 
     def __repr__(self):
         if not self.proj:
@@ -85,8 +116,8 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     if extra:
         raise FunctorialityError(f"unknown positions for {sort}: {extra}")
     var = Variable(name, sort, tuple(proj))
-    # the dependency closure is walked by object identity: hashing a
-    # variable, as dep() does, walks its boundary once per path
+    # the dependency closure is walked depth-first from var, so the broken
+    # equation reported first does not depend on set iteration order
     stack, seen = [var], set()
     while stack:
         w = stack.pop()
@@ -127,89 +158,97 @@ def context_of(vars_) -> frozenset:
 # -- formulas -----------------------------------------------------------
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes; each node computes its free
+    variables once, through its class's ``_free_vars``."""
+
+    @cached_property
+    def _fv(self):
+        return self._free_vars()
 
     def free_vars(self) -> frozenset:
+        return self._fv
+
+    def _free_vars(self) -> frozenset:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_term
 class Top(Formula):
-    def free_vars(self):
+    def _free_vars(self):
         return frozenset()
 
 
-@dataclass(frozen=True)
+@_term
 class Bottom(Formula):
-    def free_vars(self):
+    def _free_vars(self):
         return frozenset()
 
 
-@dataclass(frozen=True)
+@_term
 class Atom(Formula):
     """R(a) for a level-1 sort R: sugar for the truncated inhabitation of
     the fiber over the boundary of ``var``."""
 
     var: Variable
 
-    def free_vars(self):
+    def _free_vars(self):
         return self.var.boundary()
 
 
-@dataclass(frozen=True)
+@_term
 class And(Formula):
     args: tuple
 
-    def free_vars(self):
+    def _free_vars(self):
         return union_contexts(*(a.free_vars() for a in self.args))
 
 
-@dataclass(frozen=True)
+@_term
 class Or(Formula):
     args: tuple
 
-    def free_vars(self):
+    def _free_vars(self):
         return union_contexts(*(a.free_vars() for a in self.args))
 
 
-@dataclass(frozen=True)
+@_term
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
-    def free_vars(self):
+    def _free_vars(self):
         return self.lhs.free_vars() | self.rhs.free_vars()
 
 
-@dataclass(frozen=True)
+@_term
 class Iff(Formula):
     lhs: Formula
     rhs: Formula
 
-    def free_vars(self):
+    def _free_vars(self):
         return self.lhs.free_vars() | self.rhs.free_vars()
 
 
-@dataclass(frozen=True)
+@_term
 class Forall(Formula):
     var: Variable
     body: Formula
 
-    def free_vars(self):
+    def _free_vars(self):
         return (self.body.free_vars() | self.var.boundary()) - {self.var}
 
 
-@dataclass(frozen=True)
+@_term
 class Exists(Formula):
     var: Variable
     body: Formula
     untruncated: bool = False
 
-    def free_vars(self):
+    def _free_vars(self):
         return (self.body.free_vars() | self.var.boundary()) - {self.var}
 
 
-@dataclass(frozen=True)
+@_term
 class Equiv(Formula):
     """Generated-equivalence reference ``K(a) ~= K(b)``.
 
@@ -222,7 +261,7 @@ class Equiv(Formula):
     alpha: Variable
     beta: Variable
 
-    def free_vars(self):
+    def _free_vars(self):
         return self.alpha.boundary() | self.beta.boundary()
 
 

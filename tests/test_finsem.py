@@ -108,6 +108,19 @@ def test_i_boundary_instances_only_over_endos(models):
     assert endos == {"ida", "idb"}
 
 
+def test_structures_are_read_only(models):
+    # the fiber index, the evaluator and the saturation caches of a
+    # structure rely on it never changing
+    M = models["TermCat"]
+    assert all(isinstance(M.carrier(K), tuple) for K in M.sig.sorts)
+    with pytest.raises(TypeError):
+        M.carriers["O"] = ("extra",)
+    with pytest.raises(TypeError):
+        M.maps["d"] = {}
+    with pytest.raises(TypeError):
+        M.maps["d"][M.carrier("A")[0]] = "extra"
+
+
 def test_boundary_of_roundtrip(models):
     M = models["Arrow2"]
     for K in M.sig.sorts:

@@ -1,0 +1,454 @@
+"""Fast paths of the finite semantics against their brute-force oracles.
+
+Each oracle is the routine the fast path replaced, kept here: the fiber
+by a scan of the carrier, boundary instances by backtracking over whole
+carriers, ``Ind`` over element-named variables, the permanent over every
+bijection, and witness counts by direct recursion with no memo.  The
+inputs are random small lcat structures (preorders and cyclic groups,
+some with one element duplicated, which breaks saturation) and the
+corpus.
+"""
+
+import random
+from dataclasses import fields, is_dataclass
+from itertools import permutations
+from math import prod
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from foldsat.cli import parse_formula
+from foldsat.errors import InvalidBoundary
+from foldsat.finsem import (_permanent, boundary_instances, boundary_of,
+                            card_iso_elems, check_saturation,
+                            element_variable, eval_card, fiber,
+                            saturation_profile, validate_structure)
+from foldsat.isogen import ind, iso_formula
+from foldsat.stdlib import (FiniteCategory, _poset_category,
+                            category_to_structure, corpus, tcat_axioms)
+from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
+                            Formula, Iff, Implies, Or, Top, Variable)
+
+SETTINGS = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- oracles ---------------------------------------------------------------
+
+def scan_fiber(M, K, delta):
+    """The fiber by validating the boundary, then scanning the carrier."""
+    sig = M.sig
+    classes = sig.out(K)
+    if set(delta) != set(classes):
+        raise InvalidBoundary(
+            f"boundary for {K!r} must assign exactly its positions")
+    for q in classes:
+        e = delta[q]
+        if e not in M.carrier(q.cod):
+            raise InvalidBoundary(f"{e!r} is not in the carrier of "
+                                  f"{q.cod!r}")
+        for g in sig.out_gens(q.cod):
+            want = delta[sig.compose(q, sig.cls((g.name,)))]
+            if M.apply_gen(g.name, e) != want:
+                raise InvalidBoundary(
+                    f"boundary for {K!r} violates {g.name!r} naturality "
+                    f"at position {q.name!r}")
+    return tuple(e for e in M.carrier(K) if boundary_of(M, K, e) == delta)
+
+
+def backtrack_boundary_instances(M, K):
+    """Every consistent boundary, trying each carrier element at each
+    position."""
+    sig = M.sig
+    classes = sorted(sig.out(K), key=lambda a: (-sig.level(a.cod),
+                                                sig.out(K).index(a)))
+    results = []
+
+    def assign(i, val):
+        if i == len(classes):
+            results.append(dict(val))
+            return
+        q = classes[i]
+        for e in M.carrier(q.cod):
+            if all(M.apply_gen(g.name, e) == val[sig.compose(q, sig.cls(
+                    (g.name,)))] for g in sig.out_gens(q.cod)):
+                val[q] = e
+                assign(i + 1, val)
+                del val[q]
+
+    assign(0, {})
+    return results
+
+
+def pair_context(M, K, a, b):
+    """x*, y* over the boundaries of a and b, with boundary variables
+    named after their elements, plus the assignment realizing them."""
+    cache = {}
+    va = element_variable(M, K, a, cache)
+    vb = element_variable(M, K, b, cache)
+    xv = Variable("x*", K, va.proj)
+    yv = Variable("y*", K, vb.proj)
+    asg = {v: e for (s, e, _), v in cache.items()}
+    asg[xv] = a
+    asg[yv] = b
+    return xv, yv, asg
+
+
+def named_card_iso(M, K, a, b, count=eval_card):
+    xv, yv, asg = pair_context(M, K, a, b)
+    phi = ind(M.sig, xv, yv)
+    fv = phi.free_vars()
+    return count(M, phi, {v: e for v, e in asg.items() if v in fv})
+
+
+def brute_permanent(rows):
+    n = len(rows)
+    return sum(prod(rows[i][j] for i, j in enumerate(image))
+               for image in permutations(range(n)))
+
+
+def naive_card(M, phi, asg=None):
+    """Witness count by direct recursion: no memo, fibers by scanning,
+    and ``~=`` as a sum over every bijection of the fibers."""
+    def fib(var, asg):
+        return scan_fiber(M, var.sort, {q: asg[var.proj_along(q.path)]
+                                        for q in M.sig.out(var.sort)})
+
+    def rec(f, asg):
+        if isinstance(f, Top):
+            return 1
+        if isinstance(f, Bottom):
+            return 0
+        if isinstance(f, Atom):
+            return int(bool(fib(f.var, asg)))
+        if isinstance(f, And):
+            return prod(rec(a, asg) for a in f.args)
+        if isinstance(f, Or):
+            return int(any(rec(a, asg) for a in f.args))
+        if isinstance(f, Implies):
+            return rec(f.rhs, asg) ** rec(f.lhs, asg)
+        if isinstance(f, Iff):
+            a, b = rec(f.lhs, asg), rec(f.rhs, asg)
+            return (b ** a) * (a ** b)
+        if isinstance(f, (Forall, Exists)):
+            counts = [rec(f.body, {**asg, f.var: e})
+                      for e in fib(f.var, asg)]
+            if isinstance(f, Forall):
+                return prod(counts)
+            return sum(counts) if f.untruncated else int(any(counts))
+        if isinstance(f, Equiv):
+            f1, f2 = fib(f.alpha, asg), fib(f.beta, asg)
+            if len(f1) != len(f2):
+                return 0
+            xv = Variable("a*", f.sort, f.alpha.proj)
+            yv = Variable("b*", f.sort, f.beta.proj)
+            inner = ind(M.sig, xv, yv)
+            return sum(prod(rec(inner, {**asg, xv: a, yv: b})
+                            for a, b in zip(f1, image))
+                       for image in permutations(f2))
+        raise TypeError(f)
+
+    return rec(phi, dict(asg or {}))
+
+
+def fresh_hash(term):
+    """The structural hash recomputed over the whole tree, as a plain
+    frozen dataclass would compute it."""
+    class Hashed:
+        def __init__(self, h):
+            self.h = h
+
+        def __hash__(self):
+            return self.h
+
+    def mirror(x):
+        if is_dataclass(x):
+            return Hashed(hash(tuple(mirror(getattr(x, f.name))
+                                     for f in fields(x))))
+        if isinstance(x, tuple):
+            return tuple(mirror(a) for a in x)
+        return x
+
+    return hash(mirror(term))
+
+
+def fresh_dep(v):
+    out = {v}
+    for _, w in v.proj:
+        out |= fresh_dep(w)
+    return out
+
+
+def fresh_free_vars(f):
+    if isinstance(f, (Top, Bottom)):
+        return set()
+    if isinstance(f, Atom):
+        return fresh_dep(f.var) - {f.var}
+    if isinstance(f, (And, Or)):
+        return set().union(*(fresh_free_vars(a) for a in f.args))
+    if isinstance(f, (Implies, Iff)):
+        return fresh_free_vars(f.lhs) | fresh_free_vars(f.rhs)
+    if isinstance(f, (Forall, Exists)):
+        return (fresh_free_vars(f.body) | fresh_dep(f.var)) - {f.var}
+    if isinstance(f, Equiv):
+        return ((fresh_dep(f.alpha) - {f.alpha})
+                | (fresh_dep(f.beta) - {f.beta}))
+    raise TypeError(f)
+
+
+# -- inputs ----------------------------------------------------------------
+
+def cyclic(n):
+    g = [f"g{i}" for i in range(n)]
+    comp = {(g[a], g[b]): g[(a + b) % n] for a in range(n) for b in range(n)}
+    return FiniteCategory(f"Z{n}", ("o",), tuple((x, "o", "o") for x in g),
+                          comp, {"o": g[0]})
+
+
+def duplicate(M, K, e):
+    """M with a copy of element e of sort K over the same boundary."""
+    carriers = {s: list(M.carrier(s)) for s in M.sig.sorts}
+    maps = {g: dict(m) for g, m in M.maps.items()}
+    carriers[K].append(f"{e}'")
+    for g in M.sig.out_gens(K):
+        maps[g.name][f"{e}'"] = maps[g.name][e]
+    return validate_structure(M.sig, {"carriers": carriers, "maps": maps})
+
+
+@st.composite
+def lcat_structures(draw, size=3):
+    """A preorder on at most ``size`` objects or a cyclic group of order
+    at most ``size``, sometimes with one element duplicated."""
+    if draw(st.booleans()):
+        C = cyclic(draw(st.integers(1, size)))
+    else:
+        objs = [f"p{i}" for i in range(draw(st.integers(1, size)))]
+        pairs = [(a, b) for a in objs for b in objs if a != b]
+        covers = draw(st.lists(st.sampled_from(pairs), unique=True,
+                               max_size=3)) if pairs else []
+        C = _poset_category("P", objs, covers)
+    M = category_to_structure(C)
+    if draw(st.booleans()):
+        K = draw(st.sampled_from([K for K in M.sig.sorts if M.carrier(K)]))
+        M = duplicate(M, K, draw(st.sampled_from(M.carrier(K))))
+    return M
+
+
+def relabel(M, order):
+    """M with fresh element names, each carrier in the order ``order``
+    picks (a permutation seed per sort)."""
+    ren = {K: {e: f"{K}#{i}" for i, e in enumerate(
+        order(K, M.carrier(K)))} for K in M.sig.sorts}
+    carriers = {K: [ren[K][e] for e in order(K, M.carrier(K))]
+                for K in M.sig.sorts}
+    maps = {g.name: {ren[g.dom][e]: ren[g.cod][v]
+                     for e, v in M.maps[g.name].items()}
+            for g in M.sig.gens}
+    return validate_structure(M.sig, {"carriers": carriers, "maps": maps})
+
+
+def pairs_in_fibers(M, K):
+    for delta in backtrack_boundary_instances(M, K):
+        F = scan_fiber(M, K, delta)
+        for a in F:
+            for b in F:
+                yield a, b
+
+
+def violations(M, K, card):
+    """check_saturation's list, with the cards from ``card``."""
+    out = []
+    for delta in backtrack_boundary_instances(M, K):
+        F = scan_fiber(M, K, delta)
+        for a in F:
+            for b in F:
+                c = card(M, K, a, b)
+                if c != (1 if a == b else 0):
+                    out.append({"sort": K,
+                                "boundary": {q.name: e
+                                             for q, e in delta.items()},
+                                "pair": (a, b), "card": c})
+    return out
+
+
+# -- fiber index and boundary instances -------------------------------------
+
+def check_fibers(M, rnd):
+    """Every boundary instance, then random boundaries: some miss a
+    position, hold a stray element, break naturality or assign the
+    identity too."""
+    sig = M.sig
+    for K in sig.sorts:
+        assert boundary_instances(M, K) == backtrack_boundary_instances(M, K)
+        for delta in backtrack_boundary_instances(M, K):
+            assert fiber(M, K, delta) == scan_fiber(M, K, delta)
+        for _ in range(4):
+            delta = {}
+            for q in sig.out(K):
+                if rnd.randrange(10):
+                    delta[q] = rnd.choice(M.carrier(q.cod) + ("stray",))
+            if rnd.randrange(10) == 0:
+                delta[sig.identity(K)] = "stray"
+            try:
+                want = scan_fiber(M, K, delta)
+            except InvalidBoundary as exc:
+                with pytest.raises(InvalidBoundary) as got:
+                    fiber(M, K, delta)
+                assert str(got.value) == str(exc)
+            else:
+                # twice: the second lookup may be answered by the index
+                assert fiber(M, K, delta) == want
+                assert fiber(M, K, delta) == want
+
+
+@SETTINGS
+@given(lcat_structures(), st.randoms(use_true_random=False))
+def test_fiber_index_matches_carrier_scan(M, rnd):
+    check_fibers(M, rnd)
+
+
+def test_fiber_index_matches_carrier_scan_on_corpus():
+    rnd = random.Random(0)
+    for M in corpus().values():
+        for _ in range(5):
+            check_fibers(M, rnd)
+
+
+# -- Ind over name-free pair contexts ---------------------------------------
+
+@SETTINGS
+@given(lcat_structures())
+def test_name_free_card_iso_matches_named(M):
+    for K in M.sig.sorts:
+        for a, b in pairs_in_fibers(M, K):
+            assert card_iso_elems(M, K, a, b) == named_card_iso(M, K, a, b)
+
+
+def test_name_free_card_iso_and_violations_on_corpus():
+    for name, M in corpus().items():
+        for K in M.sig.sorts:
+            for a, b in pairs_in_fibers(M, K):
+                assert card_iso_elems(M, K, a, b) \
+                    == named_card_iso(M, K, a, b), (name, K, a, b)
+        fresh = corpus()[name]
+        for K in M.sig.sorts:
+            assert check_saturation(fresh, K) \
+                == violations(fresh, K, named_card_iso), (name, K)
+
+
+@SETTINGS
+@given(lcat_structures(), st.randoms(use_true_random=False))
+def test_saturation_profile_invariant_under_relabelling(M, rnd):
+    def shuffled(K, elems):
+        elems = list(elems)
+        rnd.shuffle(elems)
+        return elems
+
+    N = relabel(M, shuffled)
+    assert saturation_profile(N) == saturation_profile(M)
+    for K in M.sig.sorts:
+        assert len(check_saturation(N, K)) == len(check_saturation(M, K))
+
+
+# -- the evaluator ------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_permanent_matches_bijection_sum(rows):
+    assert _permanent(rows) == brute_permanent(rows)
+
+
+# every connective, counts above one under a truncated existential, and
+# ~= between fibers of different sizes
+FORMULAS = (
+    "exists x:O. sum f:A(x,x). eqA(f,f)",
+    "sum x:O. exists f:A(x,x). I(f)",
+    "sum x:O. sum y:O. (A(x,y) <-> A(y,x)) | false",
+    "forall x:O. forall y:O. A(x,y) ~= A(y,x)",
+    "sum x:O. sum f:A(x,x). (I(f) -> (sum g:A(x,x). comp(f,g,f)))",
+    "forall x:O. A(x,x) ~= A(x,x) & true",
+)
+
+
+def shadowing_formula(sig):
+    """sum x:O. (sum x:O. true) & (sum y:O. A(x,y)), with one variable
+    bound twice: the inner x must not leak into the count over y."""
+    x, y = Variable("x", "O"), Variable("y", "O")
+    f = Variable("f", "A", (("d", x), ("c", y)))
+    return Exists(x, And((Exists(x, Top(), untruncated=True),
+                          Exists(y, Atom(f), untruncated=True))),
+                  untruncated=True)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(lcat_structures(size=2))
+def test_evaluator_matches_direct_recursion(M):
+    for name, phi in tcat_axioms():
+        assert eval_card(M, phi) == naive_card(M, phi), name
+    for text in FORMULAS:
+        phi = parse_formula(text, M.sig)
+        assert eval_card(M, phi) == naive_card(M, phi), text
+    phi = shadowing_formula(M.sig)
+    assert eval_card(M, phi) == naive_card(M, phi)
+    for K in M.sig.sorts:
+        for a, b in pairs_in_fibers(M, K):
+            assert card_iso_elems(M, K, a, b) \
+                == named_card_iso(M, K, a, b, naive_card), (K, a, b)
+
+
+# -- cached term data ----------------------------------------------------------
+
+def terms():
+    """Every node and variable of the generated isomorphism formulas of
+    the corpus signature, of the category axioms, and of quantifiers
+    whose body does not mention the bound variable's boundary."""
+    M = corpus()["Z2Cat"]
+    roots = [phi for _, phi in tcat_axioms()]
+    f = Variable("f", "A", (("d", Variable("x", "O")),
+                            ("c", Variable("y", "O"))))
+    roots += [Forall(f, Top()), Exists(f, Bottom(), untruncated=True),
+              shadowing_formula(M.sig)]
+    for K in M.sig.sorts:
+        x, y, phi = iso_formula(M.sig, K)
+        roots.append(phi)
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        for f in fields(node):
+            value = getattr(node, f.name)
+            for v in (value if isinstance(value, tuple) else (value,)):
+                if isinstance(v, tuple):
+                    v = v[1]  # a (generator, variable) projection
+                if isinstance(v, (Formula, Variable)):
+                    stack.append(v)
+
+
+def test_cached_term_data_matches_fresh_computation():
+    seen = 0
+    for t in terms():
+        assert hash(t) == fresh_hash(t)
+        if isinstance(t, Variable):
+            assert t.dep() == fresh_dep(t)
+            assert t.boundary() == fresh_dep(t) - {t}
+        else:
+            assert t.free_vars() == fresh_free_vars(t)
+        seen += 1
+    assert seen > 1000
+
+
+def test_equal_terms_built_apart_share_hash():
+    def build():
+        o = Variable("o", "O")
+        f = Variable("f", "A", (("d", o), ("c", o)))
+        return Forall(o, Exists(f, And((Atom(Variable("e", "I",
+                                                      (("i", f),))),
+                                        Top()))))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.free_vars() == b.free_vars() == frozenset()
+    assert {a: 1}[b] == 1

@@ -41,6 +41,16 @@ def test_duplicate_arrow_name_rejected():
         })
 
 
+def test_arrow_name_on_two_domains_rejected():
+    # generators are named alone in equations, paths and structure maps
+    with pytest.raises(NameClashError):
+        validate_signature({
+            "sorts": ["Y", "X", "Z"],
+            "arrows": [("f", "X", "Y"), ("f", "Z", "Y")],
+            "equations": [],
+        })
+
+
 def test_dangling_arrow_rejected():
     with pytest.raises(NameClashError):
         validate_signature({
