@@ -11,6 +11,7 @@ isomorphism, which is what the decision procedure computes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (HeightOutOfScope, NotSaturated, PreconditionViolation,
@@ -96,13 +97,81 @@ def verify_sections(h: Hom, sections) -> bool:
     return True
 
 
+def colour_refinement(M: FinStructure, N: FinStructure):
+    """Stable colours of the elements of M and N, refined jointly.
+
+    An element starts with the index of its sort.  In each round its new
+    colour ranks, over both structures, the triple of its old colour,
+    the colours of its images along ``out_gens`` in declaration order
+    and the sorted (generator, colour) pairs of the elements that map
+    onto it.  Rounds stop when the number of colours stops growing (McKay
+    & Piperno, "Practical graph isomorphism, II", 2014).  A colour
+    depends on structure only, so an isomorphism preserves it.  Returns
+    one map per structure: (sort, element) -> colour.
+    """
+    sig = M.sig
+    structs = (M, N)
+    colours = [{(K, e): i for i, K in enumerate(sig.sorts)
+                for e in S.carrier(K)} for S in structs]
+    preimages = [{x: [] for x in col} for col in colours]
+    for S, pre in zip(structs, preimages):
+        for g in sig.gens:
+            for d in S.carrier(g.dom):
+                pre[g.cod, S.apply_gen(g.name, d)].append((g.name,
+                                                           (g.dom, d)))
+    count = len({c for col in colours for c in col.values()})
+    while True:
+        keys = [{(K, e): (c,
+                          tuple(col[g.cod, S.apply_gen(g.name, e)]
+                                for g in sig.out_gens(K)),
+                          tuple(sorted((name, col[y])
+                                       for name, y in pre[K, e])))
+                 for (K, e), c in col.items()}
+                for S, col, pre in zip(structs, colours, preimages)]
+        palette = sorted(set(keys[0].values()) | set(keys[1].values()))
+        if len(palette) == count:
+            return colours
+        rank = {key: i for i, key in enumerate(palette)}
+        colours = [{x: rank[key] for x, key in by_elem.items()}
+                   for by_elem in keys]
+        count = len(palette)
+
+
+def _iso_candidates(M: FinStructure, N: FinStructure, elems):
+    """For each (sort, element) of M, the elements of N with its stable
+    colour in carrier order; None when some colour is not equally
+    common in M and N, so that no isomorphism exists."""
+    mcol, ncol = colour_refinement(M, N)
+    if Counter(mcol.values()) != Counter(ncol.values()):
+        return None
+    classes = {}
+    for (_, v), c in ncol.items():
+        classes.setdefault(c, []).append(v)
+    return [classes[mcol[x]] for x in elems]
+
+
 def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
-    """All natural map families M -> N, deterministically; bijective
-    restricts to per-sort bijections."""
+    """All natural map families M -> N, deterministically: depth first
+    over M's elements, sorts by decreasing level, each image tried in
+    N's carrier order.
+
+    ``bijective`` restricts to per-sort bijections and tries as images
+    of an element only the elements of N with its colour
+    (``colour_refinement``).  An isomorphism preserves colours, so this
+    cuts only branches that hold none, and the bijections come in the
+    same order as over whole carriers.  The search keeps its own stack,
+    so its depth is not bounded by the recursion limit.
+    """
     sig = M.sig
     sorts = sorted(sig.sorts, key=lambda K: (-sig.level(K),
                                              sig.sorts.index(K)))
     elems = [(K, e) for K in sorts for e in M.carrier(K)]
+    if bijective:
+        candidates = _iso_candidates(M, N, elems)
+        if candidates is None:
+            return
+    else:
+        candidates = [N.carrier(K) for K, _ in elems]
 
     def consistent(maps, K, e, v):
         for g in sig.out_gens(K):
@@ -111,24 +180,33 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
                 return False
         return True
 
-    def assign(i, maps):
-        if i == len(elems):
-            yield {K: dict(maps[K]) for K in sig.sorts}
-            return
-        K, e = elems[i]
-        for v in N.carrier(K):
-            if bijective and v in maps[K].values():
-                continue
-            if not consistent(maps, K, e, v):
-                continue
-            maps[K][e] = v
-            yield from assign(i + 1, maps)
-            del maps[K][e]
-
-    if bijective and any(len(M.carrier(K)) != len(N.carrier(K))
-                         for K in sig.sorts):
+    maps = {K: {} for K in sig.sorts}
+    if not elems:
+        yield maps
         return
-    yield from assign(0, {K: {} for K in sig.sorts})
+    used = {K: set() for K in sig.sorts}  # images taken, when bijective
+    stack = [iter(candidates[0])]  # untried images of elems[i] at depth i
+    while stack:
+        i = len(stack) - 1
+        K, e = elems[i]
+        for v in stack[-1]:
+            if v not in used[K] and consistent(maps, K, e, v):
+                break
+        else:
+            stack.pop()
+            if stack:
+                K, e = elems[i - 1]
+                used[K].discard(maps[K].pop(e))
+            continue
+        maps[K][e] = v
+        if bijective:
+            used[K].add(v)
+        if i + 1 < len(elems):
+            stack.append(iter(candidates[i + 1]))
+            continue
+        yield {K: dict(maps[K]) for K in sig.sorts}
+        del maps[K][e]
+        used[K].discard(v)
 
 
 def structure_iso(M: FinStructure, N: FinStructure):

@@ -33,19 +33,30 @@ class FillerPattern:
     quantified: tuple  # fresh variables, outermost first
 
 
-def enum_fillers(sig: Signature, R: str, p: Arrow, x: Variable,
-                 y: Variable) -> list:
-    """All filler patterns for Ind_R at position p, one canonical
-    representative per contextual-equivalence class."""
-    K = x.sort
-    if y.sort != K:
+def _check_position(sig: Signature, R: str, p: Arrow, x: Variable,
+                    y: Variable):
+    if y.sort != x.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
-    if p.dom != R or p.cod != K:
-        raise IncompatibleSort(f"{p!r} is not a position of {R} over {K}")
+    if p.dom != R or p.cod != x.sort:
+        raise IncompatibleSort(f"{p!r} is not a position of {R} over "
+                               f"{x.sort}")
     if (R not in compatible_sorts(sig, x)
             or R not in compatible_sorts(sig, y)):
         raise IncompatibleSort(f"{R} is not compatible with both arguments")
 
+
+def enum_fillers(sig: Signature, R: str, p: Arrow, x: Variable,
+                 y: Variable) -> list:
+    """All filler patterns for Ind_R at position p, one canonical
+    representative per contextual-equivalence class."""
+    _check_position(sig, R, p, x, y)
+    return _fillers(sig, R, p, x, y)
+
+
+def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
+             y: Variable) -> list:
+    """``enum_fillers`` for a position already known to be valid."""
+    K = x.sort
     # classes out of R forced by the distinguished position
     derived = {}
     for g in sig.out(K):
@@ -90,11 +101,8 @@ def enum_fillers(sig: Signature, R: str, p: Arrow, x: Variable,
             req[gen.name] = av
         if not ok:
             return
-        candidates = [v for v in pool if v.sort == S
+        candidates = [v for v in pool + fresh if v.sort == S
                       and all(v.proj_map()[g] == w for g, w in req.items())]
-        candidates += [v for v in fresh if v.sort == S
-                       and all(v.proj_map()[g] == w
-                               for g, w in req.items())]
         for v in candidates:
             val[q] = v
             assign(i + 1, val, fresh)
@@ -144,8 +152,14 @@ def ind_at(sig: Signature, R: str, p: Arrow, x: Variable,
            y: Variable) -> Formula:
     """Ind_R at one position: x and y cannot be distinguished by R in
     position p, up to equivalence."""
+    _check_position(sig, R, p, x, y)
+    return _ind_at(sig, R, p, x, y)
+
+
+def _ind_at(sig: Signature, R: str, p: Arrow, x: Variable,
+            y: Variable) -> Formula:
     formulas = []
-    for pat in enum_fillers(sig, R, p, x, y):
+    for pat in _fillers(sig, R, p, x, y):
         f = _pattern_formula(sig, pat)
         if not any(alpha_eq(f, g) for g in formulas):
             formulas.append(f)
@@ -170,14 +184,14 @@ def _ind(sig: Signature, x: Variable, y: Variable) -> Formula:
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
     K = x.sort
-    both = [R for R in compatible_sorts(sig, x)
-            if R in compatible_sorts(sig, y)]
+    compatible_y = compatible_sorts(sig, y)
+    both = [R for R in compatible_sorts(sig, x) if R in compatible_y]
     parts = []
     for R in both:
         for p in sig.hom(R, K):
             if p.is_identity:
                 continue
-            f = ind_at(sig, R, p, x, y)
+            f = _ind_at(sig, R, p, x, y)
             if isinstance(f, Top):
                 continue
             if isinstance(f, And):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (FunctorialityError, IllFormedContext, SortMismatch,
                      UnknownSort)
@@ -45,22 +46,27 @@ class Variable:
 
     ``proj`` assigns a variable to every generating arrow out of ``sort``,
     in declaration order.  Equality is structural, so two occurrences of
-    "the same" variable compare equal.  The hash, ``dep()`` and
-    ``boundary()`` are computed once per variable.
+    "the same" variable compare equal.  The hash, ``proj_map()``,
+    ``dep()`` and ``boundary()`` are computed once per variable.
     """
 
     name: str
     sort: str
     proj: tuple = ()  # tuple of (generator name, Variable)
 
+    @cached_property
+    def _proj_map(self):
+        return MappingProxyType(dict(self.proj))
+
     def proj_map(self):
-        return dict(self.proj)
+        """``proj`` as a read-only mapping, built once per variable."""
+        return self._proj_map
 
     def proj_along(self, path) -> "Variable":
         """The projection along a generator path, first generator first."""
         v = self
         for g in path:
-            v = v.proj_map()[g]
+            v = v._proj_map[g]
         return v
 
     @cached_property

@@ -13,6 +13,7 @@ from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,49 @@ def test_hsip(capsys):
     code, _, err = run(capsys, "hsip", p("lcat.folds"), p("tcat.thy"),
                        p("WalkIso.str"), p("TermCat.str"))
     assert code == 2 and "error:" in err
+
+
+# `--json` output of the search commands, byte for byte: each golden file
+# holds the standard output of `foldsat --json <command> ...` as printed
+# by the unrefined recursive search.  SquarePosetRev and Disc3Rev are
+# relabelled copies with every carrier reversed, so the first
+# isomorphism found is not the one the element names suggest.
+GOLDEN_CLI = {
+    "equiv_WalkIso_TermCat": (0, "equiv", "WalkIso", "TermCat"),
+    "equiv_Arrow2_Chain3": (1, "equiv", "Arrow2", "Chain3"),
+    "equiv_WalkIso_Z2Cat": (2, "equiv", "WalkIso", "Z2Cat"),
+    "equiv_SquarePoset_SquarePosetRev":
+        (0, "equiv", "SquarePoset", "SquarePosetRev"),
+    "equiv_Disc3_Disc3Rev": (0, "equiv", "Disc3", "Disc3Rev"),
+    "hsip_Arrow2_Chain3": (1, "hsip", "Arrow2", "Chain3"),
+    "hsip_Disc2_Disc3": (1, "hsip", "Disc2", "Disc3"),
+    "hsip_SquarePoset_SquarePosetRev":
+        (0, "hsip", "SquarePoset", "SquarePosetRev"),
+    "hsip_WalkIso_TermCat": (2, "hsip", "WalkIso", "TermCat"),
+    "hom_fibsurj_WalkIso_TermCat": (0, "hom", "WalkIso", "TermCat"),
+    "hom_fibsurj_Arrow2_TermCat": (1, "hom", "Arrow2", "TermCat"),
+    "hom_fibsurj_SquarePoset_SquarePosetRev":
+        (0, "hom", "SquarePoset", "SquarePosetRev"),
+}
+
+
+def structure_path(name):
+    path = CORPUS / f"{name}.str"
+    return str(path if path.exists() else GOLDEN / f"{name}.str")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI))
+def test_golden_json_output(capsys, case):
+    code, command, left, right = GOLDEN_CLI[case]
+    argv = ["--json", command, p("lcat.folds")]
+    if command == "hsip":
+        argv.append(p("tcat.thy"))
+    argv += [structure_path(left), structure_path(right)]
+    if command == "hom":
+        argv.append("--fibsurj")
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert out == (GOLDEN / f"{case}.json").read_text()
 
 
 def test_json_output(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from foldsat.errors import (HeightOutOfScope, NotSaturated,
@@ -7,7 +9,8 @@ from foldsat.homspan import (Hom, check_ind_preservation, compose_homs,
                              find_span, hsip_decide, identity_hom, is_fibsurj,
                              is_hom, structure_iso, verify_sections)
 from foldsat.sigcore import validate_signature
-from foldsat.stdlib import builtin_signature, corpus
+from foldsat.stdlib import (_poset_category, builtin_signature,
+                            category_to_structure, corpus)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,35 @@ def test_structure_iso_relabel(models):
         assert is_hom(M, N, iso)
         assert all(len(set(iso[K].values())) == len(M.carrier(K))
                    for K in M.sig.sorts)
+
+
+def vee(k, up):
+    """V (two minimal objects below a top) or Λ (two maximal objects
+    above a bottom), plus k discrete objects."""
+    objs = ["a", "b", "c"] + [f"d{i}" for i in range(k)]
+    covers = [("a", "c"), ("b", "c")] if up else [("c", "a"), ("c", "b")]
+    return category_to_structure(_poset_category("V" if up else "L", objs,
+                                                 covers))
+
+
+def test_hsip_vee_against_lambda_rejected_fast():
+    M, N = vee(8, True), vee(8, False)
+    start = time.perf_counter()
+    assert not hsip_decide(M, N)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hsip_vee_against_relabelled_copy():
+    M = vee(8, True)
+    assert hsip_decide(M, relabel(M, "r_"))
+
+
+def test_structure_iso_deep_discrete_self_iso():
+    # 1500 elements: as deep as the search goes, past the recursion limit
+    objs = [f"o{i}" for i in range(300)]
+    M = category_to_structure(_poset_category("D", objs, []))
+    iso = structure_iso(M, M)
+    assert iso == identity_hom(M).maps
 
 
 def test_structure_iso_absent(models):
