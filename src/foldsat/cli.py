@@ -33,6 +33,7 @@ _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<op><->|->|~=|[{}();,:=.&|])
   | (?P<ident>[\w'*]+(?:-[\w'*]+)*)
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 _KEYWORDS = {"signature", "structure", "theory", "sort", "eq", "over",
@@ -50,20 +51,21 @@ class _Token:
 
 
 def _lex(text):
+    """One pass of ``_TOKEN_RE``; every character falls in some group,
+    and only whitespace can hold a newline."""
     tokens = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - bol + 1)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), line,
-                                 pos - bol + 1))
-        line += m.group().count("\n")
-        if "\n" in m.group():
-            bol = pos + m.group().rindex("\n") + 1
-        pos = m.end()
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, s = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in s:
+                line += s.count("\n")
+                bol = m.start() + s.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {s!r}", line,
+                             m.start() - bol + 1)
+        else:
+            tokens.append(_Token(kind, s, line, m.start() - bol + 1))
     tokens.append(_Token("eof", "", line, len(text) - bol + 1))
     return tokens
 
@@ -713,12 +715,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         result = args.fn(args)
-    except (FoldsError, OSError, ValueError) as exc:
+    except (FoldsError, OSError, ValueError, RecursionError) as exc:
+        msg = ("input nested too deeply" if isinstance(exc, RecursionError)
+               else str(exc))
         if args.json:
             print(json.dumps({"ok": False, "witness": None,
-                              "report": {"error": str(exc)}}))
+                              "report": {"error": msg}}))
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {msg}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(result.payload(), default=str))

@@ -22,7 +22,7 @@ from .errors import (FunctorialityError, InvalidBoundary,
 from .isogen import ind
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
-                     Implies, Or, Top, Variable, mk_var)
+                     Implies, Or, Top, Variable, conj, mk_var)
 
 
 class FinStructure:
@@ -208,6 +208,55 @@ def _restore(env, slot, saved):
         env[slot] = saved
 
 
+def _hoist_guards(phi):
+    """The guarded form of a chain of ``forall`` binders and ``->``
+    antecedents: each antecedent conjunct moves out to just after the
+    binder of the last chain variable it mentions (before the chain if
+    it mentions none).  Returns a map from each ``forall`` node of the
+    chain to the formula to compile in its place: the node itself, or
+    for the first node a conjunct moves out past, the rebuilt rest of
+    the chain.  Nodes above that keep their place, so nothing is built
+    when no conjunct moves.
+
+    ``forall v. (G & A -> B)`` with ``v`` not free in ``G`` becomes
+    ``G -> forall v. (A -> B)``.  The count is unchanged: the product
+    over ``v`` of ``B(v) ** (G * A(v))`` is ``(product of B(v) ** A(v))
+    ** G``, also when ``G`` is 0 or the fiber of ``v`` is empty.  Only
+    binders ahead of a conjunct count, so a later binder that shadows a
+    variable it mentions does not pull it inward.  The chain is walked
+    with a loop, not by recursion.
+    """
+    binders, nodes, guards, moved = [], [], [], False
+    f = phi
+    while isinstance(f, (Forall, Implies)):
+        if isinstance(f, Forall):
+            binders.append(f.var)
+            nodes.append(f)
+            f = f.body
+            continue
+        for g in f.lhs.args if isinstance(f.lhs, And) else (f.lhs,):
+            fv, at = g.free_vars(), len(binders)
+            while at and binders[at - 1] not in fv:
+                at -= 1
+            moved = moved or at < len(binders)
+            guards.append((at, g))
+        f = f.rhs
+    if not moved:
+        return {node: node for node in nodes}
+    first = min(at for at, _ in guards)
+    place = {node: node for node in nodes[:first]}
+    after = [[] for _ in range(len(binders) + 1)]
+    for at, g in guards:
+        after[at].append(g)
+    for at in range(len(binders), first - 1, -1):
+        if after[at]:
+            f = Implies(conj(after[at]), f)
+        if at > first:
+            f = place[f] = Forall(binders[at - 1], f)
+    place[nodes[first]] = f
+    return place
+
+
 class _Evaluator:
     """Memoizing witness-count evaluator bound to one structure.
 
@@ -216,7 +265,10 @@ class _Evaluator:
     variable) to elements.  A count function memoizes its results on the
     values of its free variables, read from the environment with one
     ``itemgetter`` call.  Quantifiers bind their variable in place and
-    restore it afterwards.
+    restore it afterwards.  A ``forall`` chain is compiled in guarded
+    form (see ``_hoist_guards``), so an antecedent such as
+    ``comp(f,g,h)`` prunes the tuples below its last variable instead of
+    being tested on every tuple of the chain.
     """
 
     def __init__(self, M: FinStructure):
@@ -224,6 +276,7 @@ class _Evaluator:
         self.sig = M.sig
         self._slot = {}  # variable -> slot
         self._compiled = {}  # formula -> count function
+        self._guarded = {}  # forall node -> what to compile, see _hoist_guards
 
     def card(self, phi, asg):
         for v in phi.free_vars():
@@ -301,6 +354,11 @@ class _Evaluator:
                 a, b = lhs(env), rhs(env)
                 return (b ** a) * (a ** b)
             return iff
+        if isinstance(phi, Forall):
+            if phi not in self._guarded:
+                self._guarded.update(_hoist_guards(phi))
+            if self._guarded[phi] is not phi:
+                return self._build(self._guarded[phi])
         if isinstance(phi, (Forall, Exists)):
             return self._quantifier(phi)
         if isinstance(phi, Equiv):

@@ -82,6 +82,14 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
             return y.proj_along(derived[q].path)
         return val[q]
 
+    # a shared position over p, or over a position p forces, needs x and
+    # y to agree there, whatever the other positions hold
+    for q in shared:
+        for gen in sig.out_gens(q.cod):
+            t = sig.compose(q, sig.cls((gen.name,)))
+            if (t == p or t in derived) and a_val(t, None) != b_val(t, None):
+                return []
+
     results = []
 
     def assign(i, val, fresh):

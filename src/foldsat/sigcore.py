@@ -78,6 +78,8 @@ class Signature:
         self.equations = tuple(equations)
         self._gen_by_name = {g.name: g for g in self.gens}
         self._gen_index = {g.name: i for i, g in enumerate(self.gens)}
+        self._out_gens = {s: tuple(g for g in self.gens if g.dom == s)
+                          for s in self.sorts}
         self._identity = {s: Arrow((), s, s) for s in self.sorts}
         self._equations_at = {s: [] for s in self.sorts}
         for lhs, rhs in self.equations:
@@ -204,7 +206,7 @@ class Signature:
         return self._equations_at[sort]
 
     def out_gens(self, sort):
-        return tuple(g for g in self.gens if g.dom == sort)
+        return self._out_gens.get(sort, ())
 
     def gen(self, name) -> Gen:
         return self._gen_by_name[name]

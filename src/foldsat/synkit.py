@@ -454,6 +454,8 @@ def compatible_sorts(sig: Signature, x: Variable) -> tuple:
     respected by x's projection coincidences."""
     K = x.sort
     lv = sig.level(K)
+    if lv == 1:  # no sort lies above K
+        return ()
     positions = [(p, x.proj_along(p.path)) for p in sig.out(K)]
     out = []
     for R in sig.sorts:

@@ -102,6 +102,18 @@ def test_parse_errors(lcat):
         parse_structure("structure X over wrong { }", lcat)
 
 
+def test_parse_error_position_after_multiline_prefix(lcat):
+    text = ("signature S {\n  # a comment\n  sort O;\n\n"
+            "  sort A { d: O,\n    c: O }; sort $B;\n}\n")
+    with pytest.raises(ParseError) as err:
+        parse_signature(text)
+    assert (err.value.line, err.value.col) == (6, 18)
+    assert str(err.value) == "unexpected character '$' (line 6, col 18)"
+    with pytest.raises(ParseError) as err:
+        parse_formula("forall x:O.\n  A(x,\n x) &", lcat)
+    assert (err.value.line, err.value.col) == (3, 6)
+
+
 def test_corpus_files_match_builtins(lcat, models):
     for name, M in models.items():
         disk = parse_structure((CORPUS / f"{name}.str").read_text(), lcat)
@@ -281,3 +293,15 @@ def test_json_output(capsys):
     code, out, _ = run(capsys, "--json", "check-sig", p("nope.folds"))
     assert code == 2
     assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("depth", [300, 1500])
+def test_deeply_nested_formula_is_an_error(capsys, depth):
+    expr = "".join(f"forall x_{i}:O. " for i in range(depth)) + "true"
+    code, out, err = run(capsys, "eval", p("lcat.folds"), p("Chain3.str"),
+                         "-e", expr)
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+    code, out, _ = run(capsys, "--json", "eval", p("lcat.folds"),
+                       p("Chain3.str"), "-e", expr)
+    assert code == 2
+    assert json.loads(out)["report"] == {"error": "input nested too deeply"}

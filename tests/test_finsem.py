@@ -3,14 +3,15 @@ import pytest
 from foldsat.errors import (FunctorialityError, InvalidBoundary, NonTotalMap,
                             NotSaturatedPrecondition, OpenFormula,
                             UnboundVariable, UnknownSort)
-from foldsat.finsem import (boundary_instances, boundary_of,
+from foldsat.finsem import (_hoist_guards, boundary_instances, boundary_of,
                             card_iso_elems, check_saturation,
                             equiv_card_via_bijections,
                             equiv_card_via_formula, eval_card, eval_prop,
                             fiber, ind_truth_elems, satisfies,
                             saturation_profile, validate_structure)
-from foldsat.isogen import ind
-from foldsat.stdlib import builtin_signature, corpus
+from foldsat.isogen import ind, iso_formula
+from foldsat.pretty import pformat
+from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
 from foldsat.synkit import (And, Atom, Bottom, Exists, Forall, Iff, Implies,
                             Or, Top, mk_var)
 
@@ -334,3 +335,73 @@ def test_ind_distinguishes_arrows_in_group(models):
     M = models["Z2Cat"]
     assert ind_truth_elems(M, "A", "e", "e")
     assert not ind_truth_elems(M, "A", "e", "s")
+
+
+# -- guarded forall chains ----------------------------------------------
+
+def guarded(phi):
+    """``phi`` with the rest of the chain ``_hoist_guards`` rebuilds
+    spliced in below the nodes that keep their place."""
+    place, kept, f = _hoist_guards(phi), [], phi
+    while isinstance(f, Forall) and place[f] is f:
+        kept.append(f.var)
+        f = f.body
+    f = place.get(f, f)
+    for v in reversed(kept):
+        f = Forall(v, f)
+    return f
+
+
+def test_hoist_guards_places_each_antecedent_after_its_last_binder():
+    axioms = dict(tcat_axioms())
+    assert pformat(guarded(axioms["C3-assoc"])) == (
+        "forall x:O. forall y:O. forall z:O. forall w:O. forall f:A(x,y). "
+        "forall g:A(y,z). forall h:A(x,z). comp(f,g,h) -> "
+        "(forall k:A(z,w). forall gk:A(y,w). comp(g,k,gk) -> "
+        "(forall hk:A(x,w). comp(h,k,hk) -> comp(f,gk,hk)))")
+    assert pformat(guarded(axioms["I2-left-unit"])) == (
+        "forall x:O. forall y:O. forall ix:A(x,x). I(ix) -> "
+        "(forall f:A(x,y). comp(ix,f,f))")
+    for phi in axioms.values():
+        hoisted = guarded(phi)
+        assert guarded(hoisted) == hoisted
+        # a node is compiled as it stands, or as guards in front of a
+        # rebuilt chain in which nothing moves again
+        for node, form in _hoist_guards(phi).items():
+            if form is not node:
+                assert all(v is k for k, v in
+                           _hoist_guards(form.rhs).items())
+
+
+def test_hoist_guards_builds_nothing_without_a_guard_to_move():
+    axioms = dict(tcat_axioms())
+    roots = [axioms[n] for n in ("E1-refl", "C1-total", "I1-exists")]
+    for signame in ("lrg", "lrg_eq", "lcat"):
+        sig = builtin_signature(signame)
+        for K in sig.sorts:
+            f = iso_formula(sig, K)[2]
+            roots.extend(f.args if isinstance(f, And) else (f,))
+    for phi in roots:
+        place = _hoist_guards(phi)
+        assert all(form is node for node, form in place.items())
+        f, n = phi, 0
+        while isinstance(f, Forall):
+            assert place[f] is f
+            f, n = f.body, n + 1
+        assert len(place) == n
+
+
+def test_hoist_guards_walks_a_deep_chain_without_recursion(lcat):
+    xs = [mk_var(lcat, f"x{i}", "O") for i in range(1500)]
+    guard = Atom(mk_var(lcat, "", "A", {"d": xs[0], "c": xs[0]}))
+    phi = Implies(guard, Top())
+    for x in reversed(xs):
+        phi = Forall(x, phi)
+    place = _hoist_guards(phi)
+    assert place[phi] is phi and len(place) == 1501
+    f = place[phi.body]
+    assert f.lhs == guard and f.rhs.var == xs[1]
+    f, n = f.rhs, 0
+    while isinstance(f, Forall):
+        f, n = f.body, n + 1
+    assert n == 1499 and f == Top()

@@ -10,6 +10,7 @@ corpus.
 """
 
 import random
+import time
 from dataclasses import fields, is_dataclass
 from itertools import permutations
 from math import prod
@@ -23,7 +24,8 @@ from foldsat.errors import InvalidBoundary
 from foldsat.finsem import (_permanent, boundary_instances, boundary_of,
                             card_iso_elems, check_saturation,
                             element_variable, eval_card, fiber,
-                            saturation_profile, validate_structure)
+                            satisfies, saturation_profile,
+                            validate_structure)
 from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
                             category_to_structure, corpus, tcat_axioms)
@@ -361,8 +363,9 @@ def test_permanent_matches_bijection_sum(rows):
     assert _permanent(rows) == brute_permanent(rows)
 
 
-# every connective, counts above one under a truncated existential, and
-# ~= between fibers of different sizes
+# every connective, counts above one under a truncated existential, ~=
+# between fibers of different sizes, and forall chains whose antecedents
+# the evaluator moves out (see finsem._hoist_guards)
 FORMULAS = (
     "exists x:O. sum f:A(x,x). eqA(f,f)",
     "sum x:O. exists f:A(x,x). I(f)",
@@ -370,6 +373,24 @@ FORMULAS = (
     "forall x:O. forall y:O. A(x,y) ~= A(y,x)",
     "sum x:O. sum f:A(x,x). (I(f) -> (sum g:A(x,x). comp(f,g,f)))",
     "forall x:O. A(x,x) ~= A(x,x) & true",
+    # a guard over variables bound outside the chain only
+    "sum x:O. sum f:A(x,x). forall y:O. forall g:A(x,y). "
+    "I(f) -> comp(f,g,g)",
+    # outer and inner guards mixed, one of them already in place
+    "sum x:O. forall y:O. forall f:A(x,y). forall g:A(y,x). "
+    "forall h:A(x,x). A(x,x) & eqA(f,f) & comp(f,g,h) -> "
+    "(sum k:A(x,x). I(k) & eqA(h,k))",
+    # an untruncated guard, so the exponent G can exceed one
+    "forall x:O. forall y:O. (sum f:A(x,x). true) & A(y,y) -> "
+    "(sum g:A(x,y). sum g2:A(x,y). true)",
+    # a guarded chain under sum, and guards in two implications
+    "sum x:O. sum y:O. forall f:A(x,y). A(y,y) -> (forall g:A(y,x). "
+    "eqA(f,f) -> (sum h:A(x,x). comp(f,g,h)))",
+    # the guard moves out past a binder whose fiber may be empty
+    "sum x:O. sum y:O. forall f:A(y,x). A(x,x) -> false",
+    # shadowed binders: the guard reads the outer y, and the inner x
+    "sum y:O. forall x:O. (A(x,y) -> (forall y:O. A(y,x)))",
+    "sum x:O. forall y:O. forall x:O. A(y,y) & A(x,y) -> A(y,x)",
 )
 
 
@@ -397,6 +418,46 @@ def test_evaluator_matches_direct_recursion(M):
         for a, b in pairs_in_fibers(M, K):
             assert card_iso_elems(M, K, a, b) \
                 == named_card_iso(M, K, a, b, naive_card), (K, a, b)
+
+
+def drop(M, K, e):
+    """M without element e of a level-1 sort K."""
+    carriers = {s: [x for x in M.carrier(s) if (s, x) != (K, e)]
+                for s in M.sig.sorts}
+    maps = {g: {x: v for x, v in m.items()
+                if (M.sig.gen(g).dom, x) != (K, e)}
+            for g, m in M.maps.items()}
+    return validate_structure(M.sig, {"carriers": carriers, "maps": maps})
+
+
+def test_satisfies_matches_direct_recursion_on_corpus_and_mutants():
+    """The tcat report of every corpus structure, and of each one with
+    the first or the last element of a level-1 sort dropped or
+    duplicated, against the report from unguarded, unmemoized
+    evaluation."""
+    axioms = tcat_axioms()
+    checked = failed = 0
+    for M in corpus().values():
+        mutants = [M]
+        for K in ("I", "comp", "eqA"):
+            for e in dict.fromkeys(M.carrier(K)[:1] + M.carrier(K)[-1:]):
+                mutants += [drop(M, K, e), duplicate(M, K, e)]
+        for N in mutants:
+            want = [{"axiom": name, "ok": naive_card(N, phi) > 0}
+                    for name, phi in axioms]
+            ok, report = satisfies(N, axioms)
+            assert report == want
+            assert ok == all(r["ok"] for r in want)
+            checked += 1
+            failed += not ok
+    assert checked > 100 and 0 < failed < checked
+
+
+def test_tcat_on_z10_within_a_second():
+    M = category_to_structure(cyclic(10))
+    start = time.perf_counter()
+    ok, _ = satisfies(M, tcat_axioms())
+    assert ok and time.perf_counter() - start < 1.0
 
 
 # -- cached term data ----------------------------------------------------------

@@ -1,0 +1,132 @@
+"""Ind filler generation against the enumeration it pruned.
+
+``isogen._fillers`` returns no pattern at once when x and y differ at a
+position that p fixes and some shared position's boundary reaches it.
+The oracle is the enumeration without that check, kept here: it walks
+every shared position and finds the clash only on each branch.  Every
+``_fillers`` call made while generating ``Ind`` for the built-in
+signatures, diamond stacks, the saturation of the corpus and of random
+lcat structures, and ``~=`` between different fibers must return the
+oracle's patterns.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from foldsat import isogen
+from foldsat.cli import parse_formula
+from foldsat.errors import FunctorialityError
+from foldsat.finsem import eval_card, saturation_profile
+from foldsat.isogen import FillerPattern, _fresh_name, iso_formula
+from foldsat.sigcore import validate_signature
+from foldsat.stdlib import builtin_signature, corpus
+from foldsat.synkit import mk_var
+from test_finsem_oracle import lcat_structures
+from test_sigcore_oracle import diamond_stack
+
+
+def enumerate_fillers(sig, R, p, x, y):
+    """The filler patterns of Ind_R at position p by backtracking over
+    the shared positions, deepest codomain first."""
+    K = x.sort
+    derived = {sig.compose(p, g): g for g in sig.out(K)}
+    shared = [q for q in sig.out(R) if q != p and q not in derived]
+    shared.sort(key=lambda q: (-sig.level(q.cod), sig.out(R).index(q)))
+    pool = sorted(x.dep() | y.dep(),
+                  key=lambda v: (-sig.level(v.sort), v.name, repr(v)))
+    used_names = {v.name for v in pool}
+
+    def val_of(z, q, val):
+        if q == p:
+            return z
+        if q in derived:
+            return z.proj_along(derived[q].path)
+        return val[q]
+
+    results = []
+
+    def assign(i, val, fresh):
+        if i == len(shared):
+            results.append((dict(val), tuple(fresh)))
+            return
+        q = shared[i]
+        S = q.cod
+        req = {}
+        for gen in sig.out_gens(S):
+            t = sig.compose(q, sig.cls((gen.name,)))
+            av, bv = val_of(x, t, val), val_of(y, t, val)
+            if av != bv:
+                return
+            req[gen.name] = av
+        for v in [v for v in pool + fresh if v.sort == S
+                  and all(v.proj_map()[g] == w for g, w in req.items())]:
+            val[q] = v
+            assign(i + 1, val, fresh)
+            del val[q]
+        name = _fresh_name(S, used_names | {v.name for v in fresh})
+        try:
+            newv = mk_var(sig, name, S, req)
+        except FunctorialityError:
+            return
+        val[q] = newv
+        assign(i + 1, val, fresh + [newv])
+        del val[q]
+
+    assign(0, {}, [])
+    patterns = []
+    gen_classes = {g.name: sig.cls((g.name,)) for g in sig.out_gens(R)}
+    for val, fresh in results:
+        taken = used_names | {v.name for v in fresh}
+        aname = _fresh_name(R, taken)
+        bname = _fresh_name(R, taken | {aname})
+        alpha = mk_var(sig, aname, R, {g: val_of(x, c, val)
+                                       for g, c in gen_classes.items()})
+        beta = mk_var(sig, bname, R, {g: val_of(y, c, val)
+                                      for g, c in gen_classes.items()})
+        gamma = (alpha.boundary() | beta.boundary()) - (x.dep() | y.dep())
+        order = sorted(gamma, key=lambda v: (-sig.level(v.sort), v.name))
+        patterns.append(FillerPattern(alpha, beta, tuple(order)))
+    return patterns
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Route every ``_fillers`` call through the oracle; yields the
+    list of results, one per call."""
+    real, calls = isogen._fillers, []
+
+    def both(sig, R, p, x, y):
+        got = real(sig, R, p, x, y)
+        assert got == enumerate_fillers(sig, R, p, x, y), (R, p, x, y)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(isogen, "_fillers", both)
+    isogen._IND_CACHE.clear()
+    yield calls
+    isogen._IND_CACHE.clear()
+
+
+def test_pruned_fillers_match_enumeration(checked):
+    sigs = [builtin_signature(n) for n in ("lrg", "lrg_eq", "lcat")]
+    sigs += [validate_signature(diamond_stack(k)) for k in (1, 2, 3)]
+    for sig in sigs:
+        for K in sig.sorts:
+            iso_formula(sig, K)
+    for M in corpus().values():
+        saturation_profile(M)
+        phi = parse_formula("forall x:O. forall y:O. A(x,y) ~= A(y,x)",
+                            M.sig)
+        eval_card(M, phi)
+    assert len(checked) > 100
+    assert sum(1 for got in checked if not got) > 10  # the pruned case
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(lcat_structures())
+def test_pruned_fillers_match_enumeration_in_saturation(checked, M):
+    isogen._IND_CACHE.clear()
+    saturation_profile(M)
+    assert checked
