@@ -573,7 +573,11 @@ def _apex_bound(args, M, N):
     if limit is None:
         env = os.environ.get("FOLDS_MAX_APEX")
         if env is not None:
-            limit = int(env)
+            try:
+                limit = int(env)
+            except ValueError:
+                raise ValueError(f"FOLDS_MAX_APEX must be an integer, "
+                                 f"got {env!r}") from None
     if limit is None:
         return None
     return {K: limit for K in M.sig.sorts}

@@ -22,7 +22,7 @@ from .errors import (FunctorialityError, InvalidBoundary,
 from .isogen import ind
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
-                     Implies, Or, Top, Variable, conj, mk_var)
+                     Implies, Or, Top, Variable, conj)
 
 
 class FinStructure:
@@ -132,8 +132,8 @@ def boundary_instances(M: FinStructure, K: str) -> list:
     reached the images its element must have are already chosen, and its
     candidates are the fiber over them."""
     sig = M.sig
-    out = sig.out(K)
-    classes = sorted(out, key=lambda a: (-sig.level(a.cod), out.index(a)))
+    # out(K) order breaks ties in level: the sort is stable
+    classes = sorted(sig.out(K), key=lambda a: -sig.level(a.cod))
     under = [(q, tuple(sig.compose(q, r) for r in sig.out(q.cod)))
              for q in classes]
     results = []
@@ -484,22 +484,6 @@ def satisfies(M: FinStructure, theory):
 
 # -- element-indexed indistinguishability -------------------------------
 
-def element_variable(M: FinStructure, sort: str, elem, cache, prefix=""):
-    """A variable mirroring the boundary of a carrier element; shared
-    boundary elements yield shared variables."""
-    key = (sort, elem, prefix)
-    if key in cache:
-        return cache[key]
-    sig = M.sig
-    fillers = {g.name: element_variable(M, g.cod,
-                                        M.apply_gen(g.name, elem), cache,
-                                        prefix)
-               for g in sig.out_gens(sort)}
-    v = mk_var(sig, f"{prefix}{sort.lower()}_{elem}", sort, fillers)
-    cache[key] = v
-    return v
-
-
 def _pair_by_position(M: FinStructure, K: str, over_x, over_y):
     """Variables x*, y* of sort K whose generator positions ``g`` hold
     the elements ``over_x[g]`` and ``over_y[g]``, plus the assignment of
@@ -529,31 +513,6 @@ def _pair_by_position(M: FinStructure, K: str, over_x, over_y):
                                        for g in sig.out_gens(K)))
 
     return top("x*", over_x), top("y*", over_y), asg
-
-
-def boundary_pair_context(M: FinStructure, K: str, d1, d2):
-    """Two distinct variables of sort K over the element boundaries d1
-    and d2 (sharing boundary variables where the elements coincide),
-    plus the assignment of their boundary variables."""
-    sig = M.sig
-
-    def over(delta):
-        return {g.name: delta[sig.cls((g.name,))] for g in sig.out_gens(K)}
-
-    xt, yt, asg = _pair_by_position(M, K, over(d1), over(d2))
-    for v in (xt, yt):
-        mk_var(sig, v.name, K, v.proj_map())
-    return xt, yt, asg
-
-
-def equiv_card_via_formula(M: FinStructure, K: str, d1, d2) -> int:
-    """card of the expanded three-conjunct equivalence formula between
-    two fibers; the cross-check partner of equiv_card_via_bijections."""
-    from .isogen import sort_equiv
-    xt, yt, asg = boundary_pair_context(M, K, d1, d2)
-    phi = sort_equiv(M.sig, K, xt, yt)
-    fv = phi.free_vars()
-    return eval_card(M, phi, {v: e for v, e in asg.items() if v in fv})
 
 
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
@@ -598,16 +557,12 @@ def check_saturation(M: FinStructure, K: str) -> list:
     return violations
 
 
-def saturated_at(M: FinStructure, K: str) -> bool:
-    return not check_saturation(M, K)
-
-
 def saturation_profile(M: FinStructure) -> dict:
     """Per-level saturation booleans plus the total flag."""
     if M._profile is not None:
         return dict(M._profile)
     sig = M.sig
-    by_sort = {K: saturated_at(M, K) for K in sig.sorts}
+    by_sort = {K: not check_saturation(M, K) for K in sig.sorts}
     profile = {}
     for n in range(1, sig.height + 1):
         profile[n] = all(by_sort[K] for K in sig.sorts

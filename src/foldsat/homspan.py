@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (HeightOutOfScope, NotSaturated, PreconditionViolation,
-                     SortMismatch)
-from .finsem import (FinStructure, boundary_instances, card_iso_elems,
-                     fiber, ind_truth_elems, saturation_profile)
+from .errors import HeightOutOfScope, NotSaturated, SortMismatch
+from .finsem import (FinStructure, boundary_instances, fiber,
+                     saturation_profile)
 
 
 @dataclass(frozen=True)
@@ -39,34 +38,6 @@ def identity_hom(M: FinStructure) -> Hom:
     return Hom(M, M, {K: {e: e for e in M.carrier(K)} for K in M.sig.sorts})
 
 
-def compose_homs(h1: Hom, h2: Hom) -> Hom:
-    """h2 after h1."""
-    if h1.dst is not h2.src:
-        raise SortMismatch("homomorphisms are not composable")
-    return Hom(h1.src, h2.dst,
-               {K: {e: h2.maps[K][h1.maps[K][e]]
-                    for e in h1.src.carrier(K)}
-                for K in h1.src.sig.sorts})
-
-
-def is_hom(M: FinStructure, N: FinStructure, maps) -> bool:
-    """Totality plus naturality with every generating arrow."""
-    sig = M.sig
-    if set(maps) != set(sig.sorts):
-        return False
-    for K in sig.sorts:
-        tgt = set(N.carrier(K))
-        for e in M.carrier(K):
-            if e not in maps[K] or maps[K][e] not in tgt:
-                return False
-    for g in sig.gens:
-        for e in M.carrier(g.dom):
-            if maps[g.cod][M.apply_gen(g.name, e)] \
-                    != N.apply_gen(g.name, maps[g.dom][e]):
-                return False
-    return True
-
-
 def is_fibsurj(h: Hom):
     """Fiberwise surjectivity over every boundary instance of the
     domain, with deterministic least-preimage sections."""
@@ -86,15 +57,6 @@ def is_fibsurj(h: Hom):
                                    for q, e in delta.items())))
             sections[key] = {b: images[b] for b in dst_fiber}
     return True, sections
-
-
-def verify_sections(h: Hom, sections) -> bool:
-    """map after section is the identity on every target fiber."""
-    for (K, _), table in sections.items():
-        for b, a in table.items():
-            if h.apply(K, a) != b:
-                return False
-    return True
 
 
 def colour_refinement(M: FinStructure, N: FinStructure):
@@ -297,43 +259,6 @@ def find_span(M: FinStructure, N: FinStructure, apex_bound=None):
         if span is not None:
             return SpanResult("found", span)
     return SpanResult("bound_exceeded")
-
-
-def check_ind_preservation(h: Hom, level: int) -> dict:
-    """Indistinguishability along a fiberwise surjection.
-
-    level 2: truth of Ind is preserved and reflected on all pairs of
-    level-2 elements.  level 3: witness counts of the isomorphism
-    formula match on all pairs of level-3 elements; requires totally
-    saturated endpoints.
-    """
-    ok, _ = is_fibsurj(h)
-    if not ok:
-        raise PreconditionViolation("homomorphism is not fiberwise "
-                                    "surjective")
-    if level == 3 and not (saturation_profile(h.src)["total"]
-                           and saturation_profile(h.dst)["total"]):
-        raise PreconditionViolation(
-            "both endpoints must be totally saturated")
-    violations = []
-    for K in h.src.sig.sorts:
-        if h.src.sig.level(K) != level:
-            continue
-        elems = h.src.carrier(K)
-        for a in elems:
-            for b in elems:
-                if level == 2:
-                    got = ind_truth_elems(h.src, K, a, b)
-                    want = ind_truth_elems(h.dst, K, h.apply(K, a),
-                                           h.apply(K, b))
-                    equal = got == want
-                else:
-                    equal = (card_iso_elems(h.src, K, a, b)
-                             == card_iso_elems(h.dst, K, h.apply(K, a),
-                                               h.apply(K, b)))
-                if not equal:
-                    violations.append({"sort": K, "pair": (a, b)})
-    return {"ok": not violations, "violations": violations}
 
 
 def hsip_decide(M: FinStructure, N: FinStructure) -> bool:

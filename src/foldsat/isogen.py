@@ -61,11 +61,11 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
     derived = {}
     for g in sig.out(K):
         derived[sig.compose(p, g)] = g
+    # out(R) order breaks ties in level: the sort is stable
     shared = [q for q in sig.out(R) if q != p and q not in derived]
-    shared.sort(key=lambda q: (-sig.level(q.cod), sig.out(R).index(q)))
+    shared.sort(key=lambda q: -sig.level(q.cod))
 
-    pool = sorted(x.dep() | y.dep(),
-                  key=lambda v: (-sig.level(v.sort), v.name, repr(v)))
+    pool = _by_level_and_name(sig, x.dep() | y.dep())
     used_names = {v.name for v in pool}
 
     def a_val(q, val):
@@ -141,6 +141,18 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
         order = sorted(gamma, key=lambda v: (-sig.level(v.sort), v.name))
         patterns.append(FillerPattern(alpha, beta, tuple(order)))
     return patterns
+
+
+def _by_level_and_name(sig: Signature, vars_) -> list:
+    """``vars_`` deepest sort first, then by name; ``repr`` orders
+    variables that tie there."""
+    def key(v):
+        return -sig.level(v.sort), v.name
+
+    out = sorted(vars_, key=key)
+    if len(set(map(key, out))) < len(out):
+        out.sort(key=lambda v: (key(v), repr(v)))
+    return out
 
 
 def _fresh_name(sort, used):
@@ -252,8 +264,8 @@ def generic_context(sig: Signature, K: str, names=("x", "y")):
     """A canonical pair of variables of sort K over one shared generic
     boundary (fresh boundary variables, identified only where the
     signature's equations force it)."""
-    classes = sorted(sig.out(K), key=lambda a: (-sig.level(a.cod),
-                                                sig.out(K).index(a)))
+    # out(K) order breaks ties in level: the sort is stable
+    classes = sorted(sig.out(K), key=lambda a: -sig.level(a.cod))
     val = {}
     used = set(names)
     for q in classes:

@@ -26,7 +26,7 @@ class Gen:
     cod: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Arrow:
     """A hom-class, represented by its canonical generator path: the least
     member by length, then by the declaration index of each generator.
@@ -34,12 +34,23 @@ class Arrow:
     The empty path is the identity.  Arrows must be obtained through
     ``Signature.cls``, ``compose``, ``hom`` or ``out`` so that equal paths
     share one representative; equality of ``Arrow`` values then decides
-    equality in the category.
+    equality in the category.  The hash is computed once, when the arrow
+    is built, since arrows key the signature's tables.
     """
 
     path: Path
     dom: str
     cod: str
+
+    def __init__(self, path, dom, cod):
+        # one write to the instance dict: the generated frozen __init__
+        # sets each field through object.__setattr__, which costs more
+        # than a stored hash saves on a small signature
+        self.__dict__.update(path=path, dom=dom, cod=cod,
+                             _hash=hash((path, dom, cod)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -66,7 +77,15 @@ class Signature:
     """A validated finite inverse category.
 
     Immutable after construction; build instances through
-    :func:`validate_signature`.
+    :func:`validate_signature`.  Besides the hom-classes it owns two
+    tables of facts derived from them, each filled on first use, and a
+    mark:
+
+    - ``compose``: ``(first, then) -> composite``
+    - ``position_groups``: per sort K, for each sort R above K, the
+      groups of K's positions that R identifies
+    - ``validity_mark``: what ``synkit.mk_var`` leaves on the variables
+      it has validated for this signature
     """
 
     def __init__(self, name, sorts, gens, equations, order, _token=None):
@@ -87,6 +106,12 @@ class Signature:
                 (lhs, rhs))
         self._compute_levels(order)
         self._build_classes(order)
+        self._composite = {}
+        self._position_groups = {}
+        # a plain object rather than the signature itself, so that marked
+        # variables kept in a cache keyed weakly by the signature do not
+        # keep it alive
+        self.validity_mark = object()
 
     # -- construction ----------------------------------------------------
 
@@ -139,7 +164,9 @@ class Signature:
                 members.setdefault(find(pair), []).append(pair)
             arrows = []
             for group in members.values():
-                canon = min(((g,) + c.path for g, c in group), key=path_key)
+                paths = [(g,) + c.path for g, c in group]
+                canon = (paths[0] if len(paths) == 1
+                         else min(paths, key=path_key))
                 arrow = Arrow(canon, s, group[0][1].cod)
                 self._ext[canon] = {}
                 for g, c in group:
@@ -161,12 +188,12 @@ class Signature:
 
     def level(self, sort) -> int:
         if sort not in self.levels:
-            raise UnknownSort(sort)
+            raise UnknownSort(f"unknown sort {sort!r}")
         return self.levels[sort]
 
     def identity(self, sort) -> Arrow:
         if sort not in self.levels:
-            raise UnknownSort(sort)
+            raise UnknownSort(f"unknown sort {sort!r}")
         return self._identity[sort]
 
     def cls(self, path: Path) -> Arrow:
@@ -181,15 +208,20 @@ class Signature:
 
     def compose(self, first: Arrow, then: Arrow) -> Arrow:
         """Composite then∘first (apply ``first``, then ``then``)."""
-        if first.cod != then.dom:
-            raise CompositionError(f"{first!r} then {then!r} not composable")
-        return self._fold(first.path, then)
+        key = (first, then)
+        arrow = self._composite.get(key)
+        if arrow is None:
+            if first.cod != then.dom:
+                raise CompositionError(
+                    f"{first!r} then {then!r} not composable")
+            arrow = self._composite[key] = self._fold(first.path, then)
+        return arrow
 
     def hom(self, dom, cod):
         """All arrows dom→cod (including the identity when dom == cod)."""
         for s in (dom, cod):
             if s not in self.levels:
-                raise UnknownSort(s)
+                raise UnknownSort(f"unknown sort {s!r}")
         arrows = self._hom.get((dom, cod), ())
         if dom == cod:
             return (self.identity(dom),) + arrows
@@ -198,8 +230,39 @@ class Signature:
     def out(self, sort):
         """All non-identity arrows out of ``sort``, deterministic order."""
         if sort not in self.levels:
-            raise UnknownSort(sort)
+            raise UnknownSort(f"unknown sort {sort!r}")
         return self._out[sort]
+
+    def position_groups(self, sort) -> tuple:
+        """``(R, groups)`` for each sort R strictly above ``sort``, in
+        declaration order: each group lists the positions p of ``sort``
+        that some arrow q: R -> sort sends to one composite p∘q, and has
+        at least two members."""
+        table = self._position_groups.get(sort)
+        if table is None:
+            lv = self.level(sort)
+            # only parallel positions can share a composite
+            parallel = {}
+            for p in self._out[sort]:
+                parallel.setdefault(p.cod, []).append(p)
+            parallel = [ps for ps in parallel.values() if len(ps) > 1]
+            table = []
+            for R in self.sorts:
+                if self.levels[R] >= lv:
+                    continue
+                groups = {}  # insertion-ordered set
+                for q in self.hom(R, sort):
+                    for ps in parallel:
+                        by_composite = {}
+                        for p in ps:
+                            by_composite.setdefault(self.compose(q, p),
+                                                    []).append(p)
+                        for group in by_composite.values():
+                            if len(group) > 1:
+                                groups[tuple(group)] = None
+                table.append((R, tuple(groups)))
+            table = self._position_groups[sort] = tuple(table)
+        return table
 
     def equations_at(self, sort):
         """The declared equations whose paths start at ``sort``."""

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidCategory, NotAModel, UnknownName
-from .finsem import FinStructure, saturation_profile, satisfies, \
-    validate_structure
+from .errors import InvalidCategory, UnknownName
+from .finsem import FinStructure, validate_structure
 from .sigcore import Signature, validate_signature
-from .synkit import (And, Atom, Equiv, Exists, Forall, Implies, Variable,
-                     mk_var)
+from .synkit import And, Atom, Exists, Forall, Implies, mk_var
 
 _RAW_SIGNATURES = {
     # reflexive graphs: identities I -> arrows A -> objects O, d.i = c.i
@@ -217,35 +215,6 @@ def tcat_axioms():
     return axioms
 
 
-def iso_formula_cat(x: Variable, y: Variable):
-    """Iso(x, y): mutually inverse arrows, with the composites equal to
-    identity arrows via I and arrow equality."""
-    sig = builtin_signature("lcat")
-    f = _avar(sig, "f", x, y)
-    g = _avar(sig, "g", y, x)
-    gf = _avar(sig, "gf", x, x)
-    fg = _avar(sig, "fg", y, y)
-    ix = _avar(sig, "ix", x, x)
-    iy = _avar(sig, "iy", y, y)
-    body = And((_comp_atom(sig, f, g, gf), _comp_atom(sig, g, f, fg),
-                _i_atom(sig, ix), _i_atom(sig, iy),
-                _eq_atom(sig, gf, ix), _eq_atom(sig, fg, iy)))
-    phi = body
-    for v in (iy, ix, fg, gf, g, f):
-        phi = Exists(v, phi)
-    return phi
-
-
-def yso_formula(x: Variable, y: Variable):
-    """Yso(x, y): the representable fibers over x and y are equivalent,
-    uniformly in the probing object."""
-    sig = builtin_signature("lcat")
-    z = _ovar(sig, "z")
-    alpha = Variable("h", "A", (("d", z), ("c", x)))
-    beta = Variable("k", "A", (("d", z), ("c", y)))
-    return Forall(z, Equiv("A", alpha, beta))
-
-
 # -- converters ---------------------------------------------------------
 
 def category_to_structure(C: FiniteCategory) -> FinStructure:
@@ -273,31 +242,6 @@ def category_to_structure(C: FiniteCategory) -> FinStructure:
         "t2": {f"m_{f}_{g}": C.compose[(f, g)] for (f, g) in C.compose},
     }
     return validate_structure(sig, {"carriers": carriers, "maps": maps})
-
-
-def structure_to_category(M: FinStructure):
-    """Read a finite category off a 1-saturated model of the theory."""
-    ok, report = satisfies(M, tcat_axioms())
-    if not ok:
-        failed = [r["axiom"] for r in report if not r["ok"]]
-        raise NotAModel(f"theory fails: {', '.join(failed)}")
-    if not saturation_profile(M)[1]:
-        raise NotAModel("structure is not 1-saturated")
-    objects = tuple(M.carrier("O"))
-    arrows = tuple((a, M.apply_gen("d", a), M.apply_gen("c", a))
-                   for a in M.carrier("A"))
-    identities = {}
-    for w in M.carrier("I"):
-        a = M.apply_gen("i", w)
-        identities[M.apply_gen("d", a)] = a
-    compose = {}
-    for m in M.carrier("comp"):
-        compose[(M.apply_gen("t0", m), M.apply_gen("t1", m))] = \
-            M.apply_gen("t2", m)
-    C = FiniteCategory("from_structure", objects, arrows, compose,
-                       identities)
-    validate_category(C)
-    return C
 
 
 # -- oracles ------------------------------------------------------------

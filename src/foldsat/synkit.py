@@ -102,9 +102,14 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     out of ``sort`` project to the same variable: both sides of each
     declared equation agree at every variable of the dependency closure,
     which is enough for every pair of paths the equations identify.
+
+    Every variable the closure walk checks is then marked valid for
+    ``sig`` (it holds ``sig.validity_mark``).  A later walk stops at a
+    marked variable, since its own closure holds no broken equation, so
+    it rejects exactly what a full walk would, with the same message.
     """
     if sort not in sig.levels:
-        raise UnknownSort(sort)
+        raise UnknownSort(f"unknown sort {sort!r}")
     fillers = fillers or {}
     gens = sig.out_gens(sort)
     proj = []
@@ -124,18 +129,22 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     var = Variable(name, sort, tuple(proj))
     # the dependency closure is walked depth-first from var, so the broken
     # equation reported first does not depend on set iteration order
-    stack, seen = [var], set()
+    mark = sig.validity_mark
+    stack, seen, walked = [var], set(), []
     while stack:
         w = stack.pop()
-        if id(w) in seen:
+        if id(w) in seen or w.__dict__.get("_valid_for") is mark:
             continue
         seen.add(id(w))
+        walked.append(w)
         for lhs, rhs in sig.equations_at(w.sort):
             if w.proj_along(lhs) != w.proj_along(rhs):
                 raise FunctorialityError(
                     f"variable {name}:{sort} breaks equation "
                     f"{'.'.join(lhs)} = {'.'.join(rhs)} at {w.name}")
         stack.extend(v for _, v in w.proj)
+    for w in walked:
+        w.__dict__["_valid_for"] = mark
     return var
 
 
@@ -452,18 +461,7 @@ def universal_closure(sig: Signature, phi: Formula, vars_) -> Formula:
 def compatible_sorts(sig: Signature, x: Variable) -> tuple:
     """All sorts R strictly above x's sort whose defining equations are
     respected by x's projection coincidences."""
-    K = x.sort
-    lv = sig.level(K)
-    if lv == 1:  # no sort lies above K
-        return ()
-    positions = [(p, x.proj_along(p.path)) for p in sig.out(K)]
-    out = []
-    for R in sig.sorts:
-        if sig.level(R) >= lv:
-            continue
-        # positions of x that R identifies through q must project alike
-        image = {}
-        if all(image.setdefault((q.path, sig.compose(q, p).path), v) == v
-               for q in sig.hom(R, K) for p, v in positions):
-            out.append(R)
-    return tuple(out)
+    # positions of x that R identifies must project alike
+    return tuple(R for R, groups in sig.position_groups(x.sort)
+                 if all(len({x.proj_along(p.path) for p in g}) == 1
+                        for g in groups))

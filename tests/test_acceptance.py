@@ -8,19 +8,18 @@ from pathlib import Path
 import pytest
 
 from foldsat.finsem import (boundary_instances, card_iso_elems,
-                            equiv_card_via_bijections,
-                            equiv_card_via_formula, eval_prop, fiber,
+                            equiv_card_via_bijections, eval_prop, fiber,
                             ind_truth_elems, saturation_profile,
                             validate_structure)
-from foldsat.homspan import (Hom, check_ind_preservation, find_span,
-                             hsip_decide, identity_hom, is_fibsurj,
-                             structure_iso)
+from foldsat.homspan import (Hom, find_span, hsip_decide, identity_hom,
+                             is_fibsurj, structure_iso)
 from foldsat.isogen import generic_context, ind, iso_formula
 from foldsat.pretty import pformat
 from foldsat.stdlib import (builtin_signature, categorical_iso_pairs,
-                            corpus, corpus_categories, is_gaunt,
-                            iso_formula_cat, yso_formula)
+                            corpus, corpus_categories, is_gaunt)
 from foldsat.synkit import Top, mk_var
+from paper_checks import (check_ind_preservation, equiv_card_via_formula,
+                          iso_formula_cat, yso_formula)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

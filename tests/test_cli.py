@@ -283,6 +283,35 @@ def test_golden_json_output(capsys, case):
     assert out == (GOLDEN / f"{case}.json").read_text()
 
 
+# `gen-iso --verbose` for every sort of the 3-diamond stack, byte for
+# byte, as printed before the signature's compose and position tables
+# existed: it pins the order of the boundary declarations and fillers
+DIAMOND3 = GOLDEN / "diamond3.folds"
+
+
+@pytest.mark.parametrize("sort", parse_signature(DIAMOND3.read_text()).sorts)
+def test_gen_iso_diamond3_golden(capsys, sort):
+    code, out, _ = run(capsys, "gen-iso", str(DIAMOND3), sort, "--verbose")
+    assert code == 0
+    assert out == (GOLDEN / f"gen_iso_diamond3_{sort}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, max_apex, message", [
+    (["gen-iso", p("lcat.folds"), "NOPE"], None, "unknown sort 'NOPE'"),
+    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "abc",
+     "FOLDS_MAX_APEX must be an integer, got 'abc'"),
+])
+def test_errors_name_the_problem(capsys, monkeypatch, argv, max_apex,
+                                 message):
+    if max_apex is not None:
+        monkeypatch.setenv("FOLDS_MAX_APEX", max_apex)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 2
+    assert json.loads(out)["report"] == {"error": message}
+
+
 def test_json_output(capsys):
     code, out, _ = run(capsys, "--json", "levels", p("lrg.folds"))
     assert code == 0

@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 from foldsat.cli import parse_formula
 from foldsat.errors import InvalidBoundary
 from foldsat.finsem import (_permanent, boundary_instances, boundary_of,
-                            card_iso_elems, check_saturation,
-                            element_variable, eval_card, fiber,
-                            satisfies, saturation_profile,
+                            card_iso_elems, check_saturation, eval_card,
+                            fiber, satisfies, saturation_profile,
                             validate_structure)
 from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
                             category_to_structure, corpus, tcat_axioms)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
                             Formula, Iff, Implies, Or, Top, Variable)
+from paper_checks import element_variable
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from foldsat.cli import main
-from foldsat.errors import CycleError, FunctorialityError
+from foldsat.errors import CompositionError, CycleError, FunctorialityError
 from foldsat.finsem import validate_structure
 from foldsat.sigcore import validate_signature
 from foldsat.synkit import Variable, compatible_sorts, mk_var
@@ -285,6 +285,17 @@ def test_deep_cycle_cli_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: cycle through sorts")
 
 
+def _add_fork_equation(raw, by_ends, data):
+    """Add an equation g.p1 = g.p2 for two parallel paths p1, p2 after a
+    generator g, where the signature has such a pair."""
+    forks = [(g, p1, p2) for g, _, c in raw["arrows"]
+             for (d, _), ps in sorted(by_ends.items()) if d == c
+             for p1 in ps for p2 in ps if p1 < p2]
+    if forks:
+        g, p1, p2 = data.draw(st.sampled_from(forks))
+        raw["equations"].append(((g,) + p1, (g,) + p2))
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(dag_signatures(), st.data())
@@ -297,12 +308,7 @@ def test_compatible_sorts_matches_pairwise_check(raw, data):
     by_ends = {}
     for p, d, c in all_paths(raw):
         by_ends.setdefault((d, c), []).append(p)
-    forks = [(g, p1, p2) for g, _, c in raw["arrows"]
-             for (d, _), ps in sorted(by_ends.items()) if d == c
-             for p1 in ps for p2 in ps if p1 < p2]
-    if forks:
-        g, p1, p2 = data.draw(st.sampled_from(forks))
-        raw["equations"].append(((g,) + p1, (g,) + p2))
+    _add_fork_equation(raw, by_ends, data)
     order, sig = _codomains_first(raw)
     pool = _variable_pool(sig, order, data)
     forked = {d for (d, _), ps in by_ends.items() if len(ps) > 1}
@@ -330,3 +336,108 @@ def test_compatible_sorts_compares_positions_per_arrow():
     e1, e2 = mk_var(sig, "e1", "E"), mk_var(sig, "e2", "E")
     x = mk_var(sig, "x", "K", {"a": e1, "b": e2})
     assert compatible_sorts(sig, x) == ("R",)
+
+
+# -- the signature's tables against what they replace -----------------------
+
+@settings(max_examples=200, deadline=None)
+@given(dag_signatures())
+def test_compose_table_matches_fold(raw):
+    """Each composite, looked up cold and then from the table, is the
+    class the path fold gives; a non-composable pair raises both times."""
+    sig = validate_signature(raw)
+    arrows = [a for s in sig.sorts for a in (sig.identity(s),) + sig.out(s)]
+    for _ in range(2):
+        for f in arrows:
+            for g in arrows:
+                if f.cod == g.dom:
+                    assert sig.compose(f, g) is sig._fold(f.path, g)
+                else:
+                    with pytest.raises(CompositionError):
+                        sig.compose(f, g)
+
+
+def compatible_sorts_by_loop(sig, x):
+    """``compatible_sorts`` as it was before the signature grouped the
+    positions: every composite recomputed for each variable."""
+    K = x.sort
+    lv = sig.level(K)
+    if lv == 1:
+        return ()
+    positions = [(p, x.proj_along(p.path)) for p in sig.out(K)]
+    out = []
+    for R in sig.sorts:
+        if sig.level(R) >= lv:
+            continue
+        image = {}
+        if all(image.setdefault((q.path, sig.compose(q, p).path), v) == v
+               for q in sig.hom(R, K) for p, v in positions):
+            out.append(R)
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_position_groups_match_compatible_sorts_loop(raw, data):
+    by_ends = {}
+    for p, d, c in all_paths(raw):
+        by_ends.setdefault((d, c), []).append(p)
+    _add_fork_equation(raw, by_ends, data)
+    order, sig = _codomains_first(raw)
+    pool = _variable_pool(sig, order, data)
+    for x in (v for vs in pool.values() for v in vs):
+        assert compatible_sorts(sig, x) == compatible_sorts_by_loop(sig, x)
+
+
+def mk_var_full_walk(sig, name, sort, fillers):
+    """``mk_var`` as it was before validity marks: sorts checked, then
+    every variable of the dependency closure checked against the
+    equations at its sort."""
+    proj = []
+    for g in sig.out_gens(sort):
+        v = fillers[g.name]
+        assert v.sort == g.cod
+        proj.append((g.name, v))
+    var = Variable(name, sort, tuple(proj))
+    stack, seen = [var], set()
+    while stack:
+        w = stack.pop()
+        if id(w) in seen:
+            continue
+        seen.add(id(w))
+        for lhs, rhs in sig.equations_at(w.sort):
+            if w.proj_along(lhs) != w.proj_along(rhs):
+                raise FunctorialityError(
+                    f"variable {name}:{sort} breaks equation "
+                    f"{'.'.join(lhs)} = {'.'.join(rhs)} at {w.name}")
+        stack.extend(v for _, v in w.proj)
+    return var
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_validity_marks_match_full_walk(raw, data):
+    """Fillers come from a pool of raw variables, which may break an
+    equation, and of variables ``mk_var`` built and so marked.  Each
+    call accepts or rejects as the full walk does, with the same
+    message; what it accepts joins the pool."""
+    order, sig = _codomains_first(raw)
+    pool = _variable_pool(sig, order, data)
+    sorts = [s for s in sig.sorts
+             if all(pool[g.cod] for g in sig.out_gens(s))]
+    for i in range(data.draw(st.integers(1, 12))):
+        s = data.draw(st.sampled_from(sorts))
+        fillers = {g.name: data.draw(st.sampled_from(pool[g.cod]))
+                   for g in sig.out_gens(s)}
+        try:
+            want = mk_var_full_walk(sig, f"m{i}", s, fillers)
+        except FunctorialityError as exc:
+            with pytest.raises(FunctorialityError) as got:
+                mk_var(sig, f"m{i}", s, fillers)
+            assert str(got.value) == str(exc)
+            continue
+        var = mk_var(sig, f"m{i}", s, fillers)
+        assert var == want
+        pool[s].append(var)

@@ -6,13 +6,13 @@ from foldsat.errors import InvalidCategory, NotAModel, UnknownName
 from foldsat.finsem import (card_iso_elems, eval_card, eval_prop, fiber,
                             boundary_instances, satisfies,
                             saturation_profile, validate_structure)
-from foldsat.finsem import boundary_pair_context, element_variable
 from foldsat.stdlib import (FiniteCategory, builtin_signature,
                             categorical_iso_pairs, category_to_structure,
                             corpus, corpus_categories, doubled_i_structure,
-                            is_gaunt, iso_formula_cat, structure_to_category,
-                            tcat_axioms, validate_category, yso_formula)
+                            is_gaunt, tcat_axioms, validate_category)
 from foldsat.synkit import Variable, mk_var
+from paper_checks import (element_variable, iso_formula_cat,
+                          structure_to_category, yso_formula)
 
 
 @pytest.fixture(scope="module")
