@@ -532,6 +532,9 @@ def _cmd_check_model(args):
 
 def _cmd_sat(args):
     sig = load_signature(args.signature)
+    if args.level is not None and not 1 <= args.level <= sig.height:
+        raise ValueError(f"--level must be between 1 and {sig.height}, "
+                         f"got {args.level}")
     M = load_structure(args.model, sig)
     if args.level is not None:
         violations = [v for K in sig.sorts if sig.level(K) <= args.level
@@ -680,7 +683,8 @@ def _build_parser():
     p.add_argument("signature")
     p.add_argument("model")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--level", type=int)
+    g.add_argument("--level", type=int,
+                   help="report on one level, 1 to the signature's height")
     g.add_argument("--total", action="store_true",
                    help="succeed only when totally saturated")
     p.set_defaults(fn=_cmd_sat)

@@ -9,6 +9,8 @@ equivalence nodes are evaluated as sums over fiber bijections whose
 graph is pointwise indistinguishable; this is the finite-set form of the
 equivalence data and is cross-checked against the expanded three-part
 formula wherever the saturation precondition makes the two agree.
+Saturation is decided level by level from the bottom: the first
+violation settles its level and every level above it.
 """
 
 from __future__ import annotations
@@ -538,35 +540,46 @@ def ind_truth_elems(M: FinStructure, K: str, a, b) -> bool:
     return card_iso_elems(M, K, a, b) > 0
 
 
-def check_saturation(M: FinStructure, K: str) -> list:
-    """All violations of card(x ~ y) = [x = y] over the fibers of K."""
-    violations = []
+def _violations(M: FinStructure, K: str):
+    """The violations of card(x ~ y) = [x = y] over the fibers of K,
+    one at a time, fiber by fiber and pair by pair."""
     for delta in boundary_instances(M, K):
         F = fiber(M, K, delta)
         for a in F:
             for b in F:
                 c = card_iso_elems(M, K, a, b)
-                want = 1 if a == b else 0
-                if c != want:
-                    violations.append({
+                if c != (1 if a == b else 0):
+                    yield {
                         "sort": K,
                         "boundary": {q.name: e for q, e in delta.items()},
                         "pair": (a, b),
                         "card": c,
-                    })
-    return violations
+                    }
+
+
+def check_saturation(M: FinStructure, K: str) -> list:
+    """All violations of card(x ~ y) = [x = y] over the fibers of K."""
+    return list(_violations(M, K))
 
 
 def saturation_profile(M: FinStructure) -> dict:
-    """Per-level saturation booleans plus the total flag."""
+    """Per-level saturation booleans plus the total flag.
+
+    A structure is saturated at level n when every sort of level at
+    most n is, so levels are decided bottom-up: a level holds when no
+    sort of that level has a violation, and once one level fails every
+    level above it is false without a sort above it being checked.
+    Each sort stops at its first violation, so no ``Ind`` is generated
+    that the answer does not need.
+    """
     if M._profile is not None:
         return dict(M._profile)
     sig = M.sig
-    by_sort = {K: not check_saturation(M, K) for K in sig.sorts}
-    profile = {}
+    profile, ok = {}, True
     for n in range(1, sig.height + 1):
-        profile[n] = all(by_sort[K] for K in sig.sorts
-                         if sig.level(K) <= n)
+        ok = ok and all(next(_violations(M, K), None) is None
+                        for K in sig.sorts if sig.level(K) == n)
+        profile[n] = ok
     profile["total"] = profile[sig.height]
     M._profile = profile
     return dict(profile)

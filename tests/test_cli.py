@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from foldsat.cli import (format_signature, format_structure, format_theory,
                          main, parse_formula, parse_signature,
@@ -11,6 +12,7 @@ from foldsat.finsem import eval_prop
 from foldsat.isogen import iso_formula
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
+from test_finsem_oracle import formulas
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,6 +84,13 @@ def test_formula_connectives(lcat, models):
     psi = parse_formula("forall x:O. forall y:O. forall f:A(x,y). "
                         "A(x,y) ~= A(y,x)", lcat)
     assert eval_prop(M, psi)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(formulas(builtin_signature("lcat")))
+def test_parse_inverts_pformat_on_generated_formulas(phi):
+    assert parse_formula(pformat(phi), builtin_signature("lcat")) == phi
 
 
 def test_parsing_twice_gives_equal_formulas(lcat):
@@ -283,6 +292,26 @@ def test_golden_json_output(capsys, case):
     assert out == (GOLDEN / f"{case}.json").read_text()
 
 
+SAT_VARIANTS = ([], ["--total"], ["--level", "1"], ["--level", "2"],
+                ["--level", "3"])
+
+
+@pytest.mark.parametrize("name", sorted(path.stem
+                                        for path in CORPUS.glob("*.str")))
+def test_sat_golden(capsys, name):
+    """Every form of `sat`, text and `--json`, byte for byte as printed
+    before levels were decided bottom-up."""
+    transcript = []
+    for json_flag in ([], ["--json"]):
+        for extra in SAT_VARIANTS:
+            code, out, _ = run(capsys, *json_flag, "sat", p("lcat.folds"),
+                               p(f"{name}.str"), *extra)
+            shown = " ".join([*json_flag, "sat", "lcat.folds",
+                              f"{name}.str", *extra])
+            transcript.append(f"$ foldsat {shown}\nexit {code}\n{out}")
+    assert "".join(transcript) == (GOLDEN / f"sat_{name}.txt").read_text()
+
+
 # `gen-iso --verbose` for every sort of the 3-diamond stack, byte for
 # byte, as printed before the signature's compose and position tables
 # existed: it pins the order of the boundary declarations and fillers
@@ -300,6 +329,9 @@ def test_gen_iso_diamond3_golden(capsys, sort):
     (["gen-iso", p("lcat.folds"), "NOPE"], None, "unknown sort 'NOPE'"),
     (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "abc",
      "FOLDS_MAX_APEX must be an integer, got 'abc'"),
+    *((["sat", p("lcat.folds"), p("Z2Cat.str"), "--level", level], None,
+       f"--level must be between 1 and 3, got {level}")
+      for level in ("0", "-1", "4", "9")),
 ])
 def test_errors_name_the_problem(capsys, monkeypatch, argv, max_apex,
                                  message):

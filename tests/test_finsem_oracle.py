@@ -11,6 +11,7 @@ corpus.
 
 import random
 import time
+import weakref
 from dataclasses import fields, is_dataclass
 from itertools import permutations
 from math import prod
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foldsat.cli import parse_formula
-from foldsat.errors import InvalidBoundary
+from foldsat import isogen
+from foldsat.cli import _ATOM_VAR, parse_formula
+from foldsat.errors import FoldsError, InvalidBoundary
 from foldsat.finsem import (_permanent, boundary_instances, boundary_of,
                             card_iso_elems, check_saturation, eval_card,
                             fiber, satisfies, saturation_profile,
@@ -29,7 +31,8 @@ from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
                             category_to_structure, corpus, tcat_axioms)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
-                            Formula, Iff, Implies, Or, Top, Variable)
+                            Formula, Iff, Implies, Or, Top, Variable,
+                            mk_var)
 from paper_checks import element_variable
 
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -57,6 +60,19 @@ def scan_fiber(M, K, delta):
                     f"boundary for {K!r} violates {g.name!r} naturality "
                     f"at position {q.name!r}")
     return tuple(e for e in M.carrier(K) if boundary_of(M, K, e) == delta)
+
+
+def eager_profile(M):
+    """Every sort checked in full, then each level read off: the profile
+    before levels were decided bottom-up."""
+    sig = M.sig
+    by_sort = {K: not check_saturation(M, K) for K in sig.sorts}
+    profile = {}
+    for n in range(1, sig.height + 1):
+        profile[n] = all(by_sort[K] for K in sig.sorts
+                         if sig.level(K) <= n)
+    profile["total"] = profile[sig.height]
+    return profile
 
 
 def backtrack_boundary_instances(M, K):
@@ -218,6 +234,27 @@ def duplicate(M, K, e):
     return validate_structure(M.sig, {"carriers": carriers, "maps": maps})
 
 
+def drop(M, K, e):
+    """M without element e of a level-1 sort K."""
+    carriers = {s: [x for x in M.carrier(s) if (s, x) != (K, e)]
+                for s in M.sig.sorts}
+    maps = {g: {x: v for x, v in m.items()
+                if (M.sig.gen(g).dom, x) != (K, e)}
+            for g, m in M.maps.items()}
+    return validate_structure(M.sig, {"carriers": carriers, "maps": maps})
+
+
+def level1_mutants(M):
+    """M with the first or the last element of each level-1 sort dropped
+    or duplicated."""
+    out = []
+    for K in M.sig.sorts:
+        if M.sig.level(K) == 1:
+            for e in dict.fromkeys(M.carrier(K)[:1] + M.carrier(K)[-1:]):
+                out += [drop(M, K, e), duplicate(M, K, e)]
+    return out
+
+
 @st.composite
 def lcat_structures(draw, size=3):
     """A preorder on at most ``size`` objects or a cyclic group of order
@@ -235,6 +272,71 @@ def lcat_structures(draw, size=3):
         K = draw(st.sampled_from([K for K in M.sig.sorts if M.carrier(K)]))
         M = duplicate(M, K, draw(st.sampled_from(M.carrier(K))))
     return M
+
+
+# names the formulas below bind, few enough that binders shadow each other
+NAMES = ("x", "y", "f", "g")
+
+
+def _application(draw, sig, env, name, sorts=None):
+    """A variable named ``name`` of one of ``sorts`` (any sort if None),
+    applied to variables of the scope ``env``; None when no sort can be
+    applied or the drawn arguments break an equation of ``sig``."""
+    scope = list(env.values())
+    sorts = [K for K in (sorts or sig.sorts)
+             if all(any(v.sort == g.cod for v in scope)
+                    for g in sig.out_gens(K))]
+    if not sorts:
+        return None
+    K = draw(st.sampled_from(sorts))
+    fillers = {g.name: draw(st.sampled_from([v for v in scope
+                                              if v.sort == g.cod]))
+               for g in sig.out_gens(K)}
+    try:
+        return mk_var(sig, name, K, fillers)
+    except FoldsError:
+        return None
+
+
+@st.composite
+def formulas(draw, sig, env=None, depth=3):
+    """A formula over ``sig`` in the form the parser builds: ``env`` maps
+    each name in scope to its variable, a binder shadows an outer
+    variable of its name, atoms and the sides of ``~=`` carry the
+    parser's placeholder name, and ``&``/``|`` have two or three
+    arguments.  Closed when ``env`` is empty."""
+    env = env or {}
+    base = next(K for K in sig.sorts if not sig.out_gens(K))
+    kinds = ["true", "false", "atom", "~="]
+    if depth:
+        kinds += ["&", "|", "->", "<->", "forall", "exists", "sum"]
+    kind = draw(st.sampled_from(kinds))
+
+    def sub(scope=env):
+        return draw(formulas(sig, scope, depth - 1))
+
+    if kind == "true":
+        return Top()
+    if kind == "false":
+        return Bottom()
+    if kind in ("atom", "~="):
+        alpha = (_application(draw, sig, env, _ATOM_VAR)
+                 or mk_var(sig, _ATOM_VAR, base))
+        if kind == "atom":
+            return Atom(alpha)
+        beta = _application(draw, sig, env, _ATOM_VAR, [alpha.sort]) or alpha
+        return Equiv(alpha.sort, alpha, beta)
+    if kind in ("&", "|"):
+        args = tuple(sub() for _ in range(draw(st.integers(2, 3))))
+        return And(args) if kind == "&" else Or(args)
+    if kind in ("->", "<->"):
+        return (Implies if kind == "->" else Iff)(sub(), sub())
+    name = draw(st.sampled_from(NAMES))
+    v = _application(draw, sig, env, name) or mk_var(sig, name, base)
+    body = sub({**env, name: v})
+    if kind == "forall":
+        return Forall(v, body)
+    return Exists(v, body, untruncated=kind == "sum")
 
 
 def relabel(M, order):
@@ -353,6 +455,49 @@ def test_saturation_profile_invariant_under_relabelling(M, rnd):
         assert len(check_saturation(N, K)) == len(check_saturation(M, K))
 
 
+@SETTINGS
+@given(lcat_structures())
+def test_saturation_profile_matches_eager_profile(M):
+    assert saturation_profile(M) == eager_profile(M)
+
+
+def test_saturation_profile_matches_eager_profile_on_corpus_and_mutants():
+    checked = unsaturated = 0
+    for M in corpus().values():
+        for N in [M] + level1_mutants(M):
+            profile = saturation_profile(N)
+            assert profile == eager_profile(N)
+            checked += 1
+            unsaturated += not profile[1]
+    assert checked > 100 and 0 < unsaturated < checked
+
+
+@pytest.mark.parametrize("name, K", [("DoubledI", None), ("Chain3", "comp")])
+def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
+    """A level-1 violation settles every level: the profile generates
+    ``Ind`` for level-1 sorts only, while ``check_saturation`` still
+    lists every violation of every sort."""
+    M = corpus()[name]
+    if K is not None:
+        M = duplicate(M, K, M.carrier(K)[0])
+    generated = []
+    real = isogen._ind
+
+    def spy(sig, x, y):
+        generated.append(x.sort)
+        return real(sig, x, y)
+
+    monkeypatch.setattr(isogen, "_IND_CACHE", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(isogen, "_ind", spy)
+    assert saturation_profile(M) == {1: False, 2: False, 3: False,
+                                     "total": False}
+    assert generated and {M.sig.level(s) for s in generated} == {1}
+    for sort in M.sig.sorts:
+        assert check_saturation(M, sort) \
+            == violations(M, sort, named_card_iso)
+    assert {M.sig.level(s) for s in generated} == {1, 2, 3}
+
+
 # -- the evaluator ------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -420,14 +565,25 @@ def test_evaluator_matches_direct_recursion(M):
                 == named_card_iso(M, K, a, b, naive_card), (K, a, b)
 
 
-def drop(M, K, e):
-    """M without element e of a level-1 sort K."""
-    carriers = {s: [x for x in M.carrier(s) if (s, x) != (K, e)]
-                for s in M.sig.sorts}
-    maps = {g: {x: v for x, v in m.items()
-                if (M.sig.gen(g).dom, x) != (K, e)}
-            for g, m in M.maps.items()}
-    return validate_structure(M.sig, {"carriers": carriers, "maps": maps})
+@SETTINGS
+@given(lcat_structures(), st.randoms(use_true_random=False))
+def test_eval_card_invariant_under_relabelling(M, rnd):
+    """Closed formulas, and Ind over every pair of every fiber, count the
+    same witnesses after the elements are renamed and reordered."""
+    orders = {K: rnd.sample(M.carrier(K), len(M.carrier(K)))
+              for K in M.sig.sorts}
+    N = relabel(M, lambda K, elems: orders[K])
+    ren = {K: {e: f"{K}#{i}" for i, e in enumerate(orders[K])}
+           for K in M.sig.sorts}
+    for name, phi in tcat_axioms():
+        assert eval_card(N, phi) == eval_card(M, phi), name
+    for text in FORMULAS:
+        phi = parse_formula(text, M.sig)
+        assert eval_card(N, phi) == eval_card(M, phi), text
+    for K in M.sig.sorts:
+        for a, b in pairs_in_fibers(M, K):
+            assert card_iso_elems(N, K, ren[K][a], ren[K][b]) \
+                == card_iso_elems(M, K, a, b), (K, a, b)
 
 
 def test_satisfies_matches_direct_recursion_on_corpus_and_mutants():
@@ -438,11 +594,7 @@ def test_satisfies_matches_direct_recursion_on_corpus_and_mutants():
     axioms = tcat_axioms()
     checked = failed = 0
     for M in corpus().values():
-        mutants = [M]
-        for K in ("I", "comp", "eqA"):
-            for e in dict.fromkeys(M.carrier(K)[:1] + M.carrier(K)[-1:]):
-                mutants += [drop(M, K, e), duplicate(M, K, e)]
-        for N in mutants:
+        for N in [M] + level1_mutants(M):
             want = [{"axiom": name, "ok": naive_card(N, phi) > 0}
                     for name, phi in axioms]
             ok, report = satisfies(N, axioms)

@@ -114,6 +114,9 @@ def test_iso_of_random_pair_matches_oracle(pair, rnd):
     M, N = pair[0], relabel(pair[1], shuffler(rnd))
     assert structure_iso(M, N) == oracle_iso(M, N)
     assert structure_iso(N, M) == oracle_iso(N, M)
+    # renaming and reordering M too does not change whether one exists
+    found = structure_iso(relabel(M, shuffler(rnd)), N) is not None
+    assert found == (oracle_iso(M, N) is not None)
 
 
 def test_iso_after_backtracking_matches_oracle():
