@@ -9,12 +9,16 @@ equivalence nodes are evaluated as sums over fiber bijections whose
 graph is pointwise indistinguishable; this is the finite-set form of the
 equivalence data and is cross-checked against the expanded three-part
 formula wherever the saturation precondition makes the two agree.
-Saturation is decided level by level from the bottom: the first
-violation settles its level and every level above it.
+Nothing lies above a level-1 sort, so its ``Ind`` is ``Top``: its
+``~=`` counts every bijection, and it is saturated when each of its
+fibers has at most one element.  Saturation is decided level by level
+from the bottom: the first violation settles its level and every level
+above it.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -181,6 +185,11 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
                     f"at position {q.name!r}")
     index[key] = ()
     return ()
+
+
+def _ind_is_top(sig: Signature, K: str) -> bool:
+    """Whether Ind(x, y) is Top on K: nothing lies above a level-1 sort."""
+    return sig.level(K) == 1
 
 
 def _permanent(rows) -> int:
@@ -413,8 +422,11 @@ class _Evaluator:
 
     def _equiv(self, node: Equiv):
         """Sum over fiber bijections of the product of pointwise
-        indistinguishability counts: the permanent of their matrix."""
+        indistinguishability counts: the permanent of their matrix.  On
+        a level-1 sort every entry is 1, so two fibers of n elements
+        give n!."""
         f1, f2 = self._fiber_fn(node.alpha), self._fiber_fn(node.beta)
+        top = _ind_is_top(self.sig, node.sort)
         xv = Variable("a*", node.sort, node.alpha.proj)
         yv = Variable("b*", node.sort, node.beta.proj)
         sx, sy = self._slot_of(xv), self._slot_of(yv)
@@ -425,6 +437,8 @@ class _Evaluator:
             left, right = f1(env), f2(env)
             if len(left) != len(right):
                 return 0
+            if top:
+                return factorial(len(left))
             if inner is None:
                 inner = self._count(ind(self.sig, xv, yv))
             saved = env.get(sx, _UNSET), env.get(sy, _UNSET)
@@ -543,11 +557,12 @@ def ind_truth_elems(M: FinStructure, K: str, a, b) -> bool:
 def _violations(M: FinStructure, K: str):
     """The violations of card(x ~ y) = [x = y] over the fibers of K,
     one at a time, fiber by fiber and pair by pair."""
+    top = _ind_is_top(M.sig, K)
     for delta in boundary_instances(M, K):
         F = fiber(M, K, delta)
         for a in F:
             for b in F:
-                c = card_iso_elems(M, K, a, b)
+                c = 1 if top else card_iso_elems(M, K, a, b)
                 if c != (1 if a == b else 0):
                     yield {
                         "sort": K,
@@ -562,6 +577,13 @@ def check_saturation(M: FinStructure, K: str) -> list:
     return list(_violations(M, K))
 
 
+def _saturated(M: FinStructure, K: str) -> bool:
+    """Whether K has no violation; on level 1, no fiber of two."""
+    if _ind_is_top(M.sig, K):
+        return all(len(F) <= 1 for F in M.fibers(K).values())
+    return next(_violations(M, K), None) is None
+
+
 def saturation_profile(M: FinStructure) -> dict:
     """Per-level saturation booleans plus the total flag.
 
@@ -569,15 +591,16 @@ def saturation_profile(M: FinStructure) -> dict:
     most n is, so levels are decided bottom-up: a level holds when no
     sort of that level has a violation, and once one level fails every
     level above it is false without a sort above it being checked.
-    Each sort stops at its first violation, so no ``Ind`` is generated
-    that the answer does not need.
+    Level 1 is read off the fiber sizes, with no ``Ind`` at all, and
+    each sort above it stops at its first violation, so no ``Ind`` is
+    generated that the answer does not need.
     """
     if M._profile is not None:
         return dict(M._profile)
     sig = M.sig
     profile, ok = {}, True
     for n in range(1, sig.height + 1):
-        ok = ok and all(next(_violations(M, K), None) is None
+        ok = ok and all(_saturated(M, K)
                         for K in sig.sorts if sig.level(K) == n)
         profile[n] = ok
     profile["total"] = profile[sig.height]

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 from foldsat import isogen
 from foldsat.cli import _ATOM_VAR, parse_formula
-from foldsat.errors import FoldsError, InvalidBoundary
-from foldsat.finsem import (_permanent, boundary_instances, boundary_of,
-                            card_iso_elems, check_saturation, eval_card,
-                            fiber, satisfies, saturation_profile,
+from foldsat.errors import FoldsError, FunctorialityError, InvalidBoundary
+from foldsat.finsem import (_permanent, _saturated, boundary_instances,
+                            boundary_of, card_iso_elems, check_saturation,
+                            eval_card, fiber, satisfies, saturation_profile,
                             validate_structure)
 from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
@@ -34,6 +34,8 @@ from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
                             Formula, Iff, Implies, Or, Top, Variable,
                             mk_var)
 from paper_checks import element_variable
+from test_sigcore_oracle import (_codomains_first, dag_signatures,
+                                 draw_structure)
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -63,10 +65,11 @@ def scan_fiber(M, K, delta):
 
 
 def eager_profile(M):
-    """Every sort checked in full, then each level read off: the profile
-    before levels were decided bottom-up."""
+    """Every sort checked in full by the brute-force violation list, then
+    each level read off: the profile before levels were decided
+    bottom-up, and before level 1 was read off the fiber sizes."""
     sig = M.sig
-    by_sort = {K: not check_saturation(M, K) for K in sig.sorts}
+    by_sort = {K: not violations(M, K, named_card_iso) for K in sig.sorts}
     profile = {}
     for n in range(1, sig.height + 1):
         profile[n] = all(by_sort[K] for K in sig.sorts
@@ -472,11 +475,44 @@ def test_saturation_profile_matches_eager_profile_on_corpus_and_mutants():
     assert checked > 100 and 0 < unsaturated < checked
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_level1_saturation_by_fiber_size_on_dag_signatures(raw, data):
+    """On random DAG signatures and structures: a level-1 sort's ``Ind``
+    is ``Top``, the profile's rule for a level-1 sort is the brute-force
+    verdict, and the fiber index holds exactly the non-empty fibers over
+    the boundary instances.  The rule is called per sort, not through
+    ``saturation_profile``: the profile goes on to generate ``Ind`` for
+    the sorts above level 1, which on some of these signatures (parallel
+    arrows into one sort) takes far longer than the test should."""
+    order, sig = _codomains_first(raw)
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+    except FunctorialityError:
+        return
+    level1 = [K for K in sig.sorts if sig.level(K) == 1]
+    for K in level1:
+        assert iso_formula(sig, K)[2] == Top()
+        for a in M.carrier(K):
+            for b in M.carrier(K):
+                xv, yv, _ = pair_context(M, K, a, b)
+                assert ind(sig, xv, yv) == Top(), (K, a, b)
+        assert _saturated(M, K) \
+            == (not violations(M, K, named_card_iso)), K
+    for K in sig.sorts:
+        over = [scan_fiber(M, K, d) for d in boundary_instances(M, K)]
+        assert sorted(F for F in over if F) \
+            == sorted(F for F in M.fibers(K).values() if F), K
+
+
 @pytest.mark.parametrize("name, K", [("DoubledI", None), ("Chain3", "comp")])
 def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
-    """A level-1 violation settles every level: the profile generates
-    ``Ind`` for level-1 sorts only, while ``check_saturation`` still
-    lists every violation of every sort."""
+    """A level-1 violation settles every level, and level 1 is decided
+    by fiber sizes: the profile generates no ``Ind`` at all, while
+    ``check_saturation`` still lists every violation of every sort and
+    generates ``Ind`` for the sorts above level 1 only."""
     M = corpus()[name]
     if K is not None:
         M = duplicate(M, K, M.carrier(K)[0])
@@ -491,11 +527,11 @@ def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
     monkeypatch.setattr(isogen, "_ind", spy)
     assert saturation_profile(M) == {1: False, 2: False, 3: False,
                                      "total": False}
-    assert generated and {M.sig.level(s) for s in generated} == {1}
+    assert generated == []
+    got = {sort: check_saturation(M, sort) for sort in M.sig.sorts}
+    assert {M.sig.level(s) for s in generated} == {2, 3}
     for sort in M.sig.sorts:
-        assert check_saturation(M, sort) \
-            == violations(M, sort, named_card_iso)
-    assert {M.sig.level(s) for s in generated} == {1, 2, 3}
+        assert got[sort] == violations(M, sort, named_card_iso)
 
 
 # -- the evaluator ------------------------------------------------------------
@@ -537,6 +573,18 @@ FORMULAS = (
     "sum y:O. forall x:O. (A(x,y) -> (forall y:O. A(y,x)))",
     "sum x:O. forall y:O. forall x:O. A(y,y) & A(x,y) -> A(y,x)",
 )
+
+# ~= on the level-1 sorts, whose Ind is Top: fibers of equal size, which
+# a duplicated witness makes 2 or more, and of unequal or zero size
+LEVEL1_EQUIV = (
+    "sum x:O. sum f:A(x,x). I(f) ~= I(f)",
+    "sum x:O. sum f:A(x,x). sum g:A(x,x). I(f) ~= I(g)",
+    "sum x:O. sum f:A(x,x). sum g:A(x,x). eqA(f,g) ~= eqA(g,f)",
+    "sum x:O. sum y:O. sum f:A(x,y). sum g:A(x,y). eqA(f,f) ~= eqA(f,g)",
+    "sum x:O. sum f:A(x,x). sum g:A(x,x). sum h:A(x,x). "
+    "comp(f,g,h) ~= comp(g,f,h)",
+)
+FORMULAS += LEVEL1_EQUIV
 
 
 def shadowing_formula(sig):
@@ -603,6 +651,21 @@ def test_satisfies_matches_direct_recursion_on_corpus_and_mutants():
             checked += 1
             failed += not ok
     assert checked > 100 and 0 < failed < checked
+
+
+def test_level1_equiv_counts_every_bijection():
+    """~= between level-1 fibers of three witnesses, where n! and n
+    first differ past the empty fiber, against the bijection sum."""
+    for name in ("Z2Cat", "DoubledI", "Chain3"):
+        M = corpus()[name]
+        for K in ("I", "eqA", "comp"):
+            e = M.carrier(K)[0]
+            N = duplicate(duplicate(M, K, e), K, f"{e}'")
+            assert max(map(len, N.fibers(K).values())) >= 3
+            for text in LEVEL1_EQUIV:
+                phi = parse_formula(text, N.sig)
+                assert eval_card(N, phi) == naive_card(N, phi), \
+                    (name, K, text)
 
 
 def test_tcat_on_z10_within_a_second():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from foldsat import isogen
 from foldsat.cli import parse_formula
 from foldsat.errors import FunctorialityError
-from foldsat.finsem import eval_card, saturation_profile
+from foldsat.finsem import check_saturation, eval_card, saturation_profile
 from foldsat.isogen import FillerPattern, _fresh_name, iso_formula
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, corpus
@@ -127,6 +127,11 @@ def test_pruned_fillers_match_enumeration(checked):
                                  HealthCheck.function_scoped_fixture])
 @given(lcat_structures())
 def test_pruned_fillers_match_enumeration_in_saturation(checked, M):
+    """The profile generates no ``Ind`` for level-1 sorts, so the sorts
+    above level 1 are checked in full as well."""
     isogen._IND_CACHE.clear()
     saturation_profile(M)
+    for K in M.sig.sorts:
+        if M.sig.level(K) >= 2:
+            check_saturation(M, K)
     assert checked

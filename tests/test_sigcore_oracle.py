@@ -181,11 +181,10 @@ def test_classes_match_path_enumeration(raw):
 
 # -- functoriality -------------------------------------------------------
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(dag_signatures(), st.data())
-def test_validate_structure_matches_class_check(raw, data):
-    order, sig = _codomains_first(raw)
+def draw_structure(sig, order, data):
+    """Carriers of 0 to 2 elements per sort, with one added to an empty
+    codomain of an arrow out of a non-empty sort, and total maps drawn at
+    random, so the maps may break an equation."""
     carriers = {s: [f"{s}e{i}" for i in range(data.draw(st.integers(0, 2)))]
                 for s in sig.sorts}
     for s in reversed(order):
@@ -196,6 +195,15 @@ def test_validate_structure_matches_class_check(raw, data):
     for g in sig.gens:
         maps[g.name] = {e: data.draw(st.sampled_from(carriers[g.cod]))
                         for e in carriers[g.dom]}
+    return carriers, maps
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_validate_structure_matches_class_check(raw, data):
+    order, sig = _codomains_first(raw)
+    carriers, maps = draw_structure(sig, order, data)
     oracle = Oracle(raw)
 
     def walk(path, e):
