@@ -13,7 +13,11 @@ Nothing lies above a level-1 sort, so its ``Ind`` is ``Top``: its
 ``~=`` counts every bijection, and it is saturated when each of its
 fibers has at most one element.  Saturation is decided level by level
 from the bottom: the first violation settles its level and every level
-above it.
+above it.  Level 2 is decided only once level 1 holds; then each ``~=``
+in a level-2 ``Ind`` compares fibers of at most one element, so card
+Ind(a, a) is 1 and only distinct elements of one fiber are checked.
+Above level 2 a ``~=`` may compare larger fibers, and the diagonal can
+exceed 1 (64 at the object of Z_2).
 """
 
 from __future__ import annotations
@@ -577,10 +581,20 @@ def check_saturation(M: FinStructure, K: str) -> list:
     return list(_violations(M, K))
 
 
-def _saturated(M: FinStructure, K: str) -> bool:
-    """Whether K has no violation; on level 1, no fiber of two."""
+def _saturated(M: FinStructure, K: str, level1: bool = False) -> bool:
+    """Whether K has no violation.  On level 1: no fiber of two.  On
+    level 2, when ``level1`` says level 1 is saturated: no two distinct
+    elements of one fiber with a non-zero ``Ind``.  Every sort above a
+    level-2 sort has level 1 and fibers of at most one element, so each
+    ``~=`` in its ``Ind`` is 0! or 1!, and card Ind(a, a) is 1.  Above
+    level 2 this fails (on Z_2, card(x ~ x) is 64 at ``O``)."""
     if _ind_is_top(M.sig, K):
         return all(len(F) <= 1 for F in M.fibers(K).values())
+    if level1 and M.sig.level(K) == 2:
+        # a snapshot: evaluating Ind adds empty fibers to the index
+        return all(card_iso_elems(M, K, a, b) == 0
+                   for F in tuple(M.fibers(K).values())
+                   for a in F for b in F if a != b)
     return next(_violations(M, K), None) is None
 
 
@@ -591,16 +605,18 @@ def saturation_profile(M: FinStructure) -> dict:
     most n is, so levels are decided bottom-up: a level holds when no
     sort of that level has a violation, and once one level fails every
     level above it is false without a sort above it being checked.
-    Level 1 is read off the fiber sizes, with no ``Ind`` at all, and
-    each sort above it stops at its first violation, so no ``Ind`` is
-    generated that the answer does not need.
+    Level 1 is read off the fiber sizes, with no ``Ind`` at all.  Level
+    2 is reached only when level 1 holds, and then ``Ind`` is generated
+    only for distinct elements of one fiber (see ``_saturated``), so a
+    level-2 sort whose fibers are all singletons needs none.  Each sort
+    above level 2 stops at its first violation.
     """
     if M._profile is not None:
         return dict(M._profile)
     sig = M.sig
     profile, ok = {}, True
     for n in range(1, sig.height + 1):
-        ok = ok and all(_saturated(M, K)
+        ok = ok and all(_saturated(M, K, level1=profile.get(1, False))
                         for K in sig.sorts if sig.level(K) == n)
         profile[n] = ok
     profile["total"] = profile[sig.height]

@@ -296,16 +296,20 @@ SAT_VARIANTS = ([], ["--total"], ["--level", "1"], ["--level", "2"],
                 ["--level", "3"])
 
 
+# ParallelPair (two parallel arrows, nothing else) is saturated at level
+# 1 but not at level 2: nothing above A tells its two arrows apart
 @pytest.mark.parametrize("name", sorted(path.stem
-                                        for path in CORPUS.glob("*.str")))
+                                        for path in CORPUS.glob("*.str"))
+                         + ["ParallelPair"])
 def test_sat_golden(capsys, name):
     """Every form of `sat`, text and `--json`, byte for byte as printed
-    before levels were decided bottom-up."""
+    before levels were decided bottom-up (ParallelPair: as printed
+    before level 2 was decided on distinct elements of a shared fiber)."""
     transcript = []
     for json_flag in ([], ["--json"]):
         for extra in SAT_VARIANTS:
             code, out, _ = run(capsys, *json_flag, "sat", p("lcat.folds"),
-                               p(f"{name}.str"), *extra)
+                               structure_path(name), *extra)
             shown = " ".join([*json_flag, "sat", "lcat.folds",
                               f"{name}.str", *extra])
             transcript.append(f"$ foldsat {shown}\nexit {code}\n{out}")

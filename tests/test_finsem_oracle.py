@@ -12,6 +12,7 @@ corpus.
 import random
 import time
 import weakref
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from itertools import permutations
 from math import prod
@@ -507,15 +508,8 @@ def test_level1_saturation_by_fiber_size_on_dag_signatures(raw, data):
             == sorted(F for F in M.fibers(K).values() if F), K
 
 
-@pytest.mark.parametrize("name, K", [("DoubledI", None), ("Chain3", "comp")])
-def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
-    """A level-1 violation settles every level, and level 1 is decided
-    by fiber sizes: the profile generates no ``Ind`` at all, while
-    ``check_saturation`` still lists every violation of every sort and
-    generates ``Ind`` for the sorts above level 1 only."""
-    M = corpus()[name]
-    if K is not None:
-        M = duplicate(M, K, M.carrier(K)[0])
+def spy_on_ind(monkeypatch):
+    """The sorts of the ``Ind`` formulas generated from now on."""
     generated = []
     real = isogen._ind
 
@@ -525,6 +519,19 @@ def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
 
     monkeypatch.setattr(isogen, "_IND_CACHE", weakref.WeakKeyDictionary())
     monkeypatch.setattr(isogen, "_ind", spy)
+    return generated
+
+
+@pytest.mark.parametrize("name, K", [("DoubledI", None), ("Chain3", "comp")])
+def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
+    """A level-1 violation settles every level, and level 1 is decided
+    by fiber sizes: the profile generates no ``Ind`` at all, while
+    ``check_saturation`` still lists every violation of every sort and
+    generates ``Ind`` for the sorts above level 1 only."""
+    M = corpus()[name]
+    if K is not None:
+        M = duplicate(M, K, M.carrier(K)[0])
+    generated = spy_on_ind(monkeypatch)
     assert saturation_profile(M) == {1: False, 2: False, 3: False,
                                      "total": False}
     assert generated == []
@@ -532,6 +539,81 @@ def test_profile_generates_no_ind_above_a_failed_level(monkeypatch, name, K):
     assert {M.sig.level(s) for s in generated} == {2, 3}
     for sort in M.sig.sorts:
         assert got[sort] == violations(M, sort, named_card_iso)
+
+
+def check_level2_rule(M):
+    """On a structure saturated at level 1, for each level-2 sort: card
+    Ind(a, a) is 1 on the general path, and the profile's level-2 rule
+    is the brute-force verdict.  Returns the number of sorts checked."""
+    sig = M.sig
+    if not all(_saturated(M, K) for K in sig.sorts if sig.level(K) == 1):
+        return 0
+    level2 = [K for K in sig.sorts if sig.level(K) == 2]
+    for K in level2:
+        for a in M.carrier(K):
+            assert card_iso_elems(M, K, a, a) == 1, (K, a)
+        assert _saturated(M, K, level1=True) \
+            == (not violations(M, K, named_card_iso)), K
+    return len(level2)
+
+
+@SETTINGS
+@given(lcat_structures())
+def test_level2_rule_matches_brute_force_on_lcat(M):
+    check_level2_rule(M)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_level2_rule_matches_brute_force_on_dag_signatures(raw, data):
+    """Signatures where one sort has more than three positions of one
+    sort are skipped: generating ``Ind`` grows steeply with that number
+    (``iso_formula`` on a sort with four parallel arrows into it takes
+    0.2 s on a 2-core x86-64 machine, with five 13 s).  lcat has three,
+    the ``A`` positions of ``comp``."""
+    order, sig = _codomains_first(raw)
+    if any(n > 3 for K in sig.sorts
+           for n in Counter(q.cod for q in sig.out(K)).values()):
+        return
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+    except FunctorialityError:
+        return
+    check_level2_rule(M)
+
+
+def test_level2_rule_on_corpus_and_mutants():
+    checked = 0
+    for M in corpus().values():
+        for N in [M] + level1_mutants(M):
+            checked += check_level2_rule(N)
+    assert checked > 10
+
+
+@pytest.mark.parametrize("name", ["Chain3", "SquarePoset", "Arrow2"])
+def test_profile_generates_no_ind_for_singleton_fibers(monkeypatch, name):
+    """Every ``A`` fiber of a poset is a singleton: with level 1
+    saturated, level 2 needs no ``Ind`` at all.  The first ``Ind`` the
+    profile generates is the object's, at level 3, whose ``~=`` over
+    ``A`` fibers go on to generate ``A``'s inside the evaluator."""
+    M = corpus()[name]
+    assert all(len(F) == 1 for F in M.fibers("A").values())
+    generated = spy_on_ind(monkeypatch)
+    assert saturation_profile(M)[2]
+    assert generated[0] == "O"
+    assert not [key for key in M._iso_cache if key[0] == "A"]
+
+
+def test_profile_checks_no_diagonal_pair_at_level2():
+    """Z_2's one ``A`` fiber has two elements: only its two distinct
+    pairs are checked, never an element against itself."""
+    M = corpus()["Z2Cat"]
+    assert saturation_profile(M) == {1: True, 2: True, 3: False,
+                                     "total": False}
+    level2 = sorted(key for key in M._iso_cache if key[0] == "A")
+    assert level2 == [("A", "e", "s"), ("A", "s", "e")]
 
 
 # -- the evaluator ------------------------------------------------------------
