@@ -2,11 +2,16 @@
 
 Three file kinds share one lexer: signature files (``.folds``),
 structure files (``.str``) and theory files (``.thy``).  The formula
-syntax round-trips with :func:`foldsat.pretty.pformat`.  Every command
-supports ``--json`` emitting ``{"ok": ..., "witness": ..., "report":
-...}``; exit status is 0 for a positive answer, 1 for a negative one and
-2 for errors (for ``equiv``, an inconclusive bounded search also exits
-2).
+syntax round-trips with :func:`foldsat.pretty.pformat`.
+
+The commands are rows of one table, ``_COMMANDS``, from which the
+argument parser is built.  Every command takes a signature file first;
+:func:`main` parses it, then each theory or structure file the command
+declares, in command-line order, and hands the parsed objects to the
+command.  Every command supports ``--json`` emitting ``{"ok": ...,
+"witness": ..., "report": ...}``; exit status is 0 for a positive
+answer, 1 for a negative one and 2 for errors (for ``equiv``, an
+inconclusive bounded search also exits 2).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .finsem import (check_saturation, eval_card, eval_prop, satisfies,
                      saturation_profile, validate_structure)
 from .homspan import Hom, _hom_search, find_span, hsip_decide, is_fibsurj
 from .isogen import iso_formula
-from .pretty import pformat, var_decl
+from .pretty import pformat
 from .sigcore import validate_signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff, Implies,
                      Or, Top, compatible_sorts, mk_var)
@@ -229,13 +234,9 @@ def _parse_args(p):
 
 def parse_formula(text, sig, env=None):
     p = _Parser(text)
-    phi = _parse_formula(p, sig, dict(env or {}))
+    phi = _quant(p, sig, dict(env or {}))
     p.done()
     return phi
-
-
-def _parse_formula(p, sig, env):
-    return _quant(p, sig, env)
 
 
 def _quant(p, sig, env):
@@ -371,7 +372,7 @@ def parse_theory(text, sig):
         p.expect("axiom")
         name = p.ident("axiom name")
         p.expect(":")
-        phi = _parse_formula(p, sig, {})
+        phi = _quant(p, sig, {})
         p.accept(";")
         axioms.append((name, phi))
     p.done()
@@ -427,26 +428,9 @@ def format_theory(axioms, name, sig) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- file loading --------------------------------------------------------
-
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def load_signature(path):
-    return parse_signature(_read(path))
-
-
-def load_structure(path, sig):
-    return parse_structure(_read(path), sig)
-
-
-def load_theory(path, sig):
-    return parse_theory(_read(path), sig)
-
-
 # -- commands ------------------------------------------------------------
+# Each takes the parsed arguments, the signature and the files the
+# command declares after it, parsed, in command-line order.
 
 class _Result:
     def __init__(self, ok, lines=(), witness=None, report=None, code=None):
@@ -461,54 +445,40 @@ class _Result:
                 "report": self.report}
 
 
-def _sorted_levels(sig):
-    order = {K: i for i, K in enumerate(sig.sorts)}
-    return sorted(sig.levels.items(), key=lambda kv: (kv[1], order[kv[0]]))
-
-
-def _cmd_check_sig(args):
-    sig = load_signature(args.signature)
+def _cmd_check_sig(args, sig):
     report = {"name": sig.name, "sorts": list(sig.sorts),
               "height": sig.height, "levels": dict(sig.levels)}
     return _Result(True, [f"ok: {sig.name} (height {sig.height})"],
                    report=report)
 
 
-def _cmd_levels(args):
-    sig = load_signature(args.signature)
-    pairs = _sorted_levels(sig)
-    line = " ".join(f"{K}:{lvl}" for K, lvl in pairs)
-    return _Result(True, [line],
-                   witness={K: lvl for K, lvl in pairs})
+def _cmd_levels(args, sig):
+    # a stable sort keeps declaration order within a level
+    levels = {K: sig.level(K) for K in sorted(sig.sorts, key=sig.level)}
+    line = " ".join(f"{K}:{lvl}" for K, lvl in levels.items())
+    return _Result(True, [line], witness=levels)
 
 
-def _cmd_compat(args):
-    sig = load_signature(args.signature)
-    ctx = parse_context(args.context, sig)
-    if not ctx:
-        raise ParseError("at least one declaration is required")
-    sorts = compatible_sorts(sig, ctx[-1])
+def _cmd_compat(args, sig):
+    sorts = compatible_sorts(sig, parse_context(args.context, sig)[-1])
     return _Result(True, [" ".join(sorts)], witness=list(sorts))
 
 
-def _cmd_gen_iso(args):
-    sig = load_signature(args.signature)
+def _cmd_gen_iso(args, sig):
     x, y, phi = iso_formula(sig, args.sort)
     lines = []
     if args.verbose:
         boundary = sorted(x.boundary() | y.boundary(),
                           key=lambda v: (-sig.level(v.sort), v.name))
         for v in boundary + [x, y]:
-            lines.append(f"var {var_decl(v)}")
+            lines.append(f"var {v!r}")
     lines.append(pformat(phi))
     return _Result(True, lines,
-                   witness={"x": var_decl(x), "y": var_decl(y),
+                   witness={"x": repr(x), "y": repr(y),
                             "formula": pformat(phi)})
 
 
-def _cmd_eval(args):
-    sig = load_signature(args.signature)
-    M = load_structure(args.model, sig)
+def _cmd_eval(args, sig, M):
     phi = parse_formula(args.expr, sig)
     if phi.free_vars():
         raise OpenFormula("eval requires a closed formula")
@@ -519,10 +489,7 @@ def _cmd_eval(args):
     return _Result(ok, ["true" if ok else "false"], witness=ok)
 
 
-def _cmd_check_model(args):
-    sig = load_signature(args.signature)
-    theory = load_theory(args.theory, sig)
-    M = load_structure(args.model, sig)
+def _cmd_check_model(args, sig, theory, M):
     ok, report = satisfies(M, theory)
     lines = [f"{r['axiom']}: {'ok' if r['ok'] else 'FAILED'}"
              for r in report]
@@ -530,12 +497,7 @@ def _cmd_check_model(args):
     return _Result(ok, lines, report=report)
 
 
-def _cmd_sat(args):
-    sig = load_signature(args.signature)
-    if args.level is not None and not 1 <= args.level <= sig.height:
-        raise ValueError(f"--level must be between 1 and {sig.height}, "
-                         f"got {args.level}")
-    M = load_structure(args.model, sig)
+def _cmd_sat(args, sig, M):
     if args.level is not None:
         violations = [v for K in sig.sorts if sig.level(K) <= args.level
                       for v in check_saturation(M, K)]
@@ -555,10 +517,7 @@ def _cmd_sat(args):
     return _Result(ok, lines, report=report)
 
 
-def _cmd_hom(args):
-    sig = load_signature(args.signature)
-    M = load_structure(args.left, sig)
-    N = load_structure(args.right, sig)
+def _cmd_hom(args, sig, M, N):
     for maps in _hom_search(M, N):
         if args.fibsurj:
             ok, _ = is_fibsurj(Hom(M, N, maps))
@@ -571,7 +530,7 @@ def _cmd_hom(args):
                            else "no fiberwise surjective hom found"])
 
 
-def _apex_bound(args, M, N):
+def _apex_bound(args, sig):
     limit = args.max_apex
     if limit is None:
         env = os.environ.get("FOLDS_MAX_APEX")
@@ -583,14 +542,11 @@ def _apex_bound(args, M, N):
                                  f"got {env!r}") from None
     if limit is None:
         return None
-    return {K: limit for K in M.sig.sorts}
+    return {K: limit for K in sig.sorts}
 
 
-def _cmd_equiv(args):
-    sig = load_signature(args.signature)
-    M = load_structure(args.left, sig)
-    N = load_structure(args.right, sig)
-    res = find_span(M, N, apex_bound=_apex_bound(args, M, N))
+def _cmd_equiv(args, sig, M, N):
+    res = find_span(M, N, apex_bound=_apex_bound(args, sig))
     if res.status == "found":
         span = res.span
         witness = {
@@ -611,11 +567,7 @@ def _cmd_equiv(args):
                    code=code)
 
 
-def _cmd_hsip(args):
-    sig = load_signature(args.signature)
-    theory = load_theory(args.theory, sig)
-    M = load_structure(args.left, sig)
-    N = load_structure(args.right, sig)
+def _cmd_hsip(args, sig, theory, M, N):
     reports = {}
     for label, S in (("left", M), ("right", N)):
         ok, rep = satisfies(S, theory)
@@ -631,6 +583,52 @@ def _cmd_hsip(args):
 
 # -- entry point ---------------------------------------------------------
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+# name, help, handler, then the arguments after the signature: an _arg
+# each, or a list of them for a mutually exclusive group
+_COMMANDS = (
+    ("check-sig", "validate a signature file", _cmd_check_sig, ()),
+    ("levels", "print sort levels", _cmd_levels, ()),
+    ("compat", "sorts compatible with the last declared variable",
+     _cmd_compat,
+     (_arg("context", nargs="+", help="declarations like x:O f:A(x,x)"),)),
+    ("gen-iso", "generate the isomorphism formula of a sort", _cmd_gen_iso,
+     (_arg("sort"),
+      _arg("--verbose", action="store_true",
+           help="also print the canonical context"))),
+    ("eval", "evaluate a closed formula", _cmd_eval,
+     (_arg("model"), _arg("-e", "--expr", required=True),
+      _arg("--card", action="store_true",
+           help="print the witness count instead of truth"))),
+    ("check-model", "check a structure against a theory", _cmd_check_model,
+     (_arg("theory"), _arg("model"))),
+    ("sat", "saturation report", _cmd_sat,
+     (_arg("model"),
+      [_arg("--level", type=int,
+            help="report on one level, 1 to the signature's height"),
+       _arg("--total", action="store_true",
+            help="succeed only when totally saturated")])),
+    ("hom", "search for a homomorphism", _cmd_hom,
+     (_arg("left"), _arg("right"),
+      _arg("--fibsurj", action="store_true",
+           help="require fiberwise surjectivity"))),
+    ("equiv", "search for a span of fiberwise surjections", _cmd_equiv,
+     (_arg("left"), _arg("right"),
+      _arg("--max-apex", type=int,
+           help="per-sort apex size bound (default: product of carrier "
+                "sizes; env FOLDS_MAX_APEX)"))),
+    ("hsip", "decide structure identity for saturated models", _cmd_hsip,
+     (_arg("theory"), _arg("left"), _arg("right"))),
+)
+
+# the positionals naming a file to parse over the signature
+_FILE_PARSERS = {"theory": parse_theory, "model": parse_structure,
+                 "left": parse_structure, "right": parse_structure}
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="foldsat",
@@ -639,90 +637,41 @@ def _build_parser():
     ap.add_argument("--json", action="store_true",
                     help="emit a JSON object instead of text")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-sig", help="validate a signature file")
-    p.add_argument("signature")
-    p.set_defaults(fn=_cmd_check_sig)
-
-    p = sub.add_parser("levels", help="print sort levels")
-    p.add_argument("signature")
-    p.set_defaults(fn=_cmd_levels)
-
-    p = sub.add_parser("compat",
-                       help="sorts compatible with the last declared "
-                            "variable")
-    p.add_argument("signature")
-    p.add_argument("context", nargs="+",
-                   help="declarations like x:O f:A(x,x)")
-    p.set_defaults(fn=_cmd_compat)
-
-    p = sub.add_parser("gen-iso",
-                       help="generate the isomorphism formula of a sort")
-    p.add_argument("signature")
-    p.add_argument("sort")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print the canonical context")
-    p.set_defaults(fn=_cmd_gen_iso)
-
-    p = sub.add_parser("eval", help="evaluate a closed formula")
-    p.add_argument("signature")
-    p.add_argument("model")
-    p.add_argument("-e", "--expr", required=True)
-    p.add_argument("--card", action="store_true",
-                   help="print the witness count instead of truth")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("check-model",
-                       help="check a structure against a theory")
-    p.add_argument("signature")
-    p.add_argument("theory")
-    p.add_argument("model")
-    p.set_defaults(fn=_cmd_check_model)
-
-    p = sub.add_parser("sat", help="saturation report")
-    p.add_argument("signature")
-    p.add_argument("model")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--level", type=int,
-                   help="report on one level, 1 to the signature's height")
-    g.add_argument("--total", action="store_true",
-                   help="succeed only when totally saturated")
-    p.set_defaults(fn=_cmd_sat)
-
-    p = sub.add_parser("hom", help="search for a homomorphism")
-    p.add_argument("signature")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--fibsurj", action="store_true",
-                   help="require fiberwise surjectivity")
-    p.set_defaults(fn=_cmd_hom)
-
-    p = sub.add_parser("equiv",
-                       help="search for a span of fiberwise surjections")
-    p.add_argument("signature")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--max-apex", type=int, default=None,
-                   help="per-sort apex size bound (default: product of "
-                        "carrier sizes; env FOLDS_MAX_APEX)")
-    p.set_defaults(fn=_cmd_equiv)
-
-    p = sub.add_parser("hsip",
-                       help="decide structure identity for saturated "
-                            "models")
-    p.add_argument("signature")
-    p.add_argument("theory")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=_cmd_hsip)
+    for name, text, fn, specs in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("signature")
+        files = []
+        for spec in specs:
+            if isinstance(spec, list):
+                group = p.add_mutually_exclusive_group()
+                for flags, options in spec:
+                    group.add_argument(*flags, **options)
+            else:
+                flags, options = spec
+                p.add_argument(*flags, **options)
+                if flags[0] in _FILE_PARSERS:
+                    files.append(flags[0])
+        p.set_defaults(fn=fn, files=files)
     return ap
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        result = args.fn(args)
+        sig = parse_signature(_read(args.signature))
+        # sat's --level is checked before any other file is read
+        level = getattr(args, "level", None)
+        if level is not None and not 1 <= level <= sig.height:
+            raise ValueError(f"--level must be between 1 and "
+                             f"{sig.height}, got {level}")
+        files = [_FILE_PARSERS[dest](_read(getattr(args, dest)), sig)
+                 for dest in args.files]
+        result = args.fn(args, sig, *files)
     except (FoldsError, OSError, ValueError, RecursionError) as exc:
         msg = ("input nested too deeply" if isinstance(exc, RecursionError)
                else str(exc))

@@ -17,13 +17,6 @@ _PREC_AND = 4
 _PREC_ATOM = 5
 
 
-def var_decl(v: Variable) -> str:
-    if not v.proj:
-        return f"{v.name}:{v.sort}"
-    args = ",".join(w.name for _, w in v.proj)
-    return f"{v.name}:{v.sort}({args})"
-
-
 def sort_app(v: Variable) -> str:
     """Print a sort applied to the boundary of ``v``, e.g. ``eqA(f,g)``."""
     if not v.proj:
@@ -61,7 +54,7 @@ def pformat(phi: Formula) -> str:
                 kw = "forall"
             else:
                 kw = "sum" if f.untruncated else "exists"
-            s = f"{kw} {var_decl(f.var)}. {rec(f.body, _PREC_QUANT)}"
+            s = f"{kw} {f.var!r}. {rec(f.body, _PREC_QUANT)}"
             return s if prec == _PREC_QUANT else f"({s})"
         raise TypeError(f"unknown node {f!r}")
 

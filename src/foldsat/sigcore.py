@@ -64,15 +64,6 @@ class Arrow:
         return f"<{self.name}: {self.dom}->{self.cod}>"
 
 
-@dataclass(frozen=True)
-class LevelMap:
-    levels: dict
-    height: int
-
-    def __getitem__(self, sort):
-        return self.levels[sort]
-
-
 class Signature:
     """A validated finite inverse category.
 
@@ -370,11 +361,3 @@ def validate_signature(raw, name="sig") -> Signature:
                     f"declared level {lv} for sort {s} disagrees with "
                     f"computed level {sig.levels.get(s)}")
     return sig
-
-
-def compute_levels(sig: Signature) -> LevelMap:
-    return LevelMap(dict(sig.levels), sig.height)
-
-
-def hom_set(sig: Signature, dom, cod):
-    return sig.hom(dom, cod)

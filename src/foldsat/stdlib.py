@@ -1,4 +1,9 @@
-"""Built-in signatures, the category theory, converters and oracles."""
+"""Built-in signatures, the category theory, converters and oracles.
+
+The built-in signatures and the theory of categories are written in the
+``.folds`` and ``.thy`` formats of :mod:`foldsat.cli`, and parsed from
+that text.
+"""
 
 from __future__ import annotations
 
@@ -6,50 +11,47 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidCategory, UnknownName
 from .finsem import FinStructure, validate_structure
-from .sigcore import Signature, validate_signature
-from .synkit import And, Atom, Exists, Forall, Implies, mk_var
+from .sigcore import Signature
 
-_RAW_SIGNATURES = {
-    # reflexive graphs: identities I -> arrows A -> objects O, d.i = c.i
-    "lrg": {
-        "sorts": ["O", "A", "I"],
-        "arrows": [("d", "A", "O"), ("c", "A", "O"), ("i", "I", "A")],
-        "equations": [(("i", "d"), ("i", "c"))],
-    },
-    # lrg plus an arrow equality  eqA with source/target positions s, t
-    "lrg_eq": {
-        "sorts": ["O", "A", "I", "eqA"],
-        "arrows": [("d", "A", "O"), ("c", "A", "O"), ("i", "I", "A"),
-                   ("s", "eqA", "A"), ("t", "eqA", "A")],
-        "equations": [(("i", "d"), ("i", "c")),
-                      (("s", "d"), ("t", "d")),
-                      (("s", "c"), ("t", "c"))],
-    },
-    # categories: composition comp(t0,t1,t2) with t2 ~ "t1 after t0"
-    "lcat": {
-        "sorts": ["O", "A", "comp", "I", "eqA"],
-        "arrows": [("d", "A", "O"), ("c", "A", "O"),
-                   ("t0", "comp", "A"), ("t1", "comp", "A"),
-                   ("t2", "comp", "A"),
-                   ("i", "I", "A"),
-                   ("s", "eqA", "A"), ("t", "eqA", "A")],
-        "equations": [(("t0", "d"), ("t2", "d")),
-                      (("t1", "c"), ("t2", "c")),
-                      (("t1", "d"), ("t0", "c")),
-                      (("i", "d"), ("i", "c")),
-                      (("s", "d"), ("t", "d")),
-                      (("s", "c"), ("t", "c"))],
-    },
+_SIGNATURE_TEXTS = {
+    "lrg": """
+signature lrg {
+  # reflexive graphs: identities I -> arrows A -> objects O
+  sort O;
+  sort A { d: O, c: O };
+  sort I { i: A } eq { i.d = i.c };
+}""",
+    "lrg_eq": """
+signature lrg_eq {
+  # lrg plus an arrow equality eqA with source/target positions s, t
+  sort O;
+  sort A { d: O, c: O };
+  sort I { i: A } eq { i.d = i.c };
+  sort eqA { s: A, t: A } eq { s.d = t.d; s.c = t.c };
+}""",
+    "lcat": """
+signature lcat {
+  # categories: comp(t0, t1, t2) says that t2 is "t1 after t0"
+  sort O;
+  sort A { d: O, c: O };
+  sort comp { t0: A, t1: A, t2: A }
+    eq { t0.d = t2.d; t1.c = t2.c; t1.d = t0.c };
+  sort I { i: A } eq { i.d = i.c };
+  sort eqA { s: A, t: A } eq { s.d = t.d; s.c = t.c };
+}""",
 }
 
 _cache = {}
 
 
 def builtin_signature(name: str) -> Signature:
-    if name not in _RAW_SIGNATURES:
+    if name not in _SIGNATURE_TEXTS:
         raise UnknownName(f"unknown builtin signature: {name}")
     if name not in _cache:
-        _cache[name] = validate_signature(_RAW_SIGNATURES[name], name=name)
+        # imported here so that importing the package leaves foldsat.cli
+        # unimported, which `python -m foldsat.cli` needs to run cleanly
+        from .cli import parse_signature
+        _cache[name] = parse_signature(_SIGNATURE_TEXTS[name])
     return _cache[name]
 
 
@@ -114,105 +116,47 @@ def validate_category(C: FiniteCategory) -> None:
 
 # -- the theory of categories ------------------------------------------
 
-def _ovar(sig, name):
-    return mk_var(sig, name, "O")
-
-
-def _avar(sig, name, x, y):
-    return mk_var(sig, name, "A", {"d": x, "c": y})
-
-
-def _comp_atom(sig, f, g, h):
-    """comp(f, g, h): h is the composite g-after-f."""
-    return Atom(mk_var(sig, "m", "comp", {"t0": f, "t1": g, "t2": h}))
-
-
-def _eq_atom(sig, f, g):
-    return Atom(mk_var(sig, "e", "eqA", {"s": f, "t": g}))
-
-
-def _i_atom(sig, f):
-    return Atom(mk_var(sig, "w", "I", {"i": f}))
-
-
-def _close(phi, *vars_):
-    for v in reversed(vars_):
-        phi = Forall(v, phi)
-    return phi
+_TCAT_TEXT = """
+theory tcat over lcat {
+  # arrow equality is reflexive
+  axiom E1-refl: forall x:O. forall y:O. forall f:A(x,y). eqA(f,f);
+  # and substitutive in I and in each composition slot
+  axiom E2-subst-I: forall x:O. forall p:A(x,x). forall p':A(x,x).
+    eqA(p,p') & I(p) -> I(p');
+  axiom E2-subst-comp-0: forall x:O. forall y:O. forall z:O.
+    forall f:A(x,y). forall f':A(x,y). forall g:A(y,z). forall h:A(x,z).
+    eqA(f,f') & comp(f,g,h) -> comp(f',g,h);
+  axiom E2-subst-comp-1: forall x:O. forall y:O. forall z:O.
+    forall f:A(x,y). forall g:A(y,z). forall g':A(y,z). forall h:A(x,z).
+    eqA(g,g') & comp(f,g,h) -> comp(f,g',h);
+  axiom E2-subst-comp-2: forall x:O. forall y:O. forall z:O.
+    forall f:A(x,y). forall g:A(y,z). forall h:A(x,z). forall h':A(x,z).
+    eqA(h,h') & comp(f,g,h) -> comp(f,g,h');
+  # composition is total, and functional up to arrow equality
+  axiom C1-total: forall x:O. forall y:O. forall z:O.
+    forall f:A(x,y). forall g:A(y,z). exists h:A(x,z). comp(f,g,h);
+  axiom C2-functional: forall x:O. forall y:O. forall z:O.
+    forall f:A(x,y). forall g:A(y,z). forall h:A(x,z). forall h':A(x,z).
+    comp(f,g,h) & comp(f,g,h') -> eqA(h,h');
+  # associativity in relational form
+  axiom C3-assoc: forall x:O. forall y:O. forall z:O. forall w:O.
+    forall f:A(x,y). forall g:A(y,z). forall h:A(x,z). forall k:A(z,w).
+    forall gk:A(y,w). forall hk:A(x,w).
+    comp(f,g,h) & comp(g,k,gk) & comp(h,k,hk) -> comp(f,gk,hk);
+  # every object has an identity, and identities are units
+  axiom I1-exists: forall x:O. exists ix:A(x,x). I(ix);
+  axiom I2-left-unit: forall x:O. forall y:O. forall ix:A(x,x).
+    forall f:A(x,y). I(ix) -> comp(ix,f,f);
+  axiom I2-right-unit: forall x:O. forall y:O. forall iy:A(y,y).
+    forall f:A(x,y). I(iy) -> comp(f,iy,f);
+}"""
 
 
 def tcat_axioms():
     """The relational axioms of the theory of categories over the lcat
     signature, as named closed formulas."""
-    sig = builtin_signature("lcat")
-    x, y, z, w = (_ovar(sig, n) for n in "xyzw")
-    f = _avar(sig, "f", x, y)
-    f2 = _avar(sig, "f'", x, y)
-    g = _avar(sig, "g", y, z)
-    g2 = _avar(sig, "g'", y, z)
-    h = _avar(sig, "h", x, z)
-    h2 = _avar(sig, "h'", x, z)
-
-    axioms = []
-
-    # E1: reflexivity of arrow equality
-    axioms.append(("E1-refl", _close(_eq_atom(sig, f, f), x, y, f)))
-
-    # E2: equality is substitutive in I and in each composition slot
-    exx = _avar(sig, "p", x, x)
-    exx2 = _avar(sig, "p'", x, x)
-    axioms.append(("E2-subst-I", _close(
-        Implies(And((_eq_atom(sig, exx, exx2), _i_atom(sig, exx))),
-                _i_atom(sig, exx2)),
-        x, exx, exx2)))
-    axioms.append(("E2-subst-comp-0", _close(
-        Implies(And((_eq_atom(sig, f, f2), _comp_atom(sig, f, g, h))),
-                _comp_atom(sig, f2, g, h)),
-        x, y, z, f, f2, g, h)))
-    axioms.append(("E2-subst-comp-1", _close(
-        Implies(And((_eq_atom(sig, g, g2), _comp_atom(sig, f, g, h))),
-                _comp_atom(sig, f, g2, h)),
-        x, y, z, f, g, g2, h)))
-    axioms.append(("E2-subst-comp-2", _close(
-        Implies(And((_eq_atom(sig, h, h2), _comp_atom(sig, f, g, h))),
-                _comp_atom(sig, f, g, h2)),
-        x, y, z, f, g, h, h2)))
-
-    # C1: totality of composition
-    axioms.append(("C1-total", _close(
-        Exists(h, _comp_atom(sig, f, g, h)), x, y, z, f, g)))
-
-    # C2: functionality of composition up to arrow equality
-    axioms.append(("C2-functional", _close(
-        Implies(And((_comp_atom(sig, f, g, h), _comp_atom(sig, f, g, h2))),
-                _eq_atom(sig, h, h2)),
-        x, y, z, f, g, h, h2)))
-
-    # C3: associativity in relational form
-    k = _avar(sig, "k", z, w)
-    gk = _avar(sig, "gk", y, w)
-    hw = _avar(sig, "hk", x, w)
-    axioms.append(("C3-assoc", _close(
-        Implies(And((_comp_atom(sig, f, g, h), _comp_atom(sig, g, k, gk),
-                     _comp_atom(sig, h, k, hw))),
-                _comp_atom(sig, f, gk, hw)),
-        x, y, z, w, f, g, h, k, gk, hw)))
-
-    # I1: existence of identities
-    ix = _avar(sig, "ix", x, x)
-    axioms.append(("I1-exists", _close(
-        Exists(ix, _i_atom(sig, ix)), x)))
-
-    # I2: identities are left and right units
-    axioms.append(("I2-left-unit", _close(
-        Implies(_i_atom(sig, ix), _comp_atom(sig, ix, f, f)),
-        x, y, ix, f)))
-    iy = _avar(sig, "iy", y, y)
-    axioms.append(("I2-right-unit", _close(
-        Implies(_i_atom(sig, iy), _comp_atom(sig, f, iy, f)),
-        x, y, iy, f)))
-
-    return axioms
+    from .cli import parse_theory
+    return parse_theory(_TCAT_TEXT, builtin_signature("lcat"))
 
 
 # -- converters ---------------------------------------------------------

@@ -14,10 +14,10 @@ from foldsat.finsem import (FinStructure, _pair_by_position, card_iso_elems,
                             saturation_profile)
 from foldsat.homspan import Hom, is_fibsurj
 from foldsat.isogen import sort_equiv
-from foldsat.stdlib import (FiniteCategory, _avar, _comp_atom, _eq_atom,
-                            _i_atom, _ovar, builtin_signature, tcat_axioms,
+from foldsat.cli import parse_formula
+from foldsat.stdlib import (FiniteCategory, builtin_signature, tcat_axioms,
                             validate_category)
-from foldsat.synkit import And, Equiv, Exists, Forall, Variable, mk_var
+from foldsat.synkit import Equiv, Forall, Variable, mk_var
 
 
 # -- variables over elements ---------------------------------------------
@@ -141,27 +141,19 @@ def check_ind_preservation(h: Hom, level: int) -> dict:
 def iso_formula_cat(x: Variable, y: Variable):
     """Iso(x, y): mutually inverse arrows, with the composites equal to
     identity arrows via I and arrow equality."""
-    sig = builtin_signature("lcat")
-    f = _avar(sig, "f", x, y)
-    g = _avar(sig, "g", y, x)
-    gf = _avar(sig, "gf", x, x)
-    fg = _avar(sig, "fg", y, y)
-    ix = _avar(sig, "ix", x, x)
-    iy = _avar(sig, "iy", y, y)
-    body = And((_comp_atom(sig, f, g, gf), _comp_atom(sig, g, f, fg),
-                _i_atom(sig, ix), _i_atom(sig, iy),
-                _eq_atom(sig, gf, ix), _eq_atom(sig, fg, iy)))
-    phi = body
-    for v in (iy, ix, fg, gf, g, f):
-        phi = Exists(v, phi)
-    return phi
+    a, b = x.name, y.name
+    return parse_formula(
+        f"exists f:A({a},{b}). exists g:A({b},{a}). exists gf:A({a},{a}). "
+        f"exists fg:A({b},{b}). exists ix:A({a},{a}). exists iy:A({b},{b}). "
+        "comp(f,g,gf) & comp(g,f,fg) & I(ix) & I(iy) & eqA(gf,ix) & "
+        "eqA(fg,iy)", builtin_signature("lcat"), {a: x, b: y})
 
 
 def yso_formula(x: Variable, y: Variable):
     """Yso(x, y): the representable fibers over x and y are equivalent,
     uniformly in the probing object."""
     sig = builtin_signature("lcat")
-    z = _ovar(sig, "z")
+    z = mk_var(sig, "z", "O")
     alpha = Variable("h", "A", (("d", z), ("c", x)))
     beta = Variable("k", "A", (("d", z), ("c", y)))
     return Forall(z, Equiv("A", alpha, beta))

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,11 @@ def test_corpus_files_match_builtins(lcat, models):
         disk = parse_structure((CORPUS / f"{name}.str").read_text(), lcat)
         assert disk.carriers == M.carriers
         assert disk.maps == M.maps
+    for name in ("lrg", "lrg_eq", "lcat"):
+        assert (CORPUS / f"{name}.folds").read_text() \
+            == format_signature(builtin_signature(name))
+    assert (CORPUS / "tcat.thy").read_text() \
+        == format_theory(tcat_axioms(), "tcat", lcat)
 
 
 # -- commands ------------------------------------------------------------
@@ -336,6 +342,9 @@ def test_gen_iso_diamond3_golden(capsys, sort):
     *((["sat", p("lcat.folds"), p("Z2Cat.str"), "--level", level], None,
        f"--level must be between 1 and 3, got {level}")
       for level in ("0", "-1", "4", "9")),
+    # --level is checked against the signature before the structure is read
+    (["sat", p("lcat.folds"), p("nope.str"), "--level", "9"], None,
+     "--level must be between 1 and 3, got 9"),
 ])
 def test_errors_name_the_problem(capsys, monkeypatch, argv, max_apex,
                                  message):
@@ -346,6 +355,44 @@ def test_errors_name_the_problem(capsys, monkeypatch, argv, max_apex,
     code, out, _ = run(capsys, "--json", *argv)
     assert code == 2
     assert json.loads(out)["report"] == {"error": message}
+
+
+COMMANDS = ("check-sig", "levels", "compat", "gen-iso", "eval",
+            "check-model", "sat", "hom", "equiv", "hsip")
+
+# argparse rejects these before any file is opened, so the paths need not
+# exist
+USAGE_ERRORS = (
+    [],
+    ["nope"],
+    ["sat", "lcat.folds"],
+    ["sat", "lcat.folds", "Z2Cat.str", "--level", "1", "--total"],
+    ["sat", "lcat.folds", "Z2Cat.str", "--level", "one"],
+    ["eval", "lcat.folds", "Z2Cat.str"],
+    ["equiv", "lcat.folds", "WalkIso.str", "TermCat.str", "--max-apex", "x"],
+    ["compat", "lrg.folds"],
+)
+
+
+# argparse's help layout changes between Python versions (3.13 prints
+# `-e, --expr EXPR`); the transcript is that of 3.10 and 3.11
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="transcript of argparse on Python 3.10-3.11")
+def test_help_and_usage_errors_golden(capsys, monkeypatch):
+    """Every `--help` and argparse's usage errors, with their exit codes,
+    byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = []
+    for argv in (["--help"], *([cmd, "--help"] for cmd in COMMANDS),
+                 *USAGE_ERRORS):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        transcript.append(f"$ {' '.join(['foldsat', *argv])}\n"
+                          f"exit {exc.value.code}\n"
+                          + (f"stdout:\n{out}" if out else "")
+                          + (f"stderr:\n{err}" if err else ""))
+    assert "".join(transcript) == (GOLDEN / "help.txt").read_text()
 
 
 def test_json_output(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from foldsat.errors import CompositionError, CycleError, NameClashError
-from foldsat.sigcore import compute_levels, hom_set, validate_signature
+from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature
 
 
@@ -83,9 +83,8 @@ def test_declared_level_disagreement_rejected():
 ])
 def test_levels(name, expected, height):
     sig = builtin_signature(name)
-    lm = compute_levels(sig)
-    assert lm.levels == expected
-    assert lm.height == height
+    assert sig.levels == expected
+    assert sig.height == height
 
 
 def test_level_strictly_decreasing_along_arrows():
@@ -98,12 +97,12 @@ def test_level_strictly_decreasing_along_arrows():
 
 def test_hom_comp_to_A():
     sig = builtin_signature("lcat")
-    assert [a.name for a in hom_set(sig, "comp", "A")] == ["t0", "t1", "t2"]
+    assert [a.name for a in sig.hom("comp", "A")] == ["t0", "t1", "t2"]
 
 
 def test_hom_comp_to_O_three_classes():
     sig = builtin_signature("lcat")
-    hs = hom_set(sig, "comp", "O")
+    hs = sig.hom("comp", "O")
     assert len(hs) == 3
     # the displayed relations merge t0.d=t2.d, t1.c=t2.c, t1.d=t0.c
     assert sig.cls(("t0", "d")) == sig.cls(("t2", "d"))
@@ -113,14 +112,14 @@ def test_hom_comp_to_O_three_classes():
 
 def test_hom_I_to_O_single_class():
     sig = builtin_signature("lrg")
-    assert len(hom_set(sig, "I", "O")) == 1
+    assert len(sig.hom("I", "O")) == 1
     assert sig.cls(("i", "d")) == sig.cls(("i", "c"))
 
 
 def test_hom_endo_is_identity_only():
     sig = builtin_signature("lcat")
     for s in sig.sorts:
-        hs = hom_set(sig, s, s)
+        hs = sig.hom(s, s)
         assert len(hs) == 1 and hs[0].is_identity
 
 
@@ -128,10 +127,10 @@ def test_hom_closure_under_composition():
     sig = builtin_signature("lcat")
     for r in sig.sorts:
         for k in sig.sorts:
-            for f in hom_set(sig, r, k):
+            for f in sig.hom(r, k):
                 for k2 in sig.sorts:
-                    for g in hom_set(sig, k, k2):
-                        assert sig.compose(f, g) in hom_set(sig, r, k2)
+                    for g in sig.hom(k, k2):
+                        assert sig.compose(f, g) in sig.hom(r, k2)
 
 
 def test_levels_independent_of_declaration_order():
