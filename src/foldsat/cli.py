@@ -316,8 +316,8 @@ def _and(p, sig, env):
 
 
 # The variable behind an atom or a side of ~= stands only for its boundary:
-# it is never printed, bound, compared by alpha_eq or evaluated, so every
-# such variable takes this name, which no identifier can spell.
+# it is never printed, bound or evaluated, so every such variable takes
+# this name, which no identifier can spell.
 _ATOM_VAR = ""
 
 

@@ -33,10 +33,6 @@ class IllFormedContext(FoldsError):
     pass
 
 
-class IncompatibleSort(FoldsError):
-    pass
-
-
 class SortMismatch(FoldsError):
     pass
 

@@ -28,7 +28,8 @@ from types import MappingProxyType
 
 from .errors import (FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
-                     SortMismatch, UnboundVariable, UnknownName, UnknownSort)
+                     SortMismatch, StructureError, UnboundVariable,
+                     UnknownName, UnknownSort)
 from .isogen import ind
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
@@ -51,7 +52,6 @@ class FinStructure:
             {g.name: MappingProxyType(dict(maps.get(g.name, {})))
              for g in sig.gens})
         self._evaluator = None
-        self._iso_cache = {}  # (sort, a, b) -> card of Ind, see card_iso_elems
         self._profile = None  # see saturation_profile
         self._fibers = {}  # sort -> fiber index, see fibers
 
@@ -95,9 +95,16 @@ def validate_structure(sig: Signature, raw) -> FinStructure:
     """Check carriers and maps for totality and functoriality."""
     carriers = raw.get("carriers", {})
     maps = raw.get("maps", {})
-    for s in carriers:
+    for s, elems in carriers.items():
         if s not in sig.sorts:
             raise UnknownSort(f"carrier given for unknown sort {s!r}")
+        # every table is keyed per sort, so one name may recur across sorts
+        seen = set()
+        for e in elems:
+            if e in seen:
+                raise StructureError(
+                    f"element {e!r} appears twice in sort {s!r}")
+            seen.add(e)
     gen_names = {g.name for g in sig.gens}
     for m in maps:
         if m not in gen_names:
@@ -538,20 +545,15 @@ def _pair_by_position(M: FinStructure, K: str, over_x, over_y):
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     """card of Ind(x, y) with x, y standing over the element boundaries
     of a and b."""
-    cache = M._iso_cache
-    key = (K, a, b)
-    if key not in cache:
-        gens = M.sig.out_gens(K)
-        xv, yv, asg = _pair_by_position(
-            M, K, {g.name: M.apply_gen(g.name, a) for g in gens},
-            {g.name: M.apply_gen(g.name, b) for g in gens})
-        asg[xv] = a
-        asg[yv] = b
-        phi = ind(M.sig, xv, yv)
-        fv = phi.free_vars()
-        cache[key] = eval_card(M, phi,
-                               {v: e for v, e in asg.items() if v in fv})
-    return cache[key]
+    gens = M.sig.out_gens(K)
+    xv, yv, asg = _pair_by_position(
+        M, K, {g.name: M.apply_gen(g.name, a) for g in gens},
+        {g.name: M.apply_gen(g.name, b) for g in gens})
+    asg[xv] = a
+    asg[yv] = b
+    phi = ind(M.sig, xv, yv)
+    fv = phi.free_vars()
+    return eval_card(M, phi, {v: e for v, e in asg.items() if v in fv})
 
 
 def ind_truth_elems(M: FinStructure, K: str, a, b) -> bool:

@@ -6,8 +6,9 @@ equivalence of fibers; the two are produced by mutual induction on level.
 Filler enumeration works over the hom-classes out of the distinguishing
 sort: the two argument tuples agree on every position except the
 distinguished one (and the positions it forces), and fresh fillers are
-enumerated over all coincidence patterns, canonically named, then
-deduplicated up to contextual equivalence.
+enumerated over all coincidence patterns and named in a fixed order.
+Each coincidence pattern gives one filler pattern, so no two of them are
+alpha-equal and nothing is deduplicated (a property test pins this).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .errors import (BoundaryMismatch, FunctorialityError, IncompatibleSort,
-                     SortMismatch)
+from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
 from .pretty import pformat
 from .sigcore import Arrow, Signature
 from .synkit import (And, Equiv, Exists, Forall, Formula, Implies, Top,
-                     Variable, alpha_eq, compatible_sorts, conj, mk_var,
+                     Variable, compatible_sorts, conj, mk_var,
                      universal_closure)
 
 
@@ -33,29 +33,11 @@ class FillerPattern:
     quantified: tuple  # fresh variables, outermost first
 
 
-def _check_position(sig: Signature, R: str, p: Arrow, x: Variable,
-                    y: Variable):
-    if y.sort != x.sort:
-        raise SortMismatch(f"{x!r} and {y!r} have different sorts")
-    if p.dom != R or p.cod != x.sort:
-        raise IncompatibleSort(f"{p!r} is not a position of {R} over "
-                               f"{x.sort}")
-    if (R not in compatible_sorts(sig, x)
-            or R not in compatible_sorts(sig, y)):
-        raise IncompatibleSort(f"{R} is not compatible with both arguments")
-
-
-def enum_fillers(sig: Signature, R: str, p: Arrow, x: Variable,
-                 y: Variable) -> list:
-    """All filler patterns for Ind_R at position p, one canonical
-    representative per contextual-equivalence class."""
-    _check_position(sig, R, p, x, y)
-    return _fillers(sig, R, p, x, y)
-
-
 def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
              y: Variable) -> list:
-    """``enum_fillers`` for a position already known to be valid."""
+    """All filler patterns for Ind_R at position p, one per coincidence
+    pattern of the fillers; p must be a position of R over x's sort and R
+    compatible with both x and y."""
     K = x.sort
     # classes out of R forced by the distinguished position
     derived = {}
@@ -168,23 +150,11 @@ def _pattern_formula(sig, pat: FillerPattern) -> Formula:
     return universal_closure(sig, body, pat.quantified)
 
 
-def ind_at(sig: Signature, R: str, p: Arrow, x: Variable,
-           y: Variable) -> Formula:
-    """Ind_R at one position: x and y cannot be distinguished by R in
-    position p, up to equivalence."""
-    _check_position(sig, R, p, x, y)
-    return _ind_at(sig, R, p, x, y)
-
-
 def _ind_at(sig: Signature, R: str, p: Arrow, x: Variable,
             y: Variable) -> Formula:
-    formulas = []
-    for pat in _fillers(sig, R, p, x, y):
-        f = _pattern_formula(sig, pat)
-        if not any(alpha_eq(f, g) for g in formulas):
-            formulas.append(f)
-    formulas.sort(key=pformat)
-    return conj(formulas)
+    formulas = [_pattern_formula(sig, pat)
+                for pat in _fillers(sig, R, p, x, y)]
+    return conj(sorted(formulas, key=pformat))
 
 
 # signature -> {(x, y): Ind(x, y)}; an entry lives as long as its signature
@@ -254,10 +224,6 @@ def sort_equiv(sig: Signature, K: str, alpha: Variable,
         ind(sig, xv, x2))))))
     surjective = Forall(yv, Exists(xv, ind(sig, xv, yv), untruncated=True))
     return And((functional, injective, surjective))
-
-
-def expand_equiv(sig: Signature, node: Equiv) -> Formula:
-    return sort_equiv(sig, node.sort, node.alpha, node.beta)
 
 
 def generic_context(sig: Signature, K: str, names=("x", "y")):

@@ -269,7 +269,7 @@ class Equiv(Formula):
 
     ``alpha`` and ``beta`` are variables of sort ``sort`` used only for
     their boundaries; the node expands per the generated three-conjunct
-    definition (see isogen.expand_equiv).
+    definition (see isogen.sort_equiv).
     """
 
     sort: str
@@ -287,158 +287,6 @@ def conj(args) -> Formula:
     if len(args) == 1:
         return args[0]
     return And(args)
-
-
-# -- substitution -------------------------------------------------------
-
-def map_var(v: Variable, s: dict) -> Variable:
-    if v in s:
-        return s[v]
-    proj = tuple((g, map_var(w, s)) for g, w in v.proj)
-    if proj == v.proj:
-        return v
-    return Variable(v.name, v.sort, proj)
-
-
-def substitute(phi: Formula, s: dict) -> Formula:
-    """Capture-avoiding substitution of free variables along ``s``.
-
-    ``s`` maps variables to variables; it must commute with projections on
-    its domain (a context morphism).  Bound variables are freshened when
-    their name collides with a name in the image.
-    """
-    taken = set()
-    for v in s.values():
-        for w in v.dep():
-            taken.add(w.name)
-
-    def rec(f, s):
-        if isinstance(f, (Top, Bottom)):
-            return f
-        if isinstance(f, Atom):
-            return Atom(map_var(f.var, s))
-        if isinstance(f, And):
-            return And(tuple(rec(a, s) for a in f.args))
-        if isinstance(f, Or):
-            return Or(tuple(rec(a, s) for a in f.args))
-        if isinstance(f, Implies):
-            return Implies(rec(f.lhs, s), rec(f.rhs, s))
-        if isinstance(f, Iff):
-            return Iff(rec(f.lhs, s), rec(f.rhs, s))
-        if isinstance(f, Equiv):
-            return Equiv(f.sort, map_var(f.alpha, s), map_var(f.beta, s))
-        if isinstance(f, (Forall, Exists)):
-            name = f.var.name
-            if name in taken:
-                i = 1
-                while f"{name}_{i}" in taken:
-                    i += 1
-                name = f"{name}_{i}"
-            taken.add(name)
-            proj = tuple((g, map_var(w, s)) for g, w in f.var.proj)
-            newvar = Variable(name, f.var.sort, proj)
-            s2 = dict(s)
-            s2[f.var] = newvar
-            body = rec(f.body, s2)
-            if isinstance(f, Forall):
-                return Forall(newvar, body)
-            return Exists(newvar, body, f.untruncated)
-        raise TypeError(f"unknown node {f!r}")
-
-    return rec(phi, s)
-
-
-# -- alpha and contextual equivalence -----------------------------------
-
-def _var_eq(v: Variable, w: Variable, env: dict) -> bool:
-    """Equality of variables modulo the bound-variable pairing ``env``."""
-    if v in env:
-        return env[v] == w
-    if w in set(env.values()):
-        return False
-    if v.sort != w.sort or v.name != w.name:
-        return False
-    if len(v.proj) != len(w.proj):
-        return False
-    return all(g1 == g2 and _var_eq(a, b, env)
-               for (g1, a), (g2, b) in zip(v.proj, w.proj))
-
-
-def _boundary_eq(v: Variable, w: Variable, env: dict) -> bool:
-    """Boundaries equal modulo ``env`` (the top name is irrelevant)."""
-    if v.sort != w.sort or len(v.proj) != len(w.proj):
-        return False
-    return all(g1 == g2 and _var_eq(a, b, env)
-               for (g1, a), (g2, b) in zip(v.proj, w.proj))
-
-
-def alpha_eq(phi: Formula, psi: Formula) -> bool:
-    """Equality up to renaming of bound variables."""
-
-    def rec(f, g, env):
-        if type(f) is not type(g):
-            return False
-        if isinstance(f, (Top, Bottom)):
-            return True
-        if isinstance(f, Atom):
-            return _boundary_eq(f.var, g.var, env)
-        if isinstance(f, (And, Or)):
-            return (len(f.args) == len(g.args)
-                    and all(rec(a, b, env)
-                            for a, b in zip(f.args, g.args)))
-        if isinstance(f, (Implies, Iff)):
-            return rec(f.lhs, g.lhs, env) and rec(f.rhs, g.rhs, env)
-        if isinstance(f, Equiv):
-            return (f.sort == g.sort
-                    and _boundary_eq(f.alpha, g.alpha, env)
-                    and _boundary_eq(f.beta, g.beta, env))
-        if isinstance(f, (Forall, Exists)):
-            if isinstance(f, Exists) and f.untruncated != g.untruncated:
-                return False
-            if not _boundary_eq(f.var, g.var, env):
-                return False
-            env2 = dict(env)
-            env2[f.var] = g.var
-            return rec(f.body, g.body, env2)
-        raise TypeError(f"unknown node {f!r}")
-
-    return rec(phi, psi, {})
-
-
-def ctx_eq(phi: Formula, psi: Formula):
-    """Contextual equivalence: a renaming iso of the free-variable
-    contexts making the formulas alpha-equal, or None."""
-    fv1 = sorted(context_of(phi.free_vars()),
-                 key=lambda v: (len(v.dep()), v.sort, v.name))
-    fv2 = list(context_of(psi.free_vars()))
-    if len(fv1) != len(fv2):
-        return None
-
-    def extend(i, s):
-        if i == len(fv1):
-            if alpha_eq(substitute(phi, s), psi):
-                return dict(s)
-            return None
-        v = fv1[i]
-        for w in fv2:
-            if w in s.values() or w.sort != v.sort:
-                continue
-            # naturality: projections must already be mapped correctly
-            ok = True
-            for (g, a) in v.proj:
-                if s.get(a) != w.proj_map()[g]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            s[v] = w
-            res = extend(i + 1, s)
-            if res is not None:
-                return res
-            del s[v]
-        return None
-
-    return extend(0, {})
 
 
 # -- universal closure --------------------------------------------------

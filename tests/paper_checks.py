@@ -4,8 +4,9 @@ They build the objects the lemmas speak about (element-named variables,
 boundary pairs, the categorical ``Iso`` and ``Yso`` formulas, the category
 read off a model) and decide the properties the lemmas state (hom
 naturality, sections, preservation of ``Ind`` along fiberwise
-surjections, the expanded equivalence count).  The tests compare them
-with what the package computes.
+surjections, the expanded equivalence count, equality of formulas up to
+renaming of bound variables).  The tests compare them with what the
+package computes.
 """
 
 from foldsat.errors import NotAModel, PreconditionViolation, SortMismatch
@@ -17,7 +18,8 @@ from foldsat.isogen import sort_equiv
 from foldsat.cli import parse_formula
 from foldsat.stdlib import (FiniteCategory, builtin_signature, tcat_axioms,
                             validate_category)
-from foldsat.synkit import Equiv, Forall, Variable, mk_var
+from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
+                            Implies, Or, Top, Variable, mk_var)
 
 
 # -- variables over elements ---------------------------------------------
@@ -60,6 +62,62 @@ def equiv_card_via_formula(M: FinStructure, K: str, d1, d2) -> int:
     phi = sort_equiv(M.sig, K, xt, yt)
     fv = phi.free_vars()
     return eval_card(M, phi, {v: e for v, e in asg.items() if v in fv})
+
+# -- alpha-equivalence --------------------------------------------------
+
+def _var_eq(v: Variable, w: Variable, env: dict) -> bool:
+    """Equality of variables modulo the bound-variable pairing ``env``."""
+    if v in env:
+        return env[v] == w
+    if w in set(env.values()):
+        return False
+    if v.sort != w.sort or v.name != w.name:
+        return False
+    if len(v.proj) != len(w.proj):
+        return False
+    return all(g1 == g2 and _var_eq(a, b, env)
+               for (g1, a), (g2, b) in zip(v.proj, w.proj))
+
+
+def _boundary_eq(v: Variable, w: Variable, env: dict) -> bool:
+    """Boundaries equal modulo ``env`` (the top name is irrelevant)."""
+    if v.sort != w.sort or len(v.proj) != len(w.proj):
+        return False
+    return all(g1 == g2 and _var_eq(a, b, env)
+               for (g1, a), (g2, b) in zip(v.proj, w.proj))
+
+
+def alpha_eq(phi, psi) -> bool:
+    """Equality of formulas up to renaming of bound variables."""
+
+    def rec(f, g, env):
+        if type(f) is not type(g):
+            return False
+        if isinstance(f, (Top, Bottom)):
+            return True
+        if isinstance(f, Atom):
+            return _boundary_eq(f.var, g.var, env)
+        if isinstance(f, (And, Or)):
+            return (len(f.args) == len(g.args)
+                    and all(rec(a, b, env)
+                            for a, b in zip(f.args, g.args)))
+        if isinstance(f, (Implies, Iff)):
+            return rec(f.lhs, g.lhs, env) and rec(f.rhs, g.rhs, env)
+        if isinstance(f, Equiv):
+            return (f.sort == g.sort
+                    and _boundary_eq(f.alpha, g.alpha, env)
+                    and _boundary_eq(f.beta, g.beta, env))
+        if isinstance(f, (Forall, Exists)):
+            if isinstance(f, Exists) and f.untruncated != g.untruncated:
+                return False
+            if not _boundary_eq(f.var, g.var, env):
+                return False
+            env2 = dict(env)
+            env2[f.var] = g.var
+            return rec(f.body, g.body, env2)
+        raise TypeError(f"unknown node {f!r}")
+
+    return rec(phi, psi, {})
 
 # -- homomorphisms ------------------------------------------------------
 

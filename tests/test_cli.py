@@ -219,6 +219,33 @@ def test_sat(capsys):
     assert code == 0
 
 
+def test_duplicate_element_name_is_an_error(capsys, tmp_path):
+    """A name listed twice for one sort, in one block or in two, is
+    rejected with exit 2; one name in two sorts is allowed, since every
+    table is keyed per sort."""
+    dup = str(GOLDEN / "Arrow2Dup.str")
+    for argv in (["sat", p("lcat.folds"), dup],
+                 ["hom", p("lcat.folds"), dup, p("WalkIso.str"),
+                  "--fibsurj"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: element 'i_0' appears twice in sort 'I'\n"
+    split = tmp_path / "Split.str"
+    split.write_text("structure Split over lcat {\n  O = { x };\n"
+                     "  A = { f(x,x) };\n  comp = { m(f,f,f) };\n"
+                     "  I = { u(f) };\n  eqA = { e(f,f) };\n"
+                     "  eqA = { e(f,f) };\n}\n")
+    code, _, err = run(capsys, "sat", p("lcat.folds"), str(split))
+    assert code == 2 and "element 'e' appears twice in sort 'eqA'" in err
+    shared = tmp_path / "Shared.str"
+    shared.write_text("structure Shared over lcat {\n  O = { e };\n"
+                      "  A = { e(e,e) };\n  comp = { e(e,e,e) };\n"
+                      "  I = { e(e) };\n  eqA = { e(e,e) };\n}\n")
+    code, out, _ = run(capsys, "sat", p("lcat.folds"), str(shared),
+                       "--total")
+    assert code == 0 and "total: yes" in out
+
+
 def test_hom(capsys):
     code, out, _ = run(capsys, "hom", p("lcat.folds"), p("Arrow2.str"),
                        p("TermCat.str"))
@@ -333,6 +360,16 @@ def test_gen_iso_diamond3_golden(capsys, sort):
     code, out, _ = run(capsys, "gen-iso", str(DIAMOND3), sort, "--verbose")
     assert code == 0
     assert out == (GOLDEN / f"gen_iso_diamond3_{sort}.txt").read_text()
+
+
+# `gen-iso --verbose` for the middle sort of three parallel arrows, byte
+# for byte, as printed while `Ind` still deduplicated its conjuncts up to
+# alpha-equivalence: it pins that no filler pattern ever had a duplicate
+def test_gen_iso_par3_golden(capsys):
+    code, out, _ = run(capsys, "gen-iso", str(GOLDEN / "par3.folds"), "S",
+                       "--verbose")
+    assert code == 0
+    assert out == (GOLDEN / "gen_iso_par3_S.txt").read_text()
 
 
 @pytest.mark.parametrize("argv, max_apex, message", [

@@ -8,7 +8,7 @@ from foldsat.finsem import (_hoist_guards, boundary_instances, boundary_of,
                             equiv_card_via_bijections, eval_card, eval_prop,
                             fiber, ind_truth_elems, satisfies,
                             saturation_profile, validate_structure)
-from foldsat.isogen import ind, iso_formula
+from foldsat.isogen import iso_formula
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
 from foldsat.synkit import (And, Atom, Bottom, Exists, Forall, Iff, Implies,

@@ -4,7 +4,7 @@ import pytest
 
 from foldsat.errors import (HeightOutOfScope, NotSaturated,
                             PreconditionViolation, SortMismatch)
-from foldsat.finsem import saturation_profile, validate_structure
+from foldsat.finsem import validate_structure
 from foldsat.homspan import (Hom, find_span, hsip_decide, identity_hom,
                              is_fibsurj, structure_iso)
 from foldsat.sigcore import validate_signature

@@ -1,12 +1,11 @@
 import pytest
 
-from foldsat.errors import IncompatibleSort, SortMismatch
-from foldsat.isogen import (enum_fillers, generic_context, ind, ind_at,
-                            iso_formula, sort_equiv)
+from foldsat.errors import SortMismatch
+from foldsat.isogen import _fillers, ind, iso_formula, sort_equiv
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature
-from foldsat.synkit import (And, Atom, Equiv, Exists, Forall, Implies, Top,
-                            alpha_eq, mk_var)
+from foldsat.synkit import And, Equiv, Exists, Forall, Implies, Top, mk_var
+from paper_checks import alpha_eq
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +38,12 @@ def parallel_pair(sig):
     return x, y, f, g
 
 
-# -- enum_fillers -------------------------------------------------------
+# -- _fillers -----------------------------------------------------------
 
 def test_arrow_equality_fillers_three_patterns(lrg_eq):
     x, y, f, g = parallel_pair(lrg_eq)
     p = lrg_eq.cls(("s",))
-    pats = enum_fillers(lrg_eq, "eqA", p, f, g)
+    pats = _fillers(lrg_eq, "eqA", p, f, g)
     # the non-distinguished position is filled by a fresh h, by f, or by g
     t_fillers = {pat.alpha.proj_map()["t"] for pat in pats}
     assert len(pats) == 3
@@ -60,26 +59,18 @@ def test_arrow_equality_fillers_three_patterns(lrg_eq):
 def test_shared_position_forces_equal_objects(lcat):
     x, y = obj(lcat, "x"), obj(lcat, "y")
     p = lcat.cls(("i", "d"))
-    assert enum_fillers(lcat, "I", p, x, y) == []
+    assert _fillers(lcat, "I", p, x, y) == []
 
 
 def test_object_fillers_for_arrow_sort(lcat):
     x, y = obj(lcat, "x"), obj(lcat, "y")
     p = lcat.cls(("d",))
-    pats = enum_fillers(lcat, "A", p, x, y)
+    pats = _fillers(lcat, "A", p, x, y)
     c_fillers = {pat.alpha.proj_map()["c"] for pat in pats}
     assert len(pats) == 3
     assert x in c_fillers and y in c_fillers
     fresh = (c_fillers - {x, y}).pop()
     assert fresh.proj == ()
-
-
-def test_enum_fillers_incompatible_sort_rejected(lrg):
-    x, y = obj(lrg, "x"), obj(lrg, "y")
-    f = arr(lrg, "f", x, y)
-    g = arr(lrg, "g", x, y)
-    with pytest.raises(IncompatibleSort):
-        enum_fillers(lrg, "I", lrg.cls(("i",)), f, g)
 
 
 # -- ind ----------------------------------------------------------------
@@ -201,8 +192,6 @@ def test_expand_equiv_level_decreases(lcat):
     # every Equiv node produced at the object level concerns sort A, and
     # expanding it only introduces Equiv nodes at strictly lower levels,
     # so full expansion terminates
-    from foldsat.isogen import expand_equiv
-
     def equiv_sorts(f, acc):
         if isinstance(f, Equiv):
             acc.add(f.sort)
@@ -219,7 +208,7 @@ def test_expand_equiv_level_decreases(lcat):
     _, _, phi = iso_formula(lcat, "O")
     for part in phi.args:
         node = part.body if isinstance(part, Forall) else part
-        expanded = expand_equiv(lcat, node)
+        expanded = sort_equiv(lcat, node.sort, node.alpha, node.beta)
         inner = equiv_sorts(expanded, set())
         for s in inner:
             assert lcat.level(s) < lcat.level(node.sort)

@@ -8,21 +8,32 @@ every shared position and finds the clash only on each branch.  Every
 signatures, diamond stacks, the saturation of the corpus and of random
 lcat structures, and ``~=`` between different fibers must return the
 oracle's patterns.
+
+``_ind_at`` keeps every pattern ``_fillers`` returns, with no
+deduplication: each coincidence pattern of the fillers gives one
+pattern, and fresh variables are named in a fixed order, so no two
+patterns of one position give alpha-equal conjuncts.  ``alpha_eq`` is
+the oracle for that on random DAG signatures.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from foldsat import isogen
 from foldsat.cli import parse_formula
 from foldsat.errors import FunctorialityError
 from foldsat.finsem import check_saturation, eval_card, saturation_profile
-from foldsat.isogen import FillerPattern, _fresh_name, iso_formula
+from foldsat.isogen import (FillerPattern, _fresh_name, _pattern_formula,
+                            generic_context, iso_formula)
+from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, corpus
 from foldsat.synkit import mk_var
+from paper_checks import alpha_eq
 from test_finsem_oracle import lcat_structures
-from test_sigcore_oracle import diamond_stack
+from test_sigcore_oracle import dag_signatures, diamond_stack
 
 
 def enumerate_fillers(sig, R, p, x, y):
@@ -135,3 +146,38 @@ def test_pruned_fillers_match_enumeration_in_saturation(checked, M):
         if M.sig.level(K) >= 2:
             check_saturation(M, K)
     assert checked
+
+
+# sort O; sort S { d: O }; sort R { p1: S, p2: S, p3: S }
+PAR3 = {"sorts": ["O", "S", "R"],
+        "arrows": [("d", "S", "O"), ("p1", "R", "S"), ("p2", "R", "S"),
+                   ("p3", "R", "S")],
+        "equations": []}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(PAR3)
+@given(dag_signatures())
+def test_no_two_filler_patterns_are_alpha_equal(raw):
+    """Signatures where one sort has more than three positions of one
+    sort are skipped, as in the saturation oracles: ``Ind`` grows
+    steeply with that number."""
+    sig = validate_signature(raw)
+    if any(n > 3 for K in sig.sorts
+           for n in Counter(q.cod for q in sig.out(K)).values()):
+        return
+    real = isogen._fillers
+
+    def distinct(sig, R, p, x, y):
+        pats = real(sig, R, p, x, y)
+        formulas = [_pattern_formula(sig, pat) for pat in pats]
+        for i, f in enumerate(formulas):
+            for g in formulas[:i]:
+                assert not alpha_eq(f, g), (R, p, pformat(f))
+        return pats
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isogen, "_fillers", distinct)
+        for K in sig.sorts:
+            isogen._ind(sig, *generic_context(sig, K))

