@@ -4,6 +4,13 @@ Three file kinds share one lexer: signature files (``.folds``),
 structure files (``.str``) and theory files (``.thy``).  The formula
 syntax round-trips with :func:`foldsat.pretty.pformat`.
 
+The lexer is one ``re.findall`` returning the token strings.  A
+character that starts no token comes out as a token of its own, and is
+reported before any syntax error.  Tokens carry no position: a
+``ParseError`` scans the text again for the line and column of its
+token.  Reading a file takes time linear in its length, and positions
+cost only when an error is raised.
+
 The commands are rows of one table, ``_COMMANDS``, from which the
 argument parser is built.  Every command takes a signature file first;
 :func:`main` parses it, then each theory or structure file the command
@@ -21,6 +28,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 
 from .errors import FoldsError, OpenFormula, ParseError
 from .finsem import (check_saturation, eval_card, eval_prop, satisfies,
@@ -33,89 +41,85 @@ from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff, Implies,
                      Or, Top, compatible_sorts, mk_var)
 
 # -- lexer ---------------------------------------------------------------
+# A token is an operator or an identifier; whitespace and ``#`` comments
+# separate tokens.  An operator starts with a character of _OP_START and
+# an identifier never does, so a token's kind is its first character.
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<op><->|->|~=|[{}();,:=.&|])
-  | (?P<ident>[\w'*]+(?:-[\w'*]+)*)
-  | (?P<bad>.)
-""", re.VERBOSE)
-
-_KEYWORDS = {"signature", "structure", "theory", "sort", "eq", "over",
-             "axiom", "forall", "exists", "sum", "true", "false"}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # "op" | "ident" | "eof"
-        self.text = text
-        self.line = line
-        self.col = col
+_TOKEN = r"<->|->|~=|[{}();,:=.&|]|[\w'*]+(?:-[\w'*]+)*"
+_OP_START = "<-~{}();,:=.&|"
+_TOKEN_RE = re.compile(_TOKEN)
+# a comment, a token, or one character that starts no token
+_SCAN_RE = re.compile(rf"\#[^\n]*|{_TOKEN}|\S")
 
 
 def _lex(text):
-    """One pass of ``_TOKEN_RE``; every character falls in some group,
-    and only whitespace can hold a newline."""
-    tokens = []
-    line, bol = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind, s = m.lastgroup, m.group()
-        if kind == "ws":
-            if "\n" in s:
-                line += s.count("\n")
-                bol = m.start() + s.rindex("\n") + 1
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {s!r}", line,
-                             m.start() - bol + 1)
-        else:
-            tokens.append(_Token(kind, s, line, m.start() - bol + 1))
-    tokens.append(_Token("eof", "", line, len(text) - bol + 1))
+    """The token strings of ``text``, from one ``findall``.  A character
+    that starts no token is an error, raised before the parser reads any
+    token."""
+    tokens = _SCAN_RE.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t[0] != "#"]
+    # such a character comes out as a token of its own: check each
+    # distinct string once
+    bad = {t for t in set(tokens) if len(t) == 1 and not _TOKEN_RE.match(t)}
+    if bad:
+        i = min(tokens.index(t) for t in bad)
+        raise ParseError(f"unexpected character {tokens[i]!r}",
+                         *_position(text, i))
     return tokens
 
 
+def _position(text, i):
+    """The line and column of token ``i`` of ``_lex(text)``, or of the end
+    of input past the last token; found by scanning again, since only an
+    error needs it."""
+    starts = (m.start() for m in _SCAN_RE.finditer(text)
+              if m.group()[0] != "#")
+    at = next(islice(starts, i, None), len(text))
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
 class _Parser:
+    """A cursor over the token strings; ``""``, which no token is, marks
+    the end of input, and nothing moves the cursor past it."""
+
     def __init__(self, text):
+        self.text = text
         self.tokens = _lex(text)
+        self.tokens.append("")
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    def error(self, message, i=None):
+        """A ``ParseError`` at token ``i`` (default: the current one)."""
+        return ParseError(message,
+                          *_position(self.text, self.i if i is None else i))
 
     def at(self, text):
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.i] == text
 
     def accept(self, text):
-        if self.at(text):
-            return self.next()
-        return None
+        if self.tokens[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
     def expect(self, text):
-        tok = self.next()
-        if tok.text != text or tok.kind == "eof":
-            raise ParseError(f"expected {text!r}, got {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
+        tok = self.tokens[self.i]
+        if tok != text:
+            raise self.error(f"expected {text!r}, got {tok!r}")
+        self.i += 1
 
     def ident(self, what="name"):
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, got {tok.text!r}",
-                             tok.line, tok.col)
-        return tok.text
+        tok = self.tokens[self.i]
+        if not tok or tok[0] in _OP_START:
+            raise self.error(f"expected {what}, got {tok!r}")
+        self.i += 1
+        return tok
 
     def done(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}",
-                             tok.line, tok.col)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"unexpected trailing input {tok!r}")
 
 
 # -- signature files -----------------------------------------------------
@@ -180,26 +184,30 @@ def parse_structure(text, sig):
     maps = {g.name: {} for g in sig.gens}
     auto = 0
     while not p.accept("}"):
-        tok = p.peek()
+        at = p.i
         K = p.ident("sort name")
         if K not in carriers:
-            raise ParseError(f"unknown sort {K!r}", tok.line, tok.col)
+            raise p.error(f"unknown sort {K!r}", at)
         p.expect("=")
         p.expect("{")
         if not p.at("}"):
+            elems = carriers[K]
+            gens = sig.out_gens(K)
+            tables = [maps[g.name] for g in gens]
             while True:
                 elem, args = _parse_row(p)
                 if elem is None:
                     auto += 1
                     elem = f"_{K.lower()}{auto}"
-                carriers[K].append(elem)
-                gens = sig.out_gens(K)
-                if args is not None and len(args) != len(gens):
-                    raise ParseError(
-                        f"element {elem!r} of sort {K} needs "
-                        f"{len(gens)} boundary entries, got {len(args)}")
-                for g, a in zip(gens, args or ()):
-                    maps[g.name][elem] = a
+                elems.append(elem)
+                if args is not None:
+                    if len(args) != len(gens):
+                        raise ParseError(
+                            f"element {elem!r} of sort {K} needs "
+                            f"{len(gens)} boundary entries, got "
+                            f"{len(args)}")
+                    for table, a in zip(tables, args):
+                        table[elem] = a
                 if not p.accept(","):
                     break
         p.expect("}")
@@ -262,29 +270,27 @@ def _parse_decl(p, sig, env):
 
 
 def _sort_app(p, sig, env, name):
-    tok = p.peek()
+    at = p.i
     K = p.ident("sort name")
     if K not in sig.levels:
-        raise ParseError(f"unknown sort {K!r}", tok.line, tok.col)
+        raise p.error(f"unknown sort {K!r}", at)
     fillers = {}
     gens = sig.out_gens(K)
     if p.at("("):
         args = _parse_args(p)
         if len(args) != len(gens):
-            raise ParseError(f"sort {K} takes {len(gens)} arguments, "
-                             f"got {len(args)}", tok.line, tok.col)
+            raise p.error(f"sort {K} takes {len(gens)} arguments, "
+                          f"got {len(args)}", at)
         for g, a in zip(gens, args):
             if a not in env:
-                raise ParseError(f"unbound variable {a!r}",
-                                 tok.line, tok.col)
+                raise p.error(f"unbound variable {a!r}", at)
             fillers[g.name] = env[a]
     elif gens:
-        raise ParseError(f"sort {K} takes {len(gens)} arguments",
-                         tok.line, tok.col)
+        raise p.error(f"sort {K} takes {len(gens)} arguments", at)
     try:
         return mk_var(sig, name, K, fillers)
     except FoldsError as exc:
-        raise ParseError(str(exc), tok.line, tok.col)
+        raise p.error(str(exc), at)
 
 
 def _iff(p, sig, env):
@@ -332,11 +338,11 @@ def _unary(p, sig, env):
         return phi
     alpha = _sort_app(p, sig, env, _ATOM_VAR)
     if p.accept("~="):
-        tok = p.peek()
+        at = p.i
         beta = _sort_app(p, sig, env, _ATOM_VAR)
         if beta.sort != alpha.sort:
-            raise ParseError("~= needs two applications of the same "
-                             "sort", tok.line, tok.col)
+            raise p.error("~= needs two applications of the same sort",
+                          at)
         return Equiv(alpha.sort, alpha, beta)
     return Atom(alpha)
 
@@ -587,6 +593,9 @@ def _arg(*flags, **options):
     return flags, options
 
 
+_STR = "structure file (.str) over the signature"
+_THY = "theory file (.thy) over the signature"
+
 # name, help, handler, then the arguments after the signature: an _arg
 # each, or a list of them for a mutually exclusive group
 _COMMANDS = (
@@ -596,32 +605,35 @@ _COMMANDS = (
      _cmd_compat,
      (_arg("context", nargs="+", help="declarations like x:O f:A(x,x)"),)),
     ("gen-iso", "generate the isomorphism formula of a sort", _cmd_gen_iso,
-     (_arg("sort"),
+     (_arg("sort", help="a sort of the signature"),
       _arg("--verbose", action="store_true",
            help="also print the canonical context"))),
     ("eval", "evaluate a closed formula", _cmd_eval,
-     (_arg("model"), _arg("-e", "--expr", required=True),
+     (_arg("model", help=_STR),
+      _arg("-e", "--expr", required=True,
+           help="a closed formula, in the syntax of .thy axioms"),
       _arg("--card", action="store_true",
            help="print the witness count instead of truth"))),
     ("check-model", "check a structure against a theory", _cmd_check_model,
-     (_arg("theory"), _arg("model"))),
+     (_arg("theory", help=_THY), _arg("model", help=_STR))),
     ("sat", "saturation report", _cmd_sat,
-     (_arg("model"),
+     (_arg("model", help=_STR),
       [_arg("--level", type=int,
             help="report on one level, 1 to the signature's height"),
        _arg("--total", action="store_true",
             help="succeed only when totally saturated")])),
     ("hom", "search for a homomorphism", _cmd_hom,
-     (_arg("left"), _arg("right"),
+     (_arg("left", help=_STR), _arg("right", help=_STR),
       _arg("--fibsurj", action="store_true",
            help="require fiberwise surjectivity"))),
     ("equiv", "search for a span of fiberwise surjections", _cmd_equiv,
-     (_arg("left"), _arg("right"),
+     (_arg("left", help=_STR), _arg("right", help=_STR),
       _arg("--max-apex", type=int,
            help="per-sort apex size bound (default: product of carrier "
                 "sizes; env FOLDS_MAX_APEX)"))),
     ("hsip", "decide structure identity for saturated models", _cmd_hsip,
-     (_arg("theory"), _arg("left"), _arg("right"))),
+     (_arg("theory", help=_THY), _arg("left", help=_STR),
+      _arg("right", help=_STR))),
 )
 
 # the positionals naming a file to parse over the signature
@@ -639,7 +651,7 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name, text, fn, specs in _COMMANDS:
         p = sub.add_parser(name, help=text)
-        p.add_argument("signature")
+        p.add_argument("signature", help="signature file (.folds)")
         files = []
         for spec in specs:
             if isinstance(spec, list):

@@ -39,15 +39,18 @@ from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
 class FinStructure:
     """Finite functorial interpretation of a signature.
 
-    Read-only: ``carriers`` maps each sort to a tuple and ``maps`` each
-    generator to a read-only mapping, so the caches below cannot go
-    stale.
+    Read-only: ``carriers`` maps each sort to a tuple, ``elements`` to
+    the frozenset of the same elements, which answers every membership
+    test, and ``maps`` each generator to a read-only mapping, so the
+    caches below cannot go stale.
     """
 
     def __init__(self, sig: Signature, carriers, maps):
         self.sig = sig
         self.carriers = MappingProxyType(
             {s: tuple(carriers.get(s, ())) for s in sig.sorts})
+        self.elements = MappingProxyType(
+            {s: frozenset(c) for s, c in self.carriers.items()})
         self.maps = MappingProxyType(
             {g.name: MappingProxyType(dict(maps.get(g.name, {})))
              for g in sig.gens})
@@ -92,7 +95,15 @@ class FinStructure:
 
 
 def validate_structure(sig: Signature, raw) -> FinStructure:
-    """Check carriers and maps for totality and functoriality."""
+    """Check carriers and maps for totality and functoriality.
+
+    Carriers must be given for known sorts, without repeats, and maps
+    for known arrows.  Each map must be defined on every element of its
+    domain, send it into its codomain and be defined on nothing else,
+    and the two sides of each declared equation must agree at every
+    element.  The first failure is raised.  Membership is tested against
+    ``FinStructure.elements``, so the checks take time linear in the
+    size of the structure."""
     carriers = raw.get("carriers", {})
     maps = raw.get("maps", {})
     for s, elems in carriers.items():
@@ -112,13 +123,14 @@ def validate_structure(sig: Signature, raw) -> FinStructure:
     M = FinStructure(sig, carriers, maps)
     for g in sig.gens:
         table = M.maps[g.name]
-        dom, cod = M.carrier(g.dom), set(M.carrier(g.cod))
-        for e in dom:
+        cod = M.elements[g.cod]
+        for e in M.carriers[g.dom]:
             if e not in table:
                 raise NonTotalMap(f"map {g.name!r} undefined on {e!r}")
             if table[e] not in cod:
                 raise NonTotalMap(
                     f"map {g.name!r} sends {e!r} outside {g.cod!r}")
+        dom = M.elements[g.dom]
         for e in table:
             if e not in dom:
                 raise NonTotalMap(
@@ -133,12 +145,6 @@ def validate_structure(sig: Signature, raw) -> FinStructure:
                         f"maps disagree on {e!r} along the equation "
                         f"{'.'.join(lhs)} = {'.'.join(rhs)}")
     return M
-
-
-def boundary_of(M: FinStructure, K: str, elem) -> dict:
-    """The boundary instance of an element: its image along every
-    non-identity hom-class out of K."""
-    return {q: M.apply(q.path, elem) for q in M.sig.out(K)}
 
 
 def boundary_instances(M: FinStructure, K: str) -> list:
@@ -185,7 +191,7 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
         return found
     for q in classes:
         e = delta[q]
-        if e not in M.carrier(q.cod):
+        if e not in M.elements[q.cod]:
             raise InvalidBoundary(f"{e!r} is not in the carrier of "
                                   f"{q.cod!r}")
         for g in sig.out_gens(q.cod):
@@ -474,7 +480,11 @@ def _check_assignment(M, phi, asg):
             raise SortMismatch(f"assignment key {v!r} is not a variable")
         if v.sort not in sig.sorts:
             raise UnknownSort(f"unknown sort {v.sort!r}")
-        if e not in M.carrier(v.sort):
+        try:
+            known = e in M.elements[v.sort]
+        except TypeError:  # unhashable, so in no carrier
+            known = False
+        if not known:
             raise SortMismatch(
                 f"{e!r} is not an element of {v.sort!r}")
         for g, w in v.proj:

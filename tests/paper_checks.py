@@ -6,10 +6,14 @@ read off a model) and decide the properties the lemmas state (hom
 naturality, sections, preservation of ``Ind`` along fiberwise
 surjections, the expanded equivalence count, equality of formulas up to
 renaming of bound variables).  The tests compare them with what the
-package computes.
+package computes.  The lexer that tracks every token's position as it
+scans is kept here too, as the oracle of the one in ``foldsat.cli``.
 """
 
-from foldsat.errors import NotAModel, PreconditionViolation, SortMismatch
+import re
+
+from foldsat.errors import (NotAModel, ParseError, PreconditionViolation,
+                            SortMismatch)
 from foldsat.finsem import (FinStructure, _pair_by_position, card_iso_elems,
                             eval_card, ind_truth_elems, satisfies,
                             saturation_profile)
@@ -22,7 +26,53 @@ from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, mk_var)
 
 
+# -- the lexer with positions -------------------------------------------
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<op><->|->|~=|[{}();,:=.&|])
+  | (?P<ident>[\w'*]+(?:-[\w'*]+)*)
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind  # "op" | "ident" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def lex_with_positions(text):
+    """One pass of ``_TOKEN_RE``; every character falls in some group,
+    and only whitespace can hold a newline."""
+    tokens = []
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, s = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in s:
+                line += s.count("\n")
+                bol = m.start() + s.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {s!r}", line,
+                             m.start() - bol + 1)
+        else:
+            tokens.append(_Token(kind, s, line, m.start() - bol + 1))
+    tokens.append(_Token("eof", "", line, len(text) - bol + 1))
+    return tokens
+
+
 # -- variables over elements ---------------------------------------------
+
+def boundary_of(M: FinStructure, K: str, elem) -> dict:
+    """The boundary instance of an element: its image along every
+    non-identity hom-class out of K."""
+    return {q: M.apply(q.path, elem) for q in M.sig.out(K)}
+
 
 def element_variable(M: FinStructure, sort: str, elem, cache, prefix=""):
     """A variable mirroring the boundary of a carrier element; shared

@@ -1,9 +1,13 @@
+import io
 import json
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from foldsat.cli import (format_signature, format_structure, format_theory,
                          main, parse_formula, parse_signature,
@@ -122,6 +126,36 @@ def test_parse_error_position_after_multiline_prefix(lcat):
     with pytest.raises(ParseError) as err:
         parse_formula("forall x:O.\n  A(x,\n x) &", lcat)
     assert (err.value.line, err.value.col) == (3, 6)
+
+
+# each message names the token found, or '' at the end of input, and the
+# position of that token
+@pytest.mark.parametrize("text, message", [
+    ("signature { sort O; }",
+     "expected signature name, got '{' (line 1, col 11)"),
+    ("signature S {\n  sort O { d -> O };\n}",
+     "expected ':', got '->' (line 2, col 14)"),
+    ("signature S { sort O; } }",
+     "unexpected trailing input '}' (line 1, col 25)"),
+    ("signature S { sort O;\n  sort",
+     "expected sort name, got '' (line 2, col 7)"),
+    ("# heading\nsignature S { sort O; sort A { d: O } eq { d. = d } }",
+     "expected arrow name, got '=' (line 2, col 47)"),
+])
+def test_syntax_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_signature(text)
+    assert str(err.value) == message
+
+
+def test_bad_character_is_reported_before_syntax_errors(capsys):
+    """BadChar.folds misses a comma on line 3 and holds a '$' on line 5
+    (and others in a comment): the '$' is the error, with its position."""
+    path = str(GOLDEN / "BadChar.folds")
+    message = "unexpected character '$' (line 5, col 32)"
+    assert run(capsys, "check-sig", path) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "--json", "check-sig", path)
+    assert code == 2 and json.loads(out)["report"] == {"error": message}
 
 
 def test_corpus_files_match_builtins(lcat, models):
@@ -454,3 +488,106 @@ def test_deeply_nested_formula_is_an_error(capsys, depth):
                        p("Chain3.str"), "-e", expr)
     assert code == 2
     assert json.loads(out)["report"] == {"error": "input nested too deeply"}
+
+
+# -- mutated inputs through main -------------------------------------------
+# Each example edits one input file of one command by 1-4 token edits and
+# runs the command in text mode and with --json.  Whatever the edit, main
+# answers with exit 0, 1 or 2 and raises nothing; with --json every line
+# it prints is JSON, and in text mode exit 2 is one "error:" line.
+
+FUZZ_FORMULA = "forall x:O. exists f:A(x,x). I(f) & A(x,x) ~= A(x,x)"
+# a command, then its arguments after the signature: "thy", "str" and
+# "str2" stand for the theory and two structure files
+FUZZ_COMMANDS = (
+    ("check-sig",), ("levels",), ("sat", "str"),
+    ("check-model", "thy", "str"), ("eval", "str", "-e", FUZZ_FORMULA),
+    ("hom", "str", "str2", "--fibsurj"), ("hsip", "thy", "str", "str2"),
+)
+FUZZ_STRUCTURES = sorted(path.name for path in CORPUS.glob("*.str"))
+# whitespace, words, and any other character alone
+FUZZ_PIECE_RE = re.compile(r"\s+|[\w'*]+|\S")
+FUZZ_JUNK = ("$", "-", "<", "~", ">", "#", "(", ")", "{", "}", ",", ";",
+             ":", "=", ".", "->", "~=", "x", "O", "A", "0")
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A command line and the text of its files, one file edited."""
+    cmd, *slots = draw(st.sampled_from(FUZZ_COMMANDS))
+    files = {"sig": (CORPUS / "lcat.folds").read_text(),
+             "thy": (CORPUS / "tcat.thy").read_text()}
+    for slot in ("str", "str2"):
+        files[slot] = (CORPUS / draw(st.sampled_from(FUZZ_STRUCTURES))
+                       ).read_text()
+    slot = draw(st.sampled_from(
+        ["sig", *(s for s in slots if s in files)]))
+    pieces = FUZZ_PIECE_RE.findall(files[slot])
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = [i for i, t in enumerate(pieces) if not t.isspace()]
+        if not tokens:
+            pieces.append(draw(st.sampled_from(FUZZ_JUNK)))
+            continue
+        i = draw(st.sampled_from(tokens))
+        edit = draw(st.sampled_from(("delete", "double", "swap", "junk",
+                                     "rename")))
+        if edit == "delete":
+            del pieces[i]
+        elif edit == "double":
+            pieces.insert(i, pieces[i])
+        elif edit == "swap":
+            j = tokens[(tokens.index(i) + 1) % len(tokens)]
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif edit == "junk":
+            pieces[i] = draw(st.sampled_from(FUZZ_JUNK))
+        else:
+            # another name of the same text keeps the syntax, mostly
+            pieces[i] = draw(st.sampled_from(
+                [pieces[j] for j in tokens if pieces[j][0].isalnum()]
+                or FUZZ_JUNK))
+    files[slot] = "".join(pieces)
+    return cmd, slots, files
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def fuzz_example(cmd, **edited):
+    files = {"sig": "lcat.folds", "thy": "tcat.thy", "str": "Arrow2.str",
+             "str2": "WalkIso.str"}
+    texts = {slot: (CORPUS / name).read_text()
+             for slot, name in files.items()}
+    cmd, *slots = next(c for c in FUZZ_COMMANDS if c[0] == cmd)
+    return cmd, slots, {**texts, **edited}
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(fuzz_cases())
+# an element name listed twice: a KeyError in `hom --fibsurj` until
+# validate_structure rejected it
+@example(fuzz_example("hom", str=(GOLDEN / "Arrow2Dup.str").read_text()))
+def test_main_survives_edited_inputs(fuzz_dir, case):
+    cmd, slots, files = case
+    paths = {}
+    for slot, text in files.items():
+        paths[slot] = fuzz_dir / f"{slot}.txt"
+        paths[slot].write_text(text, encoding="utf-8")
+    argv = [cmd, str(paths["sig"]),
+            *(str(paths[s]) if s in paths else s for s in slots)]
+    for json_flag in ([], ["--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*json_flag, *argv])
+        assert code in (0, 1, 2)
+        if json_flag:
+            lines = out.getvalue().splitlines()
+            assert lines
+            for line in lines:
+                json.loads(line)
+        elif code == 2:
+            assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1)
+            assert err.getvalue().startswith("error: ")

@@ -2,8 +2,8 @@ import pytest
 
 from foldsat.errors import (FunctorialityError, InvalidBoundary, NonTotalMap,
                             NotSaturatedPrecondition, OpenFormula,
-                            UnboundVariable, UnknownSort)
-from foldsat.finsem import (_hoist_guards, boundary_instances, boundary_of,
+                            SortMismatch, UnboundVariable, UnknownSort)
+from foldsat.finsem import (_hoist_guards, boundary_instances,
                             card_iso_elems, check_saturation,
                             equiv_card_via_bijections, eval_card, eval_prop,
                             fiber, ind_truth_elems, satisfies,
@@ -13,7 +13,7 @@ from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
 from foldsat.synkit import (And, Atom, Bottom, Exists, Forall, Iff, Implies,
                             Or, Top, mk_var)
-from paper_checks import equiv_card_via_formula
+from paper_checks import boundary_of, equiv_card_via_formula
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,36 @@ def test_validate_rejects_partial_map(lrg):
         validate_structure(lrg, raw)
 
 
+# lrg with x, y, u: x -> y and no identity witness, one fault added
+FAULTS = [
+    ({"c": {}}, "map 'c' undefined on 'u'"),
+    ({"d": {"u": "z"}}, "map 'd' sends 'u' outside 'O'"),
+    ({"d": {"u": "x", "v": "x"}}, "map 'd' defined on stray element 'v'"),
+    # the checks run map by map, each over its domain, strays last
+    ({"d": {"u": "x", "v": "x"}, "c": {}},
+     "map 'd' defined on stray element 'v'"),
+    ({"d": {"v": "z"}}, "map 'd' undefined on 'u'"),
+]
+
+
+@pytest.mark.parametrize("maps, message", FAULTS)
+def test_validate_names_the_first_fault(lrg, maps, message):
+    raw = {"carriers": {"O": ["x", "y"], "A": ["u"], "I": []},
+           "maps": {"d": {"u": "x"}, "c": {"u": "y"}, "i": {}, **maps}}
+    with pytest.raises(NonTotalMap) as err:
+        validate_structure(lrg, raw)
+    assert str(err.value) == message
+
+
+def test_assignment_outside_the_carrier_is_rejected(models):
+    M = models["Arrow2"]
+    x = mk_var(M.sig, "x", "O")
+    for e in ("u_0_1", ["0"]):
+        with pytest.raises(SortMismatch) as err:
+            eval_card(M, Top(), {x: e})
+        assert str(err.value) == f"{e!r} is not an element of 'O'"
+
+
 def test_validate_rejects_unknown_sort(lrg):
     with pytest.raises(UnknownSort):
         validate_structure(lrg, {"carriers": {"B": []}, "maps": {}})
@@ -114,6 +144,10 @@ def test_structures_are_read_only(models):
     # structure rely on it never changing
     M = models["TermCat"]
     assert all(isinstance(M.carrier(K), tuple) for K in M.sig.sorts)
+    assert all(M.elements[K] == frozenset(M.carrier(K))
+               for K in M.sig.sorts)
+    with pytest.raises(TypeError):
+        M.elements["O"] = frozenset()
     with pytest.raises(TypeError):
         M.carriers["O"] = ("extra",)
     with pytest.raises(TypeError):

@@ -25,8 +25,8 @@ from foldsat import finsem, isogen
 from foldsat.cli import _ATOM_VAR, parse_formula
 from foldsat.errors import FoldsError, FunctorialityError, InvalidBoundary
 from foldsat.finsem import (_permanent, _saturated, boundary_instances,
-                            boundary_of, card_iso_elems, check_saturation,
-                            eval_card, fiber, satisfies, saturation_profile,
+                            card_iso_elems, check_saturation, eval_card,
+                            fiber, satisfies, saturation_profile,
                             validate_structure)
 from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
@@ -34,7 +34,7 @@ from foldsat.stdlib import (FiniteCategory, _poset_category,
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
                             Formula, Iff, Implies, Or, Top, Variable,
                             mk_var)
-from paper_checks import element_variable
+from paper_checks import boundary_of, element_variable
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  draw_structure)
 
