@@ -38,7 +38,7 @@ from .isogen import iso_formula
 from .pretty import pformat
 from .sigcore import validate_signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff, Implies,
-                     Or, Top, compatible_sorts, mk_var)
+                     Or, Top, compatible_sorts, deepest_first, mk_var)
 
 # -- lexer ---------------------------------------------------------------
 # A token is an operator or an identifier; whitespace and ``#`` comments
@@ -175,10 +175,11 @@ def parse_structure(text, sig):
     p.expect("structure")
     p.ident("structure name")
     p.expect("over")
+    at = p.i
     signame = p.ident("signature name")
     if signame != sig.name:
-        raise ParseError(f"structure is over {signame!r}, expected "
-                         f"{sig.name!r}")
+        raise p.error(f"structure is over {signame!r}, expected "
+                      f"{sig.name!r}", at)
     p.expect("{")
     carriers = {K: [] for K in sig.sorts}
     maps = {g.name: {} for g in sig.gens}
@@ -195,6 +196,7 @@ def parse_structure(text, sig):
             gens = sig.out_gens(K)
             tables = [maps[g.name] for g in gens]
             while True:
+                at = p.i
                 elem, args = _parse_row(p)
                 if elem is None:
                     auto += 1
@@ -202,10 +204,10 @@ def parse_structure(text, sig):
                 elems.append(elem)
                 if args is not None:
                     if len(args) != len(gens):
-                        raise ParseError(
+                        raise p.error(
                             f"element {elem!r} of sort {K} needs "
                             f"{len(gens)} boundary entries, got "
-                            f"{len(args)}")
+                            f"{len(args)}", at)
                     for table, a in zip(tables, args):
                         table[elem] = a
                 if not p.accept(","):
@@ -368,10 +370,11 @@ def parse_theory(text, sig):
     p.expect("theory")
     p.ident("theory name")
     p.expect("over")
+    at = p.i
     signame = p.ident("signature name")
     if signame != sig.name:
-        raise ParseError(f"theory is over {signame!r}, expected "
-                         f"{sig.name!r}")
+        raise p.error(f"theory is over {signame!r}, expected "
+                      f"{sig.name!r}", at)
     p.expect("{")
     axioms = []
     while not p.accept("}"):
@@ -474,9 +477,7 @@ def _cmd_gen_iso(args, sig):
     x, y, phi = iso_formula(sig, args.sort)
     lines = []
     if args.verbose:
-        boundary = sorted(x.boundary() | y.boundary(),
-                          key=lambda v: (-sig.level(v.sort), v.name))
-        for v in boundary + [x, y]:
+        for v in deepest_first(sig, x.boundary() | y.boundary()) + [x, y]:
             lines.append(f"var {v!r}")
     lines.append(pformat(phi))
     return _Result(True, lines,

@@ -30,7 +30,7 @@ from .errors import (FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
                      SortMismatch, StructureError, UnboundVariable,
                      UnknownName, UnknownSort)
-from .isogen import ind
+from .isogen import ind, variables_over
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
                      Implies, Or, Top, Variable, conj)
@@ -106,21 +106,25 @@ def validate_structure(sig: Signature, raw) -> FinStructure:
     size of the structure."""
     carriers = raw.get("carriers", {})
     maps = raw.get("maps", {})
-    for s, elems in carriers.items():
+    # the constructor ignores unknown sorts and arrows: the checks below
+    # name them
+    M = FinStructure(sig, carriers, maps)
+    for s in carriers:
         if s not in sig.sorts:
             raise UnknownSort(f"carrier given for unknown sort {s!r}")
-        # every table is keyed per sort, so one name may recur across sorts
-        seen = set()
-        for e in elems:
-            if e in seen:
-                raise StructureError(
-                    f"element {e!r} appears twice in sort {s!r}")
-            seen.add(e)
+        # every table is keyed per sort, so one name may recur across
+        # sorts; a repeat makes the element set smaller than the carrier
+        if len(M.elements[s]) < len(M.carriers[s]):
+            seen = set()
+            for e in M.carriers[s]:
+                if e in seen:
+                    raise StructureError(
+                        f"element {e!r} appears twice in sort {s!r}")
+                seen.add(e)
     gen_names = {g.name for g in sig.gens}
     for m in maps:
         if m not in gen_names:
             raise UnknownName(f"map given for unknown arrow {m!r}")
-    M = FinStructure(sig, carriers, maps)
     for g in sig.gens:
         table = M.maps[g.name]
         cod = M.elements[g.cod]
@@ -151,14 +155,12 @@ def boundary_instances(M: FinStructure, K: str) -> list:
     """All consistent boundary instances for sort K, in deterministic
     order.
 
-    Positions are filled deepest codomain first, so when position q is
-    reached the images its element must have are already chosen, and its
-    candidates are the fiber over them."""
+    Positions are filled in ``sig.filling(K)`` order, so when position q
+    is reached the images its element must have are already chosen, and
+    its candidates are the fiber over them."""
     sig = M.sig
-    # out(K) order breaks ties in level: the sort is stable
-    classes = sorted(sig.out(K), key=lambda a: -sig.level(a.cod))
     under = [(q, tuple(sig.compose(q, r) for r in sig.out(q.cod)))
-             for q in classes]
+             for q, _ in sig.filling(K)]
     results = []
 
     def assign(i, val):
@@ -176,7 +178,9 @@ def boundary_instances(M: FinStructure, K: str) -> list:
 
 
 def fiber(M: FinStructure, K: str, delta) -> tuple:
-    """The elements of M(K) lying over a boundary instance."""
+    """The elements of M(K) lying over a boundary instance.  A boundary
+    not yet in the fiber index is checked position by position in
+    ``sig.filling(K)`` order, and its first fault is raised."""
     sig = M.sig
     classes = sig.out(K)
     if len(delta) != len(classes) or not all(q in delta for q in classes):
@@ -189,16 +193,15 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
         # the boundary of an element, valid by functoriality, or one
         # validated here before
         return found
-    for q in classes:
+    for q, below in sig.filling(K):
         e = delta[q]
         if e not in M.elements[q.cod]:
             raise InvalidBoundary(f"{e!r} is not in the carrier of "
                                   f"{q.cod!r}")
-        for g in sig.out_gens(q.cod):
-            want = delta[sig.compose(q, sig.cls((g.name,)))]
-            if M.apply_gen(g.name, e) != want:
+        for g, t in below:
+            if M.apply_gen(g, e) != delta[t]:
                 raise InvalidBoundary(
-                    f"boundary for {K!r} violates {g.name!r} naturality "
+                    f"boundary for {K!r} violates {g!r} naturality "
                     f"at position {q.name!r}")
     index[key] = ()
     return ()
@@ -521,44 +524,13 @@ def satisfies(M: FinStructure, theory):
 
 # -- element-indexed indistinguishability -------------------------------
 
-def _pair_by_position(M: FinStructure, K: str, over_x, over_y):
-    """Variables x*, y* of sort K whose generator positions ``g`` hold
-    the elements ``over_x[g]`` and ``over_y[g]``, plus the assignment of
-    their boundary variables.
-
-    Each boundary element becomes one variable, named after its sort and
-    the order in which the walk first reaches it, not after the element.
-    Two pairs whose boundaries coincide in the same pattern therefore get
-    the same x* and y*, and so the same ``Ind(x*, y*)``.
-    """
-    sig = M.sig
-    var_of, asg, count = {}, {}, {}
-
-    def mirror(sort, elem):
-        v = var_of.get((sort, elem))
-        if v is None:
-            proj = tuple((g.name, mirror(g.cod, M.apply_gen(g.name, elem)))
-                         for g in sig.out_gens(sort))
-            count[sort] = count.get(sort, 0) + 1
-            v = Variable(f"{sort.lower()}_{count[sort]}", sort, proj)
-            var_of[(sort, elem)] = v
-            asg[v] = elem
-        return v
-
-    def top(name, over):
-        return Variable(name, K, tuple((g.name, mirror(g.cod, over[g.name]))
-                                       for g in sig.out_gens(K)))
-
-    return top("x*", over_x), top("y*", over_y), asg
-
-
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     """card of Ind(x, y) with x, y standing over the element boundaries
     of a and b."""
-    gens = M.sig.out_gens(K)
-    xv, yv, asg = _pair_by_position(
-        M, K, {g.name: M.apply_gen(g.name, a) for g in gens},
-        {g.name: M.apply_gen(g.name, b) for g in gens})
+    out = M.sig.out(K)
+    (xv, yv), asg = variables_over(
+        M.sig, K, [{q: M.apply(q.path, e) for q in out} for e in (a, b)],
+        ("x*", "y*"))
     asg[xv] = a
     asg[yv] = b
     phi = ind(M.sig, xv, yv)
@@ -593,16 +565,17 @@ def check_saturation(M: FinStructure, K: str) -> list:
     return list(_violations(M, K))
 
 
-def _saturated(M: FinStructure, K: str, level1: bool = False) -> bool:
-    """Whether K has no violation.  On level 1: no fiber of two.  On
-    level 2, when ``level1`` says level 1 is saturated: no two distinct
-    elements of one fiber with a non-zero ``Ind``.  Every sort above a
-    level-2 sort has level 1 and fibers of at most one element, so each
-    ``~=`` in its ``Ind`` is 0! or 1!, and card Ind(a, a) is 1.  Above
-    level 2 this fails (on Z_2, card(x ~ x) is 64 at ``O``)."""
+def _saturated(M: FinStructure, K: str) -> bool:
+    """Whether K has no violation, given that every level below K's is
+    saturated.  On level 1: no fiber of two.  On level 2: no two
+    distinct elements of one fiber with a non-zero ``Ind``.  Every sort
+    above a level-2 sort has level 1 and, by the precondition, fibers of
+    at most one element, so each ``~=`` in its ``Ind`` is 0! or 1!, and
+    card Ind(a, a) is 1.  Above level 2 this fails (on Z_2, card(x ~ x)
+    is 64 at ``O``)."""
     if _ind_is_top(M.sig, K):
         return all(len(F) <= 1 for F in M.fibers(K).values())
-    if level1 and M.sig.level(K) == 2:
+    if M.sig.level(K) == 2:
         # a snapshot: evaluating Ind adds empty fibers to the index
         return all(card_iso_elems(M, K, a, b) == 0
                    for F in tuple(M.fibers(K).values())
@@ -628,7 +601,7 @@ def saturation_profile(M: FinStructure) -> dict:
     sig = M.sig
     profile, ok = {}, True
     for n in range(1, sig.height + 1):
-        ok = ok and all(_saturated(M, K, level1=profile.get(1, False))
+        ok = ok and all(_saturated(M, K)
                         for K in sig.sorts if sig.level(K) == n)
         profile[n] = ok
     profile["total"] = profile[sig.height]

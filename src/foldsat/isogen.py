@@ -9,6 +9,9 @@ distinguished one (and the positions it forces), and fresh fillers are
 enumerated over all coincidence patterns and named in a fixed order.
 Each coincidence pattern gives one filler pattern, so no two of them are
 alpha-equal and nothing is deduplicated (a property test pins this).
+Both walks read the signature's fill order: the filler search and
+``variables_over``, which builds the variables over given boundaries,
+generic ones or those of elements.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
 from .pretty import pformat
 from .sigcore import Arrow, Signature
 from .synkit import (And, Equiv, Exists, Forall, Formula, Implies, Top,
-                     Variable, compatible_sorts, conj, mk_var,
-                     universal_closure)
+                     Variable, compatible_sorts, conj, deepest_first,
+                     mk_var, universal_closure)
 
 
 @dataclass(frozen=True)
@@ -38,103 +41,58 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
     """All filler patterns for Ind_R at position p, one per coincidence
     pattern of the fillers; p must be a position of R over x's sort and R
     compatible with both x and y."""
-    K = x.sort
-    # classes out of R forced by the distinguished position
-    derived = {}
-    for g in sig.out(K):
-        derived[sig.compose(p, g)] = g
-    # out(R) order breaks ties in level: the sort is stable
-    shared = [q for q in sig.out(R) if q != p and q not in derived]
-    shared.sort(key=lambda q: -sig.level(q.cod))
+    # what the x side and the y side hold at each position of R: p and the
+    # positions p forces, then the shared positions, each filled with one
+    # variable on both sides
+    side = {p: (x, y)}
+    for g in sig.out(x.sort):
+        side[sig.compose(p, g)] = (x.proj_along(g.path),
+                                   y.proj_along(g.path))
+    shared = [(q, below) for q, below in sig.filling(R) if q not in side]
+    # a shared position over one where x and y differ has no filler,
+    # whatever the other positions hold
+    if any(t in side and side[t][0] != side[t][1]
+           for _, below in shared for _, t in below):
+        return []
 
-    pool = _by_level_and_name(sig, x.dep() | y.dep())
+    pool = deepest_first(sig, x.dep() | y.dep())
     used_names = {v.name for v in pool}
+    patterns = []
 
-    def a_val(q, val):
-        if q == p:
-            return x
-        if q in derived:
-            return x.proj_along(derived[q].path)
-        return val[q]
-
-    def b_val(q, val):
-        if q == p:
-            return y
-        if q in derived:
-            return y.proj_along(derived[q].path)
-        return val[q]
-
-    # a shared position over p, or over a position p forces, needs x and
-    # y to agree there, whatever the other positions hold
-    for q in shared:
-        for gen in sig.out_gens(q.cod):
-            t = sig.compose(q, sig.cls((gen.name,)))
-            if (t == p or t in derived) and a_val(t, None) != b_val(t, None):
-                return []
-
-    results = []
-
-    def assign(i, val, fresh):
+    # Every position below a shared one comes earlier in the fill order,
+    # so each branch sets what it reads and nothing is unset on return.
+    def assign(i, fresh):
+        taken = used_names | {v.name for v in fresh}
         if i == len(shared):
-            results.append((dict(val), tuple(fresh)))
+            fill = [(g.name, side[sig.cls((g.name,))])
+                    for g in sig.out_gens(R)]
+            aname = _fresh_name(R, taken)
+            alpha = mk_var(sig, aname, R, {g: a for g, (a, _) in fill})
+            beta = mk_var(sig, _fresh_name(R, taken | {aname}), R,
+                          {g: b for g, (_, b) in fill})
+            gamma = (alpha.boundary() | beta.boundary()) - (x.dep()
+                                                            | y.dep())
+            patterns.append(FillerPattern(alpha, beta,
+                                          tuple(deepest_first(sig, gamma))))
             return
-        q = shared[i]
+        q, below = shared[i]
         S = q.cod
-        req = {}
-        ok = True
-        for gen in sig.out_gens(S):
-            t = sig.compose(q, sig.cls((gen.name,)))
-            av, bv = a_val(t, val), b_val(t, val)
-            if av != bv:
-                ok = False
-                break
-            req[gen.name] = av
-        if not ok:
-            return
-        candidates = [v for v in pool + fresh if v.sort == S
-                      and all(v.proj_map()[g] == w for g, w in req.items())]
-        for v in candidates:
-            val[q] = v
-            assign(i + 1, val, fresh)
-            del val[q]
+        # x and y agree at every position below q
+        req = {g: side[t][0] for g, t in below}
+        for v in [v for v in pool + fresh if v.sort == S
+                  and all(v.proj_map()[g] == w for g, w in req.items())]:
+            side[q] = (v, v)
+            assign(i + 1, fresh)
         # one genuinely new filler with exactly the forced boundary
-        name = _fresh_name(S, used_names | {v.name for v in fresh})
         try:
-            newv = mk_var(sig, name, S, req)
+            newv = mk_var(sig, _fresh_name(S, taken), S, req)
         except FunctorialityError:
             return
-        val[q] = newv
-        assign(i + 1, val, fresh + [newv])
-        del val[q]
+        side[q] = (newv, newv)
+        assign(i + 1, fresh + [newv])
 
-    assign(0, {}, [])
-
-    patterns = []
-    gen_classes = {g.name: sig.cls((g.name,)) for g in sig.out_gens(R)}
-    for val, fresh in results:
-        a_fill = {g: a_val(c, val) for g, c in gen_classes.items()}
-        b_fill = {g: b_val(c, val) for g, c in gen_classes.items()}
-        aname = _fresh_name(R, used_names | {v.name for v in fresh})
-        bname = _fresh_name(R, used_names | {v.name for v in fresh}
-                            | {aname})
-        alpha = mk_var(sig, aname, R, a_fill)
-        beta = mk_var(sig, bname, R, b_fill)
-        gamma = (alpha.boundary() | beta.boundary()) - (x.dep() | y.dep())
-        order = sorted(gamma, key=lambda v: (-sig.level(v.sort), v.name))
-        patterns.append(FillerPattern(alpha, beta, tuple(order)))
+    assign(0, [])
     return patterns
-
-
-def _by_level_and_name(sig: Signature, vars_) -> list:
-    """``vars_`` deepest sort first, then by name; ``repr`` orders
-    variables that tie there."""
-    def key(v):
-        return -sig.level(v.sort), v.name
-
-    out = sorted(vars_, key=key)
-    if len(set(map(key, out))) < len(out):
-        out.sort(key=lambda v: (key(v), repr(v)))
-    return out
 
 
 def _fresh_name(sort, used):
@@ -226,24 +184,40 @@ def sort_equiv(sig: Signature, K: str, alpha: Variable,
     return And((functional, injective, surjective))
 
 
+def variables_over(sig: Signature, K: str, boundaries, names):
+    """Variables of sort K, the one named ``names[i]`` over
+    ``boundaries[i]``, a map from the positions out of K to values, and
+    the value of each boundary variable.
+
+    The positions are filled in ``sig.filling(K)`` order, and one
+    variable stands for a value at every position of its sort that holds
+    it, in any of the boundaries.  Variables are named in the order the
+    walk reaches them, not after their values, so boundaries that
+    coincide in one pattern give the same variables."""
+    var_of, value_of, used = {}, {}, set(names)
+    tops = []
+    for name, values in zip(names, boundaries):
+        at = {}
+        for q, below in sig.filling(K):
+            key = (q.cod, values[q])
+            v = var_of.get(key)
+            if v is None:
+                v = var_of[key] = mk_var(sig, _fresh_name(q.cod, used),
+                                         q.cod, {g: at[t] for g, t in below})
+                used.add(v.name)
+                value_of[v] = values[q]
+            at[q] = v
+        tops.append(mk_var(sig, name, K, {g.name: at[sig.cls((g.name,))]
+                                          for g in sig.out_gens(K)}))
+    return tops, value_of
+
+
 def generic_context(sig: Signature, K: str, names=("x", "y")):
     """A canonical pair of variables of sort K over one shared generic
     boundary (fresh boundary variables, identified only where the
     signature's equations force it)."""
-    # out(K) order breaks ties in level: the sort is stable
-    classes = sorted(sig.out(K), key=lambda a: -sig.level(a.cod))
-    val = {}
-    used = set(names)
-    for q in classes:
-        fillers = {}
-        for gen in sig.out_gens(q.cod):
-            fillers[gen.name] = val[sig.compose(q, sig.cls((gen.name,)))]
-        name = _fresh_name(q.cod, used)
-        used.add(name)
-        val[q] = mk_var(sig, name, q.cod, fillers)
-    top_fill = {g.name: val[sig.cls((g.name,))] for g in sig.out_gens(K)}
-    x = mk_var(sig, names[0], K, top_fill)
-    y = mk_var(sig, names[1], K, top_fill)
+    positions = {q: q for q in sig.out(K)}
+    (x, y), _ = variables_over(sig, K, (positions, positions), names)
     return x, y
 
 

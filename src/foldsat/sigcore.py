@@ -6,6 +6,10 @@ equations generate.  One topological order of the sorts serves the cycle
 check, the levels and the hom-classes: the classes out of a sort are built
 from its generators and the already-built classes of their codomains, so
 no generator path is enumerated and hom-sets are exact and deterministic.
+The signature also owns the walk over a sort's boundary: its fill order
+lists the positions out of a sort deepest codomain first, each with the
+positions its generators reach, and every routine that fills or checks
+a boundary reads it.
 """
 
 from __future__ import annotations
@@ -68,11 +72,13 @@ class Signature:
     """A validated finite inverse category.
 
     Immutable after construction; build instances through
-    :func:`validate_signature`.  Besides the hom-classes it owns two
+    :func:`validate_signature`.  Besides the hom-classes it owns three
     tables of facts derived from them, each filled on first use, and a
     mark:
 
     - ``compose``: ``(first, then) -> composite``
+    - ``filling``: per sort K, the positions out of K in fill order,
+      each with its generator images as positions of K
     - ``position_groups``: per sort K, for each sort R above K, the
       groups of K's positions that R identifies
     - ``validity_mark``: what ``synkit.mk_var`` leaves on the variables
@@ -98,6 +104,7 @@ class Signature:
         self._compute_levels(order)
         self._build_classes(order)
         self._composite = {}
+        self._filling = {}
         self._position_groups = {}
         # a plain object rather than the signature itself, so that marked
         # variables kept in a cache keyed weakly by the signature do not
@@ -223,6 +230,24 @@ class Signature:
         if sort not in self.levels:
             raise UnknownSort(f"unknown sort {sort!r}")
         return self._out[sort]
+
+    def filling(self, sort) -> tuple:
+        """``(q, ((g, q∘g), ...))`` for each position q out of ``sort``,
+        deepest codomain first and in ``out`` order within a level, with
+        one pair for each generator g out of q's codomain.  Every q∘g is
+        deeper than q, so it comes earlier: filling a boundary in this
+        order, the images an element at q must have are already
+        chosen."""
+        table = self._filling.get(sort)
+        if table is None:
+            # a stable sort: out(sort) order breaks ties in level
+            order = sorted(self.out(sort),
+                           key=lambda q: -self.levels[q.cod])
+            table = self._filling[sort] = tuple(
+                (q, tuple((g.name, self.compose(q, self.cls((g.name,))))
+                          for g in self._out_gens[q.cod]))
+                for q in order)
+        return table
 
     def position_groups(self, sort) -> tuple:
         """``(R, groups)`` for each sort R strictly above ``sort``, in
@@ -350,14 +375,5 @@ def validate_signature(raw, name="sig") -> Signature:
                 f"{'.'.join(lhs)} = {'.'.join(rhs)}")
         equations.append((lhs, rhs))
 
-    sig = Signature(name, sorts, gens, equations, order,
-                    _token=_BUILD_TOKEN)
-
-    declared = raw.get("levels")
-    if declared:
-        for s, lv in declared.items():
-            if sig.levels.get(s) != lv:
-                raise CompositionError(
-                    f"declared level {lv} for sort {s} disagrees with "
-                    f"computed level {sig.levels.get(s)}")
-    return sig
+    return Signature(name, sorts, gens, equations, order,
+                     _token=_BUILD_TOKEN)

@@ -291,12 +291,24 @@ def conj(args) -> Formula:
 
 # -- universal closure --------------------------------------------------
 
+def deepest_first(sig: Signature, vars_) -> list:
+    """``vars_`` deepest sort first, then by name; ``repr`` orders
+    variables that tie there.  A variable's boundary lies in deeper
+    sorts, so it comes before the variable."""
+    def key(v):
+        return -sig.level(v.sort), v.name
+
+    out = sorted(vars_, key=key)
+    if len(set(map(key, out))) < len(out):
+        out.sort(key=lambda v: (key(v), repr(v)))
+    return out
+
+
 def universal_closure(sig: Signature, phi: Formula, vars_) -> Formula:
     """Forall-quantify ``vars_`` in dependency order (variables with deeper
     boundaries innermost)."""
-    order = sorted(vars_, key=lambda v: (-sig.level(v.sort), v.name))
     out = phi
-    for v in reversed(order):
+    for v in reversed(deepest_first(sig, vars_)):
         out = Forall(v, out)
     if not is_context(context_of(out.free_vars())):
         raise IllFormedContext(

@@ -14,11 +14,10 @@ import re
 
 from foldsat.errors import (NotAModel, ParseError, PreconditionViolation,
                             SortMismatch)
-from foldsat.finsem import (FinStructure, _pair_by_position, card_iso_elems,
-                            eval_card, ind_truth_elems, satisfies,
-                            saturation_profile)
+from foldsat.finsem import (FinStructure, card_iso_elems, eval_card,
+                            ind_truth_elems, satisfies, saturation_profile)
 from foldsat.homspan import Hom, is_fibsurj
-from foldsat.isogen import sort_equiv
+from foldsat.isogen import sort_equiv, variables_over
 from foldsat.cli import parse_formula
 from foldsat.stdlib import (FiniteCategory, builtin_signature, tcat_axioms,
                             validate_category)
@@ -94,14 +93,7 @@ def boundary_pair_context(M: FinStructure, K: str, d1, d2):
     """Two distinct variables of sort K over the element boundaries d1
     and d2 (sharing boundary variables where the elements coincide),
     plus the assignment of their boundary variables."""
-    sig = M.sig
-
-    def over(delta):
-        return {g.name: delta[sig.cls((g.name,))] for g in sig.out_gens(K)}
-
-    xt, yt, asg = _pair_by_position(M, K, over(d1), over(d2))
-    for v in (xt, yt):
-        mk_var(sig, v.name, K, v.proj_map())
+    (xt, yt), asg = variables_over(M.sig, K, (d1, d2), ("x*", "y*"))
     return xt, yt, asg
 
 

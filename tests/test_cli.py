@@ -148,6 +148,28 @@ def test_syntax_error_messages(text, message):
     assert str(err.value) == message
 
 
+# a file over another signature is reported at the signature's name, and a
+# row with the wrong number of boundary entries at its first token
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_structure, "structure X over lrg { }",
+     "structure is over 'lrg', expected 'lcat' (line 1, col 18)"),
+    (parse_structure,
+     "structure X over lcat {\n  O = { a };\n  A = { u(a,a), f:(a) };\n}",
+     "element 'f' of sort A needs 2 boundary entries, got 1 "
+     "(line 3, col 17)"),
+    (parse_structure, "structure X over lcat {\n  O = { a }; A = { (a,a,a) };\n}",
+     "element '_a1' of sort A needs 2 boundary entries, got 3 "
+     "(line 2, col 20)"),
+    (parse_theory, "theory T over\n  lrg { }",
+     "theory is over 'lrg', expected 'lcat' (line 2, col 3)"),
+])
+def test_structure_and_theory_errors_name_their_position(lcat, parse, text,
+                                                         message):
+    with pytest.raises(ParseError) as err:
+        parse(text, lcat)
+    assert str(err.value) == message
+
+
 def test_bad_character_is_reported_before_syntax_errors(capsys):
     """BadChar.folds misses a comma on line 3 and holds a '$' on line 5
     (and others in a comment): the '$' is the error, with its position."""

@@ -8,7 +8,8 @@ from foldsat.finsem import (_hoist_guards, boundary_instances,
                             equiv_card_via_bijections, eval_card, eval_prop,
                             fiber, ind_truth_elems, satisfies,
                             saturation_profile, validate_structure)
-from foldsat.isogen import iso_formula
+from foldsat.isogen import ind, iso_formula, variables_over
+from foldsat.sigcore import validate_signature
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
 from foldsat.synkit import (And, Atom, Bottom, Exists, Forall, Iff, Implies,
@@ -137,6 +138,49 @@ def test_i_boundary_instances_only_over_endos(models):
     endos = {delta[M.sig.cls(("i",))]
              for delta in boundary_instances(M, "I")}
     assert endos == {"ida", "idb"}
+
+
+def test_invalid_boundary_reports_its_deepest_fault_first():
+    """An unindexed boundary is checked in fill order, deepest codomain
+    first: here the stray element at ``o`` (into O, level 3) is reported,
+    not the one at ``f`` (into A, level 2), although ``out(X)`` lists
+    ``f`` first because A is declared before O."""
+    sig = validate_signature({
+        "sorts": ["A", "O", "X"],
+        "arrows": [("d", "A", "O"), ("f", "X", "A"), ("o", "X", "O")],
+        "equations": []})
+    assert [q.name for q in sig.out("X")] == ["f", "o", "f.d"]
+    M = validate_structure(sig, {"carriers": {"O": ["a"], "A": ["u"]},
+                                 "maps": {"d": {"u": "a"}}})
+    pos = {q.name: q for q in sig.out("X")}
+    with pytest.raises(InvalidBoundary) as err:
+        fiber(M, "X", {pos["f"]: "s1", pos["o"]: "s2", pos["f.d"]: "a"})
+    assert str(err.value) == "'s2' is not in the carrier of 'O'"
+
+
+def test_element_pairs_of_one_boundary_pattern_share_their_ind(lcat):
+    """Boundary variables are named in the order the walk reaches them,
+    not after their elements: two pairs of arrows whose boundaries
+    coincide in one pattern get the same x* and y*, and so one ``Ind``."""
+    M = validate_structure(lcat, {
+        "carriers": {"O": ["a", "b", "c"], "A": ["f", "g", "h", "k"]},
+        "maps": {"d": {"f": "a", "g": "a", "h": "b", "k": "b"},
+                 "c": {"f": "b", "g": "b", "h": "c", "k": "c"}}})
+
+    def over(a, b):
+        return variables_over(lcat, "A", [boundary_of(M, "A", e)
+                                          for e in (a, b)], ("x*", "y*"))
+
+    (x1, y1), values1 = over("f", "g")
+    (x2, y2), values2 = over("h", "k")
+    assert (x1, y1) == (x2, y2) and x1.proj == y1.proj
+    assert sorted(values1.values()) == ["a", "b"]
+    assert sorted(values2.values()) == ["b", "c"]
+    assert ind(lcat, x1, y1) is ind(lcat, x2, y2)
+    # f ends where h starts: another pattern, and another pair
+    (x3, y3), _ = over("f", "h")
+    assert x3.proj_map()["c"] == y3.proj_map()["d"]
+    assert (x3, y3) != (x1, y1)
 
 
 def test_structures_are_read_only(models):

@@ -566,7 +566,7 @@ def check_level2_rule(M):
     for K in level2:
         for a in M.carrier(K):
             assert card_iso_elems(M, K, a, a) == 1, (K, a)
-        assert _saturated(M, K, level1=True) \
+        assert _saturated(M, K) \
             == (not violations(M, K, named_card_iso)), K
     return len(level2)
 

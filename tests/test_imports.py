@@ -1,16 +1,19 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses,
+and no private helper of the package goes unread.
 
 No linter is a dependency, so this is a small AST scan: a name bound by
 an import counts as used when the module reads it, names it in a string
-annotation, or lists it in ``__all__``.
+annotation, or lists it in ``__all__``.  A top-level function or class of
+the package whose name starts with ``_`` counts as read when some module
+of the package names it or reads it as an attribute.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "foldsat").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "foldsat").glob("*.py"))
+FILES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree):
@@ -68,4 +71,44 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES
              for name, line in unused_imports(path.read_text())]
+    assert not found, "\n".join(found)
+
+
+def private_helpers(tree):
+    """(name, line) of each top-level function or class named with a
+    leading ``_``."""
+    return [(node.name, node.lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def read_names(tree):
+    """Every name the module reads, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def dead_helpers(texts):
+    """(module, name, line) of each private helper that no module of
+    ``texts`` (a map from module name to source) reads."""
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [(name, helper, line) for name, tree in trees.items()
+            for helper, line in private_helpers(tree) if helper not in read]
+
+
+def test_dead_helpers_are_found():
+    texts = {"a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+                  "class _Gone:\n    def _method(self):\n        pass\n",
+             "b": "import a\n\ndef public():\n    return a._used()\n"}
+    assert dead_helpers(texts) == [("a", "_dead", 4), ("a", "_Gone", 7)]
+
+
+def test_no_dead_helpers():
+    assert SOURCES
+    found = [f"src/foldsat/{module}.py:{line}: {name}"
+             for module, name, line in dead_helpers(
+                 {path.stem: path.read_text() for path in SOURCES})]
     assert not found, "\n".join(found)

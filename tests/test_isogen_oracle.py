@@ -5,9 +5,10 @@ position that p fixes and some shared position's boundary reaches it.
 The oracle is the enumeration without that check, kept here: it walks
 every shared position and finds the clash only on each branch.  Every
 ``_fillers`` call made while generating ``Ind`` for the built-in
-signatures, diamond stacks, the saturation of the corpus and of random
-lcat structures, and ``~=`` between different fibers must return the
-oracle's patterns.
+signatures, diamond stacks and random DAG signatures, the saturation of
+the corpus, of random lcat structures and of random structures over DAG
+signatures, and ``~=`` between different fibers must return the oracle's
+patterns.
 
 ``_ind_at`` keeps every pattern ``_fillers`` returns, with no
 deduplication: each coincidence pattern of the fillers gives one
@@ -20,11 +21,13 @@ from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from foldsat import isogen
 from foldsat.cli import parse_formula
 from foldsat.errors import FunctorialityError
-from foldsat.finsem import check_saturation, eval_card, saturation_profile
+from foldsat.finsem import (check_saturation, eval_card, saturation_profile,
+                            validate_structure)
 from foldsat.isogen import (FillerPattern, _fresh_name, _pattern_formula,
                             generic_context, iso_formula)
 from foldsat.pretty import pformat
@@ -33,7 +36,8 @@ from foldsat.stdlib import builtin_signature, corpus
 from foldsat.synkit import mk_var
 from paper_checks import alpha_eq
 from test_finsem_oracle import lcat_structures
-from test_sigcore_oracle import dag_signatures, diamond_stack
+from test_sigcore_oracle import (_codomains_first, dag_signatures,
+                                 diamond_stack, draw_structure)
 
 
 def enumerate_fillers(sig, R, p, x, y):
@@ -148,6 +152,37 @@ def test_pruned_fillers_match_enumeration_in_saturation(checked, M):
     assert checked
 
 
+def few_parallel_positions(sig):
+    """No sort has more than three positions into one sort: ``Ind`` grows
+    steeply with that number, as the saturation oracles note."""
+    return all(n <= 3 for K in sig.sorts
+               for n in Counter(q.cod for q in sig.out(K)).values())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(dag_signatures(), st.data())
+def test_pruned_fillers_match_enumeration_on_dag_signatures(checked, raw,
+                                                            data):
+    """Equations and parallel arrows: each sort's generic ``Ind``, then
+    the ``Ind`` over element pairs that saturation evaluates on a random
+    structure, for every sort above level 1."""
+    order, sig = _codomains_first(raw)
+    if not few_parallel_positions(sig):
+        return
+    for K in sig.sorts:
+        iso_formula(sig, K)
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+    except FunctorialityError:
+        return
+    for K in sig.sorts:
+        if sig.level(K) >= 2:
+            check_saturation(M, K)
+
+
 # sort O; sort S { d: O }; sort R { p1: S, p2: S, p3: S }
 PAR3 = {"sorts": ["O", "S", "R"],
         "arrows": [("d", "S", "O"), ("p1", "R", "S"), ("p2", "R", "S"),
@@ -164,8 +199,7 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
     sort are skipped, as in the saturation oracles: ``Ind`` grows
     steeply with that number."""
     sig = validate_signature(raw)
-    if any(n > 3 for K in sig.sorts
-           for n in Counter(q.cod for q in sig.out(K)).values()):
+    if not few_parallel_positions(sig):
         return
     real = isogen._fillers
 

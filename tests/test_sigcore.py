@@ -66,16 +66,6 @@ def test_equation_endpoint_mismatch_rejected():
         })
 
 
-def test_declared_level_disagreement_rejected():
-    with pytest.raises(CompositionError):
-        validate_signature({
-            "sorts": ["O", "A"],
-            "arrows": [("d", "A", "O")],
-            "equations": [],
-            "levels": {"O": 1},
-        })
-
-
 @pytest.mark.parametrize("name,expected,height", [
     ("lrg", {"I": 1, "A": 2, "O": 3}, 3),
     ("lrg_eq", {"I": 1, "eqA": 1, "A": 2, "O": 3}, 3),

@@ -365,6 +365,29 @@ def test_compose_table_matches_fold(raw):
                         sig.compose(f, g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dag_signatures())
+def test_filling_lists_each_position_after_its_images(raw):
+    """``filling(K)`` lists each position out of K once, deepest codomain
+    first and in ``out`` order within a level; each pair is a generator
+    out of the position's codomain and the composite with it, which comes
+    earlier in the list."""
+    sig = validate_signature(raw)
+    for K in sig.sorts:
+        table = sig.filling(K)
+        order = [q for q, _ in table]
+        out = list(sig.out(K))
+        assert order == sorted(out, key=lambda q: (-sig.level(q.cod),
+                                                   out.index(q)))
+        for i, (q, below) in enumerate(table):
+            assert [g for g, _ in below] \
+                == [g.name for g in sig.out_gens(q.cod)]
+            for g, t in below:
+                assert t == sig.compose(q, sig.cls((g,)))
+                assert t in order[:i]
+        assert sig.filling(K) is table
+
+
 def compatible_sorts_by_loop(sig, x):
     """``compatible_sorts`` as it was before the signature grouped the
     positions: every composite recomputed for each variable."""
