@@ -29,10 +29,6 @@ class UnknownName(FoldsError):
     pass
 
 
-class IllFormedContext(FoldsError):
-    pass
-
-
 class SortMismatch(FoldsError):
     pass
 
@@ -69,10 +65,6 @@ class NotSaturatedPrecondition(FoldsError):
     pass
 
 
-class PreconditionViolation(FoldsError):
-    pass
-
-
 class HeightOutOfScope(FoldsError):
     pass
 
@@ -82,10 +74,6 @@ class NotSaturated(FoldsError):
 
 
 class InvalidCategory(FoldsError):
-    pass
-
-
-class NotAModel(FoldsError):
     pass
 
 

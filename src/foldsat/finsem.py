@@ -9,6 +9,9 @@ equivalence nodes are evaluated as sums over fiber bijections whose
 graph is pointwise indistinguishable; this is the finite-set form of the
 equivalence data and is cross-checked against the expanded three-part
 formula wherever the saturation precondition makes the two agree.
+Every fiber is read from ``FinStructure.fibers``, which indexes each
+sort's elements by boundary once and is only read after that; a
+natural boundary the index lacks has an empty fiber.
 Nothing lies above a level-1 sort, so its ``Ind`` is ``Top``: its
 ``~=`` counts every bijection, and it is saturated when each of its
 fibers has at most one element.  Saturation is decided level by level
@@ -75,8 +78,8 @@ class FinStructure:
     def fibers(self, sort) -> dict:
         """The elements of ``sort`` by boundary: a map from the tuple of
         their images along ``sig.out(sort)`` to the elements over it, in
-        carrier order.  Built on first use; ``fiber`` adds each valid
-        boundary it finds empty, mapped to ``()``."""
+        carrier order.  Built once, on first use, and only read after
+        that: a natural boundary missing from it has an empty fiber."""
         index = self._fibers.get(sort)
         if index is None:
             out = self.sig.out(sort)
@@ -179,19 +182,16 @@ def boundary_instances(M: FinStructure, K: str) -> list:
 
 def fiber(M: FinStructure, K: str, delta) -> tuple:
     """The elements of M(K) lying over a boundary instance.  A boundary
-    not yet in the fiber index is checked position by position in
-    ``sig.filling(K)`` order, and its first fault is raised."""
+    not in the fiber index is checked position by position in
+    ``sig.filling(K)`` order, and its first fault is raised; a valid one
+    has an empty fiber, which is not stored."""
     sig = M.sig
     classes = sig.out(K)
     if len(delta) != len(classes) or not all(q in delta for q in classes):
         raise InvalidBoundary(
             f"boundary for {K!r} must assign exactly its positions")
-    key = tuple(delta[q] for q in classes)
-    index = M.fibers(K)
-    found = index.get(key)
-    if found is not None:
-        # the boundary of an element, valid by functoriality, or one
-        # validated here before
+    found = M.fibers(K).get(tuple(delta[q] for q in classes))
+    if found is not None:  # the boundary of an element
         return found
     for q, below in sig.filling(K):
         e = delta[q]
@@ -203,7 +203,6 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
                 raise InvalidBoundary(
                     f"boundary for {K!r} violates {g!r} naturality "
                     f"at position {q.name!r}")
-    index[key] = ()
     return ()
 
 
@@ -426,19 +425,16 @@ class _Evaluator:
 
     def _fiber_fn(self, var: Variable):
         """A function from an environment to the fiber ``var`` ranges
-        over."""
-        K = var.sort
-        out = self.sig.out(K)
-        key_of = self._values(var.proj_along(q.path) for q in out)
-        index, M = self.M.fibers(K), self.M
-
-        def fib(env):
-            key = key_of(env)
-            found = index.get(key)
-            if found is None:  # fiber() validates the boundary
-                found = fiber(M, K, dict(zip(out, key)))
-            return found
-        return fib
+        over, read from the fiber index.  Every boundary looked up is
+        natural: ``mk_var`` checks each variable against the equations
+        (``a*`` and ``b*`` copy the projections of checked ones),
+        quantifiers bind elements of fibers, and ``eval_card`` checks
+        the assignment.  So a boundary missing from the index has an
+        empty fiber."""
+        key_of = self._values(var.proj_along(q.path)
+                              for q in self.sig.out(var.sort))
+        index = self.M.fibers(var.sort)
+        return lambda env: index.get(key_of(env), ())
 
     def _equiv(self, node: Equiv):
         """Sum over fiber bijections of the product of pointwise
@@ -576,9 +572,8 @@ def _saturated(M: FinStructure, K: str) -> bool:
     if _ind_is_top(M.sig, K):
         return all(len(F) <= 1 for F in M.fibers(K).values())
     if M.sig.level(K) == 2:
-        # a snapshot: evaluating Ind adds empty fibers to the index
         return all(card_iso_elems(M, K, a, b) == 0
-                   for F in tuple(M.fibers(K).values())
+                   for F in M.fibers(K).values()
                    for a in F for b in F if a != b)
     return next(_violations(M, K), None) is None
 

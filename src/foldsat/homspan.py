@@ -1,12 +1,16 @@
 """Homomorphisms, fiberwise surjections, spans and the structure
 identity decision.
 
-A homomorphism is a natural family of carrier maps; fiberwise
-surjectivity is checked over every boundary instance of the domain and
-witnessed by stored sections.  Two structures are equivalent when a span
-of fiberwise surjections joins them; for totally saturated structures of
-a height-3 signature this coincides with the existence of a structure
-isomorphism, which is what the decision procedure computes.
+A homomorphism is a natural family of carrier maps.  The search for
+one runs fiber by fiber: an element's images are the elements of the
+target's fiber over the image of its boundary, read from the target's
+fiber index (``FinStructure.fibers``), which the search never writes.
+Fiberwise surjectivity is checked over every boundary instance of the
+domain and witnessed by stored sections.  Two structures are
+equivalent when a span of fiberwise surjections joins them; for totally
+saturated structures of a height-3 signature this coincides with the
+existence of a structure isomorphism, which is what the decision
+procedure computes.
 """
 
 from __future__ import annotations
@@ -99,72 +103,61 @@ def colour_refinement(M: FinStructure, N: FinStructure):
         count = len(palette)
 
 
-def _iso_candidates(M: FinStructure, N: FinStructure, elems):
-    """For each (sort, element) of M, the elements of N with its stable
-    colour in carrier order; None when some colour is not equally
-    common in M and N, so that no isomorphism exists."""
-    mcol, ncol = colour_refinement(M, N)
-    if Counter(mcol.values()) != Counter(ncol.values()):
-        return None
-    classes = {}
-    for (_, v), c in ncol.items():
-        classes.setdefault(c, []).append(v)
-    return [classes[mcol[x]] for x in elems]
-
-
 def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
     """All natural map families M -> N, deterministically: depth first
-    over M's elements, sorts by decreasing level, each image tried in
-    N's carrier order.
+    over M's elements, sorts by decreasing level, so an element's
+    boundary is mapped before the element.  Its images are tried from
+    N's fiber over the image of that boundary, in carrier order: the
+    elements that keep the family natural along every position.
 
-    ``bijective`` restricts to per-sort bijections and tries as images
-    of an element only the elements of N with its colour
-    (``colour_refinement``).  An isomorphism preserves colours, so this
-    cuts only branches that hold none, and the bijections come in the
-    same order as over whole carriers.  The search keeps its own stack,
-    so its depth is not bounded by the recursion limit.
+    ``bijective`` restricts to per-sort bijections and keeps from each
+    fiber only the elements with the stable colour of the element
+    mapped (``colour_refinement``).  An isomorphism preserves colours,
+    so this cuts only branches that hold none, and the bijections come
+    in the same order as without the colours.  The search keeps its own
+    stack, so its depth is not bounded by the recursion limit.
     """
     sig = M.sig
     sorts = sorted(sig.sorts, key=lambda K: (-sig.level(K),
                                              sig.sorts.index(K)))
-    elems = [(K, e) for K in sorts for e in M.carrier(K)]
+    # each element with its boundary, as (sort, element) per position
+    elems = [(K, e, tuple((q.cod, M.apply(q.path, e)) for q in sig.out(K)))
+             for K in sorts for e in M.carrier(K)]
     if bijective:
-        candidates = _iso_candidates(M, N, elems)
-        if candidates is None:
+        mcol, ncol = colour_refinement(M, N)
+        if Counter(mcol.values()) != Counter(ncol.values()):
             return
-    else:
-        candidates = [N.carrier(K) for K, _ in elems]
-
-    def consistent(maps, K, e, v):
-        for g in sig.out_gens(K):
-            w = maps[g.cod].get(M.apply_gen(g.name, e))
-            if w is not None and N.apply_gen(g.name, v) != w:
-                return False
-        return True
-
     maps = {K: {} for K in sig.sorts}
+
+    def candidates(i):
+        K, e, below = elems[i]
+        over = N.fibers(K).get(tuple(maps[c][b] for c, b in below), ())
+        if bijective:
+            return (v for v in over if ncol[K, v] == mcol[K, e])
+        return iter(over)
+
     if not elems:
         yield maps
         return
     used = {K: set() for K in sig.sorts}  # images taken, when bijective
-    stack = [iter(candidates[0])]  # untried images of elems[i] at depth i
+    stack = [candidates(0)]  # untried images of elems[i] at depth i
     while stack:
         i = len(stack) - 1
-        K, e = elems[i]
+        K, e, _ = elems[i]
         for v in stack[-1]:
-            if v not in used[K] and consistent(maps, K, e, v):
+            if v not in used[K]:
                 break
         else:
             stack.pop()
             if stack:
-                K, e = elems[i - 1]
+                K, e, _ = elems[i - 1]
                 used[K].discard(maps[K].pop(e))
             continue
         maps[K][e] = v
         if bijective:
             used[K].add(v)
         if i + 1 < len(elems):
-            stack.append(iter(candidates[i + 1]))
+            stack.append(candidates(i + 1))
             continue
         yield {K: dict(maps[K]) for K in sig.sorts}
         del maps[K][e]
@@ -194,10 +187,6 @@ class Span:
 class SpanResult:
     status: str  # "found" | "absent" | "bound_exceeded"
     span: Span = None
-
-
-def default_apex_bound(M: FinStructure, N: FinStructure) -> dict:
-    return {K: len(M.carrier(K)) * len(N.carrier(K)) for K in M.sig.sorts}
 
 
 def _span_through(P: FinStructure, M, N, lmaps, rmaps):
@@ -232,7 +221,6 @@ def find_span(M: FinStructure, N: FinStructure, apex_bound=None):
     """
     if M.sig is not N.sig:
         raise SortMismatch("structures are over different signatures")
-    bound = dict(apex_bound or default_apex_bound(M, N))
     if (saturation_profile(M)["total"]
             and saturation_profile(N)["total"]):
         iso = structure_iso(M, N)
@@ -250,9 +238,11 @@ def find_span(M: FinStructure, N: FinStructure, apex_bound=None):
         span = _span_through(N, M, N, maps, identity_hom(N).maps)
         if span is not None:
             return SpanResult("found", span)
-    # apex M x N with the projections
-    P = _product_structure(M, N)
-    if all(len(P.carrier(K)) <= bound.get(K, 0) for K in P.sig.sorts):
+    # apex M x N with the projections, unless it exceeds a given bound
+    if not apex_bound or all(
+            len(M.carrier(K)) * len(N.carrier(K)) <= apex_bound.get(K, 0)
+            for K in M.sig.sorts):
+        P = _product_structure(M, N)
         lmaps = {K: {p: p[0] for p in P.carrier(K)} for K in P.sig.sorts}
         rmaps = {K: {p: p[1] for p in P.carrier(K)} for K in P.sig.sorts}
         span = _span_through(P, M, N, lmaps, rmaps)

@@ -136,9 +136,7 @@ def _ind(sig: Signature, x: Variable, y: Variable) -> Formula:
     both = [R for R in compatible_sorts(sig, x) if R in compatible_y]
     parts = []
     for R in both:
-        for p in sig.hom(R, K):
-            if p.is_identity:
-                continue
+        for p in sig.hom(R, K):  # R lies above K: no identity
             f = _ind_at(sig, R, p, x, y)
             if isinstance(f, Top):
                 continue

@@ -323,7 +323,8 @@ def validate_signature(raw, name="sig") -> Signature:
     ``raw`` is a mapping with keys ``sorts`` (list of names), ``arrows``
     (list of ``(name, dom, cod)``) and ``equations`` (list of pairs of
     generator-name paths, first-applied generator first).  Raises a
-    :class:`~foldsat.errors.SignatureError` carrying a ``diagnostics`` list.
+    :class:`~foldsat.errors.SignatureError`: a ``NameClashError``,
+    ``CycleError`` or ``CompositionError``.
     """
     diags = []
     sorts = list(raw.get("sorts", []))

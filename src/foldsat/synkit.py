@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import (FunctorialityError, IllFormedContext, SortMismatch,
-                     UnknownSort)
+from .errors import FunctorialityError, SortMismatch, UnknownSort
 from .sigcore import Signature
 
 
@@ -154,19 +153,6 @@ def union_contexts(*ctxs) -> frozenset:
     out = frozenset()
     for c in ctxs:
         out |= c
-    return out
-
-
-def is_context(ctx) -> bool:
-    """A context is a finite set of variables closed under projections."""
-    return all(v in ctx for x in ctx for _, v in x.proj)
-
-
-def context_of(vars_) -> frozenset:
-    """Projection closure of a set of variables."""
-    out = frozenset()
-    for v in vars_:
-        out |= v.dep()
     return out
 
 
@@ -310,9 +296,6 @@ def universal_closure(sig: Signature, phi: Formula, vars_) -> Formula:
     out = phi
     for v in reversed(deepest_first(sig, vars_)):
         out = Forall(v, out)
-    if not is_context(context_of(out.free_vars())):
-        raise IllFormedContext(
-            "free variables of the closure are not projection-closed")
     return out
 
 

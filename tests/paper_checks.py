@@ -12,8 +12,7 @@ scans is kept here too, as the oracle of the one in ``foldsat.cli``.
 
 import re
 
-from foldsat.errors import (NotAModel, ParseError, PreconditionViolation,
-                            SortMismatch)
+from foldsat.errors import FoldsError, ParseError, SortMismatch
 from foldsat.finsem import (FinStructure, card_iso_elems, eval_card,
                             ind_truth_elems, satisfies, saturation_profile)
 from foldsat.homspan import Hom, is_fibsurj
@@ -23,6 +22,14 @@ from foldsat.stdlib import (FiniteCategory, builtin_signature, tcat_axioms,
                             validate_category)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, mk_var)
+
+
+class PreconditionViolation(FoldsError):
+    """A lemma's hypothesis does not hold of its input."""
+
+
+class NotAModel(FoldsError):
+    """A structure is not a model a category can be read off."""
 
 
 # -- the lexer with positions -------------------------------------------

@@ -340,9 +340,11 @@ def test_hsip(capsys):
 
 # `--json` output of the search commands, byte for byte: each golden file
 # holds the standard output of `foldsat --json <command> ...` as printed
-# by the unrefined recursive search.  SquarePosetRev and Disc3Rev are
-# relabelled copies with every carrier reversed, so the first
-# isomorphism found is not the one the element names suggest.
+# by the unrefined recursive search (the plain `hom` ones by the search
+# over whole carriers), and a `hom_fibsurj_` case passes `--fibsurj`.
+# SquarePosetRev and Disc3Rev are relabelled copies with every carrier
+# reversed, so the first isomorphism found is not the one the element
+# names suggest.  The search order alone decides a plain `hom` witness.
 GOLDEN_CLI = {
     "equiv_WalkIso_TermCat": (0, "equiv", "WalkIso", "TermCat"),
     "equiv_Arrow2_Chain3": (1, "equiv", "Arrow2", "Chain3"),
@@ -359,6 +361,8 @@ GOLDEN_CLI = {
     "hom_fibsurj_Arrow2_TermCat": (1, "hom", "Arrow2", "TermCat"),
     "hom_fibsurj_SquarePoset_SquarePosetRev":
         (0, "hom", "SquarePoset", "SquarePosetRev"),
+    "hom_Disc2_DoubledI": (0, "hom", "Disc2", "DoubledI"),
+    "hom_Chain3_Z2Cat": (0, "hom", "Chain3", "Z2Cat"),
 }
 
 
@@ -374,7 +378,7 @@ def test_golden_json_output(capsys, case):
     if command == "hsip":
         argv.append(p("tcat.thy"))
     argv += [structure_path(left), structure_path(right)]
-    if command == "hom":
+    if case.startswith("hom_fibsurj_"):
         argv.append("--fibsurj")
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code

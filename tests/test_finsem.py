@@ -200,6 +200,25 @@ def test_structures_are_read_only(models):
         M.maps["d"][M.carrier("A")[0]] = "extra"
 
 
+def test_fiber_index_is_read_only_after_it_is_built():
+    """Evaluating the theory and deciding saturation read the fiber
+    index and add no boundary to it, and ``fiber`` answers a valid
+    boundary the index lacks with an empty fiber it does not store."""
+    M = corpus()["Z2Cat"]
+    built = {K: list(M.fibers(K)) for K in M.sig.sorts}
+    assert satisfies(M, tcat_axioms())[0]
+    saturation_profile(M)
+    assert {K: list(M.fibers(K)) for K in M.sig.sorts} == built
+    # e . e = e, so nothing of comp lies over (e, e, s)
+    empty = [d for d in boundary_instances(M, "comp")
+             if tuple(d[q] for q in M.sig.out("comp"))
+             not in M.fibers("comp")]
+    assert empty
+    for delta in empty:
+        assert fiber(M, "comp", delta) == ()
+    assert {K: list(M.fibers(K)) for K in M.sig.sorts} == built
+
+
 def test_boundary_of_roundtrip(models):
     M = models["Arrow2"]
     for K in M.sig.sorts:

@@ -2,16 +2,15 @@ import time
 
 import pytest
 
-from foldsat.errors import (HeightOutOfScope, NotSaturated,
-                            PreconditionViolation, SortMismatch)
+from foldsat.errors import HeightOutOfScope, NotSaturated, SortMismatch
 from foldsat.finsem import validate_structure
 from foldsat.homspan import (Hom, find_span, hsip_decide, identity_hom,
                              is_fibsurj, structure_iso)
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import (_poset_category, builtin_signature,
                             category_to_structure, corpus)
-from paper_checks import (check_ind_preservation, compose_homs, is_hom,
-                          verify_sections)
+from paper_checks import (PreconditionViolation, check_ind_preservation,
+                          compose_homs, is_hom, verify_sections)
 
 
 @pytest.fixture(scope="module")

@@ -6,18 +6,23 @@ The oracle is the recursive backtracking over whole carriers that
 ``structure_iso`` must return exactly its first bijection, or ``None``
 exactly when it finds none, and the non-bijective search must yield the
 same maps in the same order.  Inputs are random small lcat structures
-(preorders and cyclic groups, some with one element duplicated) and the
-corpus.
+(preorders and cyclic groups, some with one element duplicated), the
+corpus, Z_4 and Z_6, and random structures over random DAG signatures.
 """
 
 from itertools import islice, permutations, product
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from foldsat.errors import FunctorialityError
+from foldsat.finsem import validate_structure
 from foldsat.homspan import _hom_search, colour_refinement, structure_iso
 from foldsat.stdlib import _poset_category, category_to_structure, corpus
 from test_finsem_oracle import cyclic, duplicate, relabel
+from test_isogen_oracle import few_parallel_positions
+from test_sigcore_oracle import (_codomains_first, dag_signatures,
+                                 draw_structure)
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -153,8 +158,50 @@ def test_colours_are_invariant_under_relabelling(M, rnd):
 
 # -- the non-bijective search ------------------------------------------------
 
+Z4, Z6 = (category_to_structure(cyclic(n)) for n in (4, 6))
+
+
 @SETTINGS
+@example(Z4, Z6)
+@example(Z6, Z4)
 @given(small_structures(), small_structures())
 def test_hom_search_order_matches_oracle(M, N):
     want = list(islice(oracle_hom_search(M, N), 60))
     assert list(islice(_hom_search(M, N), 60)) == want
+
+
+# -- random DAG signatures ---------------------------------------------------
+
+def structures_over(sig, order, data, n):
+    """``n`` random structures over ``sig``, or None when a drawn one
+    breaks an equation."""
+    out = []
+    for _ in range(n):
+        try:
+            out.append(validate_structure(sig, dict(zip(
+                ("carriers", "maps"), draw_structure(sig, order, data)))))
+        except FunctorialityError:
+            return None
+    return out
+
+
+# composite positions are rare among small random signatures
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data(), st.randoms(use_true_random=False))
+def test_searches_match_oracle_on_dag_signatures(raw, data, rnd):
+    """Equations, composite positions and parallel arrows: a fiber key
+    holds an element's images along every position, not only along the
+    generators the oracle checks.  Signatures with more than three
+    positions into one sort are skipped, as in the saturation oracles."""
+    order, sig = _codomains_first(raw)
+    if not few_parallel_positions(sig):
+        return
+    pair = structures_over(sig, order, data, 2)
+    if pair is None:
+        return
+    M, N = pair
+    for A, B in ((M, N), (N, M), (M, relabel(M, shuffler(rnd)))):
+        want = list(islice(oracle_hom_search(A, B), 60))
+        assert list(islice(_hom_search(A, B), 60)) == want
+        assert structure_iso(A, B) == oracle_iso(A, B)

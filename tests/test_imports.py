@@ -1,11 +1,15 @@
 """No module of the package or of the tests imports a name it never uses,
-and no private helper of the package goes unread.
+no private helper of the package goes unread, and every error class of
+the package is used by the package.
 
 No linter is a dependency, so this is a small AST scan: a name bound by
 an import counts as used when the module reads it, names it in a string
 annotation, or lists it in ``__all__``.  A top-level function or class of
 the package whose name starts with ``_`` counts as read when some module
-of the package names it or reads it as an attribute.
+of the package names it or reads it as an attribute.  A class of
+``errors.py`` counts as used when another module of the package raises
+it, catches it or derives a class from it, or when it is the base of a
+used class.
 """
 
 import ast
@@ -111,4 +115,69 @@ def test_no_dead_helpers():
     found = [f"src/foldsat/{module}.py:{line}: {name}"
              for module, name, line in dead_helpers(
                  {path.stem: path.read_text() for path in SOURCES})]
+    assert not found, "\n".join(found)
+
+
+def _names(node):
+    """The names an expression such as ``E``, ``E(...)``, ``m.E`` or
+    ``(E, F)`` refers to."""
+    if isinstance(node, ast.Call):
+        return _names(node.func)
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def error_uses(tree):
+    """The names a module raises, catches or derives a class from."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            used |= _names(node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            used |= _names(node.type)
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                used |= _names(base)
+    return used
+
+
+def unused_errors(errors, others):
+    """(name, line) of each class in the ``errors`` source that no
+    source in ``others`` raises, catches or derives a class from, and
+    that is no base of a class that one does."""
+    used = set().union(*(error_uses(ast.parse(text)) for text in others))
+    classes = [node for node in ast.parse(errors).body
+               if isinstance(node, ast.ClassDef)]
+    for node in reversed(classes):  # a base is defined before its subclass
+        if node.name in used:
+            used |= {n for base in node.bases for n in _names(base)}
+    return [(node.name, node.lineno) for node in classes
+            if node.name not in used]
+
+
+def test_unused_errors_are_found():
+    errors = ("class Base(Exception):\n    pass\n\nclass Raised(Base):\n"
+              "    pass\n\nclass Caught(Base):\n    pass\n\n"
+              "class Dead(Base):\n    pass\n")
+    user = ("from errors import Caught, Dead, Raised\n\n"
+            "def f(x):\n    try:\n        raise Raised(x)\n"
+            "    except (KeyError, Caught):\n        return Dead\n")
+    assert unused_errors(errors, [user]) == [("Dead", 10)]
+    assert unused_errors(errors, ["raise Dead"]) == [("Raised", 4),
+                                                    ("Caught", 7)]
+    assert unused_errors(errors, ["class Mine(Raised):\n    pass\n"]) \
+        == [("Caught", 7), ("Dead", 10)]
+
+
+def test_every_error_class_is_used():
+    errors = ROOT / "src" / "foldsat" / "errors.py"
+    found = [f"src/foldsat/errors.py:{line}: {name}"
+             for name, line in unused_errors(
+                 errors.read_text(),
+                 [path.read_text() for path in SOURCES if path != errors])]
     assert not found, "\n".join(found)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from foldsat.errors import InvalidCategory, NotAModel, UnknownName
+from foldsat.errors import InvalidCategory, UnknownName
 from foldsat.finsem import (card_iso_elems, eval_card, eval_prop, fiber,
                             boundary_instances, satisfies,
                             saturation_profile, validate_structure)
@@ -11,7 +11,7 @@ from foldsat.stdlib import (FiniteCategory, builtin_signature,
                             corpus, corpus_categories, doubled_i_structure,
                             is_gaunt, tcat_axioms, validate_category)
 from foldsat.synkit import Variable, mk_var
-from paper_checks import (element_variable, iso_formula_cat,
+from paper_checks import (NotAModel, element_variable, iso_formula_cat,
                           structure_to_category, yso_formula)
 
 

@@ -2,9 +2,8 @@ import pytest
 
 from foldsat.errors import FunctorialityError
 from foldsat.stdlib import builtin_signature
-from foldsat.synkit import (Atom, Forall, compatible_sorts, context_of,
-                            is_context, mk_var, union_contexts,
-                            universal_closure)
+from foldsat.synkit import (Atom, Forall, compatible_sorts, mk_var,
+                            union_contexts, universal_closure)
 from paper_checks import alpha_eq
 
 
@@ -82,7 +81,6 @@ def test_union_contexts(lrg):
     g = arr(lrg, "g", x, y)
     assert union_contexts(f.dep(), frozenset()) == f.dep()
     assert union_contexts(f.dep(), g.dep()) == {f, g, x, y}
-    assert is_context(union_contexts(f.dep(), g.dep()))
 
 
 def test_alpha_eq_bound_renaming(lrg_eq):
@@ -156,10 +154,3 @@ def test_free_vars_of_atom_is_boundary(lrg):
     f = arr(lrg, "f", x, x)
     u = mk_var(lrg, "u", "I", {"i": f})
     assert Atom(u).free_vars() == {f, x}
-
-
-def test_context_of_closure(lrg):
-    x, y = obj(lrg, "x"), obj(lrg, "y")
-    f = arr(lrg, "f", x, y)
-    assert context_of([f]) == {f, x, y}
-    assert is_context(context_of([f]))
