@@ -33,7 +33,7 @@ from itertools import islice
 from .errors import FoldsError, OpenFormula, ParseError
 from .finsem import (check_saturation, eval_card, eval_prop, satisfies,
                      saturation_profile, validate_structure)
-from .homspan import Hom, _hom_search, find_span, hsip_decide, is_fibsurj
+from .homspan import _hom_search, fibsurj_homs, find_span, hsip_decide
 from .isogen import iso_formula
 from .pretty import pformat
 from .sigcore import validate_signature
@@ -525,53 +525,41 @@ def _cmd_sat(args, sig, M):
 
 
 def _cmd_hom(args, sig, M, N):
-    for maps in _hom_search(M, N):
-        if args.fibsurj:
-            ok, _ = is_fibsurj(Hom(M, N, maps))
-            if not ok:
-                continue
-        kind = "fiberwise surjective hom" if args.fibsurj else "hom"
-        return _Result(True, [f"{kind} found"],
-                       witness={K: dict(m) for K, m in maps.items()})
-    return _Result(False, ["no hom found" if not args.fibsurj
-                           else "no fiberwise surjective hom found"])
+    kind = "fiberwise surjective hom" if args.fibsurj else "hom"
+    homs = ((h.maps for h, _ in fibsurj_homs(M, N)) if args.fibsurj
+            else _hom_search(M, N))
+    for maps in homs:
+        return _Result(True, [f"{kind} found"], witness=maps)
+    return _Result(False, [f"no {kind} found"])
 
 
-def _apex_bound(args, sig):
-    limit = args.max_apex
-    if limit is None:
-        env = os.environ.get("FOLDS_MAX_APEX")
-        if env is not None:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise ValueError(f"FOLDS_MAX_APEX must be an integer, "
-                                 f"got {env!r}") from None
-    if limit is None:
-        return None
-    return {K: limit for K in sig.sorts}
+def _max_apex(args):
+    env = os.environ.get("FOLDS_MAX_APEX")
+    if args.max_apex is not None or env is None:
+        return args.max_apex
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"FOLDS_MAX_APEX must be an integer, "
+                         f"got {env!r}") from None
 
 
 def _cmd_equiv(args, sig, M, N):
-    res = find_span(M, N, apex_bound=_apex_bound(args, sig))
-    if res.status == "found":
-        span = res.span
-        witness = {
-            "apex": {K: [repr(e) for e in span.apex.carrier(K)]
-                     for K in sig.sorts},
-            "left": {K: {repr(e): v for e, v in span.left.maps[K].items()}
-                     for K in sig.sorts},
-            "right": {K: {repr(e): v
-                          for e, v in span.right.maps[K].items()}
-                      for K in sig.sorts},
-        }
-        return _Result(True, ["equivalent: span found"], witness=witness,
-                       report={"status": res.status})
-    code = 1 if res.status == "absent" else 2
-    text = ("not equivalent" if res.status == "absent"
-            else "inconclusive: search bound exceeded")
-    return _Result(False, [text], report={"status": res.status},
-                   code=code)
+    res = find_span(M, N, max_apex=_max_apex(args))
+    report = {"status": res.status}
+    if res.status == "absent":
+        return _Result(False, ["not equivalent"], report=report, code=1)
+    if res.status == "bound_exceeded":
+        return _Result(False, ["inconclusive: search bound exceeded"],
+                       report=report, code=2)
+    span = res.span
+    witness = {"apex": {K: [repr(e) for e in span.apex.carrier(K)]
+                        for K in sig.sorts}}
+    for side, h in (("left", span.left), ("right", span.right)):
+        witness[side] = {K: {repr(e): v for e, v in h.maps[K].items()}
+                         for K in sig.sorts}
+    return _Result(True, ["equivalent: span found"], witness=witness,
+                   report=report)
 
 
 def _cmd_hsip(args, sig, theory, M, N):

@@ -472,6 +472,15 @@ class _Evaluator:
         return equiv
 
 
+def _check_element(M, K, e):
+    try:
+        known = e in M.elements[K]
+    except TypeError:  # unhashable, so in no carrier
+        known = False
+    if not known:
+        raise SortMismatch(f"{e!r} is not an element of {K!r}")
+
+
 def _check_assignment(M, phi, asg):
     sig = M.sig
     for v, e in asg.items():
@@ -479,13 +488,7 @@ def _check_assignment(M, phi, asg):
             raise SortMismatch(f"assignment key {v!r} is not a variable")
         if v.sort not in sig.sorts:
             raise UnknownSort(f"unknown sort {v.sort!r}")
-        try:
-            known = e in M.elements[v.sort]
-        except TypeError:  # unhashable, so in no carrier
-            known = False
-        if not known:
-            raise SortMismatch(
-                f"{e!r} is not an element of {v.sort!r}")
+        _check_element(M, v.sort, e)
         for g, w in v.proj:
             if w in asg and M.apply_gen(g, e) != asg[w]:
                 raise InvalidBoundary(
@@ -522,8 +525,10 @@ def satisfies(M: FinStructure, theory):
 
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     """card of Ind(x, y) with x, y standing over the element boundaries
-    of a and b."""
+    of a and b, which must be elements of K."""
     out = M.sig.out(K)
+    _check_element(M, K, a)
+    _check_element(M, K, b)
     (xv, yv), asg = variables_over(
         M.sig, K, [{q: M.apply(q.path, e) for q in out} for e in (a, b)],
         ("x*", "y*"))
@@ -542,8 +547,9 @@ def _violations(M: FinStructure, K: str):
     """The violations of card(x ~ y) = [x = y] over the fibers of K,
     one at a time, fiber by fiber and pair by pair."""
     top = _ind_is_top(M.sig, K)
+    out, index = M.sig.out(K), M.fibers(K)
     for delta in boundary_instances(M, K):
-        F = fiber(M, K, delta)
+        F = index.get(tuple(delta[q] for q in out), ())
         for a in F:
             for b in F:
                 c = 1 if top else card_iso_elems(M, K, a, b)

@@ -19,8 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import HeightOutOfScope, NotSaturated, SortMismatch
-from .finsem import (FinStructure, boundary_instances, fiber,
-                     saturation_profile)
+from .finsem import FinStructure, boundary_instances, saturation_profile
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class Hom:
     def apply(self, sort, elem):
         return self.maps[sort][elem]
 
-    def push_boundary(self, K, delta):
-        return {q: self.maps[q.cod][e] for q, e in delta.items()}
-
 
 def identity_hom(M: FinStructure) -> Hom:
     return Hom(M, M, {K: {e: e for e in M.carrier(K)} for K in M.sig.sorts})
@@ -44,17 +40,20 @@ def identity_hom(M: FinStructure) -> Hom:
 
 def is_fibsurj(h: Hom):
     """Fiberwise surjectivity over every boundary instance of the
-    domain, with deterministic least-preimage sections."""
+    domain, with deterministic least-preimage sections.  ``h`` must be
+    a homomorphism: it sends natural boundaries to natural ones, so both
+    fibers are read from the fiber indexes by key, and a map family that
+    is not natural is not rejected."""
     M, N = h.src, h.dst
     sections = {}
     for K in M.sig.sorts:
+        out, hK = M.sig.out(K), h.maps[K]
         for delta in boundary_instances(M, K):
-            src_fiber = fiber(M, K, delta)
-            dst_delta = h.push_boundary(K, delta)
-            dst_fiber = fiber(N, K, dst_delta)
             images = {}
-            for e in src_fiber:
-                images.setdefault(h.apply(K, e), e)
+            for e in M.fibers(K).get(tuple(delta[q] for q in out), ()):
+                images.setdefault(hK[e], e)
+            dst_fiber = N.fibers(K).get(
+                tuple(h.maps[q.cod][delta[q]] for q in out), ())
             if any(b not in images for b in dst_fiber):
                 return False, None
             key = (K, tuple(sorted((q.name, e)
@@ -117,6 +116,8 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
     in the same order as without the colours.  The search keeps its own
     stack, so its depth is not bounded by the recursion limit.
     """
+    if M.sig is not N.sig:
+        raise SortMismatch("structures are over different signatures")
     sig = M.sig
     sorts = sorted(sig.sorts, key=lambda K: (-sig.level(K),
                                              sig.sorts.index(K)))
@@ -164,12 +165,20 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
         used[K].discard(v)
 
 
+def fibsurj_homs(M: FinStructure, N: FinStructure):
+    """The fiberwise-surjective homs M -> N, each with its sections
+    (``is_fibsurj``), in the order ``_hom_search`` yields them."""
+    for maps in _hom_search(M, N):
+        h = Hom(M, N, maps)
+        ok, sections = is_fibsurj(h)
+        if ok:
+            yield h, sections
+
+
 def structure_iso(M: FinStructure, N: FinStructure):
     """A natural family of per-sort bijections, or None after
     exhaustive search."""
-    for maps in _hom_search(M, N, bijective=True):
-        return maps
-    return None
+    return next(_hom_search(M, N, bijective=True), None)
 
 
 @dataclass(frozen=True)
@@ -189,15 +198,15 @@ class SpanResult:
     span: Span = None
 
 
-def _span_through(P: FinStructure, M, N, lmaps, rmaps):
-    left, right = Hom(P, M, lmaps), Hom(P, N, rmaps)
+def _span(left: Hom, right: Hom):
+    """The span of two fiberwise surjections out of one apex, or None."""
     okl, sl = is_fibsurj(left)
     if not okl:
         return None
     okr, sr = is_fibsurj(right)
     if not okr:
         return None
-    return Span(P, left, right, sl, sr)
+    return Span(left.src, left, right, sl, sr)
 
 
 def _product_structure(M: FinStructure, N: FinStructure) -> FinStructure:
@@ -211,41 +220,37 @@ def _product_structure(M: FinStructure, N: FinStructure) -> FinStructure:
     return FinStructure(sig, carriers, maps)
 
 
-def find_span(M: FinStructure, N: FinStructure, apex_bound=None):
+def find_span(M: FinStructure, N: FinStructure, max_apex=None):
     """A span of fiberwise surjections joining M and N, searched over a
-    deterministic family of candidate apexes.
+    deterministic family of candidate apexes: M with its identity, N
+    with its identity, then the product M x N with its projections,
+    unless some sort of the product would have more than ``max_apex``
+    elements (an int, or None for no bound).  Each leg is a homomorphism,
+    as ``is_fibsurj`` requires.
 
     Absence is definitive only on the totally saturated fast path; when
     the bounded search is exhausted elsewhere, the result is reported as
     bound_exceeded rather than absent.
     """
-    if M.sig is not N.sig:
-        raise SortMismatch("structures are over different signatures")
     if (saturation_profile(M)["total"]
             and saturation_profile(N)["total"]):
         iso = structure_iso(M, N)
         if iso is None:
             return SpanResult("absent")
-        span = _span_through(M, M, N, identity_hom(M).maps, iso)
-        return SpanResult("found", span)
-    # apex M: identity left leg, searched fiberwise-surjective right leg
-    for maps in _hom_search(M, N):
-        span = _span_through(M, M, N, identity_hom(M).maps, maps)
-        if span is not None:
-            return SpanResult("found", span)
-    # apex N, symmetric
-    for maps in _hom_search(N, M):
-        span = _span_through(N, M, N, maps, identity_hom(N).maps)
-        if span is not None:
-            return SpanResult("found", span)
-    # apex M x N with the projections, unless it exceeds a given bound
-    if not apex_bound or all(
-            len(M.carrier(K)) * len(N.carrier(K)) <= apex_bound.get(K, 0)
+        return SpanResult("found", _span(identity_hom(M), Hom(M, N, iso)))
+    for h, sections in fibsurj_homs(M, N):
+        i = identity_hom(M)
+        return SpanResult("found", Span(M, i, h, is_fibsurj(i)[1], sections))
+    for h, sections in fibsurj_homs(N, M):
+        i = identity_hom(N)
+        return SpanResult("found", Span(N, h, i, sections, is_fibsurj(i)[1]))
+    if max_apex is None or all(
+            len(M.carrier(K)) * len(N.carrier(K)) <= max_apex
             for K in M.sig.sorts):
         P = _product_structure(M, N)
         lmaps = {K: {p: p[0] for p in P.carrier(K)} for K in P.sig.sorts}
         rmaps = {K: {p: p[1] for p in P.carrier(K)} for K in P.sig.sorts}
-        span = _span_through(P, M, N, lmaps, rmaps)
+        span = _span(Hom(P, M, lmaps), Hom(P, N, rmaps))
         if span is not None:
             return SpanResult("found", span)
     return SpanResult("bound_exceeded")

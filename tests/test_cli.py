@@ -341,10 +341,12 @@ def test_hsip(capsys):
 # `--json` output of the search commands, byte for byte: each golden file
 # holds the standard output of `foldsat --json <command> ...` as printed
 # by the unrefined recursive search (the plain `hom` ones by the search
-# over whole carriers), and a `hom_fibsurj_` case passes `--fibsurj`.
+# over whole carriers), with the flags a case lists after its files.
 # SquarePosetRev and Disc3Rev are relabelled copies with every carrier
 # reversed, so the first isomorphism found is not the one the element
 # names suggest.  The search order alone decides a plain `hom` witness.
+# WalkIso and DoubledI are joined only through the product apex, whose
+# largest sort (comp, 8 x 1) a bound of 7 excludes.
 GOLDEN_CLI = {
     "equiv_WalkIso_TermCat": (0, "equiv", "WalkIso", "TermCat"),
     "equiv_Arrow2_Chain3": (1, "equiv", "Arrow2", "Chain3"),
@@ -352,15 +354,20 @@ GOLDEN_CLI = {
     "equiv_SquarePoset_SquarePosetRev":
         (0, "equiv", "SquarePoset", "SquarePosetRev"),
     "equiv_Disc3_Disc3Rev": (0, "equiv", "Disc3", "Disc3Rev"),
+    "equiv_WalkIso_DoubledI": (0, "equiv", "WalkIso", "DoubledI"),
+    "equiv_WalkIso_DoubledI_max_apex_7":
+        (2, "equiv", "WalkIso", "DoubledI", "--max-apex", "7"),
     "hsip_Arrow2_Chain3": (1, "hsip", "Arrow2", "Chain3"),
     "hsip_Disc2_Disc3": (1, "hsip", "Disc2", "Disc3"),
     "hsip_SquarePoset_SquarePosetRev":
         (0, "hsip", "SquarePoset", "SquarePosetRev"),
     "hsip_WalkIso_TermCat": (2, "hsip", "WalkIso", "TermCat"),
-    "hom_fibsurj_WalkIso_TermCat": (0, "hom", "WalkIso", "TermCat"),
-    "hom_fibsurj_Arrow2_TermCat": (1, "hom", "Arrow2", "TermCat"),
+    "hom_fibsurj_WalkIso_TermCat":
+        (0, "hom", "WalkIso", "TermCat", "--fibsurj"),
+    "hom_fibsurj_Arrow2_TermCat":
+        (1, "hom", "Arrow2", "TermCat", "--fibsurj"),
     "hom_fibsurj_SquarePoset_SquarePosetRev":
-        (0, "hom", "SquarePoset", "SquarePosetRev"),
+        (0, "hom", "SquarePoset", "SquarePosetRev", "--fibsurj"),
     "hom_Disc2_DoubledI": (0, "hom", "Disc2", "DoubledI"),
     "hom_Chain3_Z2Cat": (0, "hom", "Chain3", "Z2Cat"),
 }
@@ -373,16 +380,23 @@ def structure_path(name):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CLI))
 def test_golden_json_output(capsys, case):
-    code, command, left, right = GOLDEN_CLI[case]
+    code, command, left, right, *flags = GOLDEN_CLI[case]
     argv = ["--json", command, p("lcat.folds")]
     if command == "hsip":
         argv.append(p("tcat.thy"))
-    argv += [structure_path(left), structure_path(right)]
-    if case.startswith("hom_fibsurj_"):
-        argv.append("--fibsurj")
+    argv += [structure_path(left), structure_path(right), *flags]
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert out == (GOLDEN / f"{case}.json").read_text()
+
+
+def test_max_apex_admits_the_product_it_covers(capsys):
+    # every sort of WalkIso x DoubledI has at most 8 elements
+    code, out, _ = run(capsys, "--json", "equiv", p("lcat.folds"),
+                       p("WalkIso.str"), p("DoubledI.str"), "--max-apex",
+                       "8")
+    assert code == 0
+    assert out == (GOLDEN / "equiv_WalkIso_DoubledI.json").read_text()
 
 
 SAT_VARIANTS = ([], ["--total"], ["--level", "1"], ["--level", "2"],

@@ -300,6 +300,19 @@ def test_arrow2_object_iso_card(models):
     assert card_iso_elems(M, "O", "0", "1") == 0
 
 
+@pytest.mark.parametrize("K, a, b, bad", [
+    ("A", "nope", "nope", "nope"),  # A has positions, O has none
+    ("O", "nope", "nope", "nope"),
+    ("A", "u_0_1", "nope", "nope"),
+    ("A", "u_0_1", ["0"], ["0"]),  # unhashable, so in no carrier
+])
+def test_card_iso_elems_rejects_elements_outside_the_carrier(models, K, a,
+                                                             b, bad):
+    with pytest.raises(SortMismatch) as err:
+        card_iso_elems(models["Arrow2"], K, a, b)
+    assert str(err.value) == f"{bad!r} is not an element of {K!r}"
+
+
 def test_memoization_consistency(models):
     M = models["Z2Cat"]
     a = card_iso_elems(M, "O", "*", "*")

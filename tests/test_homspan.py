@@ -4,8 +4,8 @@ import pytest
 
 from foldsat.errors import HeightOutOfScope, NotSaturated, SortMismatch
 from foldsat.finsem import validate_structure
-from foldsat.homspan import (Hom, find_span, hsip_decide, identity_hom,
-                             is_fibsurj, structure_iso)
+from foldsat.homspan import (Hom, _hom_search, find_span, hsip_decide,
+                             identity_hom, is_fibsurj, structure_iso)
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import (_poset_category, builtin_signature,
                             category_to_structure, corpus)
@@ -210,10 +210,20 @@ def test_find_span_bound_exceeded(models):
 
 
 def test_find_span_rejects_mixed_signatures(models):
+    # TermCat and the empty structure are totally saturated, WalkIso is
+    # not: each search meets the check in _hom_search
     lrg = builtin_signature("lrg")
     E = validate_structure(lrg, {"carriers": {}, "maps": {}})
-    with pytest.raises(SortMismatch):
-        find_span(models["TermCat"], E)
+    for M in (models["TermCat"], models["WalkIso"]):
+        for call in (find_span, structure_iso,
+                     lambda M, N: next(_hom_search(M, N))):
+            for A, B in ((M, E), (E, M)):
+                with pytest.raises(SortMismatch,
+                                   match="over different signatures"):
+                    call(A, B)
+    for A, B in ((models["TermCat"], E), (E, models["TermCat"])):
+        with pytest.raises(SortMismatch, match="over different signatures"):
+            hsip_decide(A, B)
 
 
 # -- indistinguishability preservation ----------------------------------

@@ -1,13 +1,20 @@
-"""The colour-refined isomorphism search and the iterative hom search
-against the search they replaced.
+"""The colour-refined isomorphism search, the iterative hom search, the
+fiberwise-surjectivity check and the span search against the versions
+they replaced.
 
-The oracle is the recursive backtracking over whole carriers that
+The search oracle is the recursive backtracking over whole carriers that
 ``homspan._hom_search`` was before colour refinement, kept here.
 ``structure_iso`` must return exactly its first bijection, or ``None``
 exactly when it finds none, and the non-bijective search must yield the
 same maps in the same order.  Inputs are random small lcat structures
 (preorders and cyclic groups, some with one element duplicated), the
 corpus, Z_4 and Z_6, and random structures over random DAG signatures.
+
+The fiberwise-surjectivity oracle looks both fibers up through the
+validating ``finsem.fiber``, with the target boundary pushed forward
+position by position; the span oracle checks the identity leg once per
+candidate and takes its apex bound per sort.  Both must give the same
+answers and the same sections.
 """
 
 from itertools import islice, permutations, product
@@ -15,9 +22,13 @@ from itertools import islice, permutations, product
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from foldsat.errors import FunctorialityError
-from foldsat.finsem import validate_structure
-from foldsat.homspan import _hom_search, colour_refinement, structure_iso
+from foldsat.errors import FunctorialityError, SortMismatch
+from foldsat.finsem import (boundary_instances, fiber, saturation_profile,
+                            validate_structure)
+from foldsat.homspan import (Hom, Span, SpanResult, _hom_search,
+                             _product_structure, colour_refinement,
+                             fibsurj_homs, find_span, identity_hom,
+                             is_fibsurj, structure_iso)
 from foldsat.stdlib import _poset_category, category_to_structure, corpus
 from test_finsem_oracle import cyclic, duplicate, relabel
 from test_isogen_oracle import few_parallel_positions
@@ -67,6 +78,77 @@ def oracle_hom_search(M, N, bijective=False):
 
 def oracle_iso(M, N):
     return next(oracle_hom_search(M, N, bijective=True), None)
+
+
+def push_boundary(h, delta):
+    return {q: h.maps[q.cod][e] for q, e in delta.items()}
+
+
+def oracle_is_fibsurj(h: Hom):
+    """Fiberwise surjectivity over every boundary instance of the
+    domain, with deterministic least-preimage sections."""
+    M, N = h.src, h.dst
+    sections = {}
+    for K in M.sig.sorts:
+        for delta in boundary_instances(M, K):
+            src_fiber = fiber(M, K, delta)
+            dst_delta = push_boundary(h, delta)
+            dst_fiber = fiber(N, K, dst_delta)
+            images = {}
+            for e in src_fiber:
+                images.setdefault(h.apply(K, e), e)
+            if any(b not in images for b in dst_fiber):
+                return False, None
+            key = (K, tuple(sorted((q.name, e)
+                                   for q, e in delta.items())))
+            sections[key] = {b: images[b] for b in dst_fiber}
+    return True, sections
+
+
+def oracle_span_through(P, M, N, lmaps, rmaps):
+    left, right = Hom(P, M, lmaps), Hom(P, N, rmaps)
+    okl, sl = oracle_is_fibsurj(left)
+    if not okl:
+        return None
+    okr, sr = oracle_is_fibsurj(right)
+    if not okr:
+        return None
+    return Span(P, left, right, sl, sr)
+
+
+def oracle_find_span(M, N, apex_bound=None):
+    """A span of fiberwise surjections joining M and N, searched over a
+    deterministic family of candidate apexes."""
+    if M.sig is not N.sig:
+        raise SortMismatch("structures are over different signatures")
+    if (saturation_profile(M)["total"]
+            and saturation_profile(N)["total"]):
+        iso = structure_iso(M, N)
+        if iso is None:
+            return SpanResult("absent")
+        span = oracle_span_through(M, M, N, identity_hom(M).maps, iso)
+        return SpanResult("found", span)
+    # apex M: identity left leg, searched fiberwise-surjective right leg
+    for maps in _hom_search(M, N):
+        span = oracle_span_through(M, M, N, identity_hom(M).maps, maps)
+        if span is not None:
+            return SpanResult("found", span)
+    # apex N, symmetric
+    for maps in _hom_search(N, M):
+        span = oracle_span_through(N, M, N, maps, identity_hom(N).maps)
+        if span is not None:
+            return SpanResult("found", span)
+    # apex M x N with the projections, unless it exceeds a given bound
+    if not apex_bound or all(
+            len(M.carrier(K)) * len(N.carrier(K)) <= apex_bound.get(K, 0)
+            for K in M.sig.sorts):
+        P = _product_structure(M, N)
+        lmaps = {K: {p: p[0] for p in P.carrier(K)} for K in P.sig.sorts}
+        rmaps = {K: {p: p[1] for p in P.carrier(K)} for K in P.sig.sorts}
+        span = oracle_span_through(P, M, N, lmaps, rmaps)
+        if span is not None:
+            return SpanResult("found", span)
+    return SpanResult("bound_exceeded")
 
 
 # -- inputs ----------------------------------------------------------------
@@ -205,3 +287,66 @@ def test_searches_match_oracle_on_dag_signatures(raw, data, rnd):
         want = list(islice(oracle_hom_search(A, B), 60))
         assert list(islice(_hom_search(A, B), 60)) == want
         assert structure_iso(A, B) == oracle_iso(A, B)
+        for maps in want:
+            h = Hom(A, B, maps)
+            assert is_fibsurj(h) == oracle_is_fibsurj(h)
+    for A in (M, N):
+        assert is_fibsurj(identity_hom(A)) == oracle_is_fibsurj(
+            identity_hom(A))
+
+
+# -- fiberwise surjections and spans -----------------------------------------
+
+def test_fibsurj_matches_oracle_on_identities():
+    for M in [*corpus().values(), Z4, Z6]:
+        h = identity_hom(M)
+        ok, sections = is_fibsurj(h)
+        assert ok
+        assert (ok, sections) == oracle_is_fibsurj(h)
+
+
+def projections(M, N):
+    P = _product_structure(M, N)
+    return [Hom(P, S, {K: {p: p[i] for p in P.carrier(K)}
+                       for K in P.sig.sorts})
+            for i, S in enumerate((M, N))]
+
+
+def test_fibsurj_matches_oracle_on_product_projections():
+    for M, N in product(corpus().values(), repeat=2):
+        for h in projections(M, N):
+            assert is_fibsurj(h) == oracle_is_fibsurj(h)
+
+
+def test_fibsurj_homs_match_oracle_on_corpus():
+    for M, N in product(corpus().values(), repeat=2):
+        want = [(maps, sections) for maps in oracle_hom_search(M, N)
+                for ok, sections in [oracle_is_fibsurj(Hom(M, N, maps))]
+                if ok]
+        got = list(fibsurj_homs(M, N))
+        assert all(h.src is M and h.dst is N for h, _ in got)
+        assert [(h.maps, sections) for h, sections in got] == want
+
+
+def span_facts(res):
+    """Status, apex, legs and sections of a span search result."""
+    span = res.span
+    if span is None:
+        return res.status, None
+    apex = span.apex
+    return (res.status, (apex.carriers, apex.maps),
+            [(h.src is apex, h.dst, h.maps) for h in (span.left, span.right)],
+            span.left_sections, span.right_sections)
+
+
+def test_find_span_matches_oracle_on_corpus():
+    models = corpus()
+    for M, N in product(models.values(), repeat=2):
+        for bound in (None, 1, 3, 8):
+            got = find_span(M, N, max_apex=bound)
+            want = oracle_find_span(
+                M, N, None if bound is None
+                else {K: bound for K in M.sig.sorts})
+            assert span_facts(got) == span_facts(want)
+            if got.span is not None and got.span.apex in (M, N):
+                assert got.span.apex is want.span.apex
