@@ -30,9 +30,6 @@ class Hom:
     dst: FinStructure
     maps: dict  # sort -> {element: element}
 
-    def apply(self, sort, elem):
-        return self.maps[sort][elem]
-
 
 def identity_hom(M: FinStructure) -> Hom:
     return Hom(M, M, {K: {e: e for e in M.carrier(K)} for K in M.sig.sorts})

@@ -11,7 +11,9 @@ Each coincidence pattern gives one filler pattern, so no two of them are
 alpha-equal and nothing is deduplicated (a property test pins this).
 Both walks read the signature's fill order: the filler search and
 ``variables_over``, which builds the variables over given boundaries,
-generic ones or those of elements.
+generic ones or those of elements.  When x != y, ``_ind`` skips each
+position p = q∘g of R with q another position: one variable fills q on
+both sides, but its boundary would hold x on one side and y on the other.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
 from .pretty import pformat
 from .sigcore import Arrow, Signature
-from .synkit import (And, Equiv, Exists, Forall, Formula, Implies, Top,
+from .synkit import (And, Equiv, Exists, Forall, Formula, Implies,
                      Variable, compatible_sorts, conj, deepest_first,
                      mk_var, universal_closure)
 
@@ -36,11 +38,12 @@ class FillerPattern:
     quantified: tuple  # fresh variables, outermost first
 
 
-def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
-             y: Variable) -> list:
+def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
+             pool: list, used_names: set) -> list:
     """All filler patterns for Ind_R at position p, one per coincidence
     pattern of the fillers; p must be a position of R over x's sort and R
-    compatible with both x and y."""
+    compatible with both x and y.  ``pool`` is ``x.dep() | y.dep()``
+    deepest first, and ``used_names`` their names."""
     # what the x side and the y side hold at each position of R: p and the
     # positions p forces, then the shared positions, each filled with one
     # variable on both sides
@@ -55,8 +58,6 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable,
            for _, below in shared for _, t in below):
         return []
 
-    pool = deepest_first(sig, x.dep() | y.dep())
-    used_names = {v.name for v in pool}
     patterns = []
 
     # Every position below a shared one comes earlier in the fill order,
@@ -108,13 +109,6 @@ def _pattern_formula(sig, pat: FillerPattern) -> Formula:
     return universal_closure(sig, body, pat.quantified)
 
 
-def _ind_at(sig: Signature, R: str, p: Arrow, x: Variable,
-            y: Variable) -> Formula:
-    formulas = [_pattern_formula(sig, pat)
-                for pat in _fillers(sig, R, p, x, y)]
-    return conj(sorted(formulas, key=pformat))
-
-
 # signature -> {(x, y): Ind(x, y)}; an entry lives as long as its signature
 _IND_CACHE = weakref.WeakKeyDictionary()
 
@@ -134,16 +128,17 @@ def _ind(sig: Signature, x: Variable, y: Variable) -> Formula:
     K = x.sort
     compatible_y = compatible_sorts(sig, y)
     both = [R for R in compatible_sorts(sig, x) if R in compatible_y]
+    pool = deepest_first(sig, x.dep() | y.dep())
+    used_names = {v.name for v in pool}
     parts = []
     for R in both:
+        skip = sig.factored(R) if x != y else ()
         for p in sig.hom(R, K):  # R lies above K: no identity
-            f = _ind_at(sig, R, p, x, y)
-            if isinstance(f, Top):
-                continue
-            if isinstance(f, And):
-                parts.extend(f.args)
-            else:
-                parts.append(f)
+            if p not in skip:
+                parts.extend(sorted(
+                    (_pattern_formula(sig, pat)
+                     for pat in _fillers(sig, R, p, x, y, pool, used_names)),
+                    key=pformat))
     return conj(parts)
 
 

@@ -72,13 +72,14 @@ class Signature:
     """A validated finite inverse category.
 
     Immutable after construction; build instances through
-    :func:`validate_signature`.  Besides the hom-classes it owns three
+    :func:`validate_signature`.  Besides the hom-classes it owns four
     tables of facts derived from them, each filled on first use, and a
     mark:
 
     - ``compose``: ``(first, then) -> composite``
     - ``filling``: per sort K, the positions out of K in fill order,
       each with its generator images as positions of K
+    - ``factored``: per sort K, the positions q∘g, q out of K, g a generator
     - ``position_groups``: per sort K, for each sort R above K, the
       groups of K's positions that R identifies
     - ``validity_mark``: what ``synkit.mk_var`` leaves on the variables
@@ -105,6 +106,7 @@ class Signature:
         self._build_classes(order)
         self._composite = {}
         self._filling = {}
+        self._factored = {}
         self._position_groups = {}
         # a plain object rather than the signature itself, so that marked
         # variables kept in a cache keyed weakly by the signature do not
@@ -131,46 +133,50 @@ class Signature:
         is known, and ``()`` stands for the identity of ``g``'s codomain.
         Such pairs are merged only by ``lhs.c = rhs.c`` for an equation
         starting at ``s``: any other one-step rewrite acts inside ``c`` and
-        is already quotiented there.
+        is already quotiented there.  The union-find runs over the pairs'
+        indexes, found by ``(g, c.path)``; a pair's order key is ``c``'s
+        with ``g``'s index put in front.
         """
-        def path_key(p):
-            return (len(p), tuple(self._gen_index[g] for g in p))
-
         sort_index = {s: i for i, s in enumerate(self.sorts)}
+        key = {(): (0, ())}  # canonical path -> (length, generator indexes)
         self._ext = {(): {}}
         self._out = {}
         self._hom = {}
         for s in reversed(order):
             pairs = [(g.name, c) for g in self.out_gens(s)
                      for c in (self._identity[g.cod],) + self._out[g.cod]]
-            parent = {pair: pair for pair in pairs}
+            slot = {(g, c.path): i for i, (g, c) in enumerate(pairs)}
+            parent = list(range(len(pairs)))
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+            def find(i):
+                while parent[i] != i:
+                    parent[i] = parent[parent[i]]
+                    i = parent[i]
+                return i
 
             for lhs, rhs in self._equations_at[s]:
                 t = self._gen_by_name[lhs[-1]].cod
                 for c in (self._identity[t],) + self._out[t]:
-                    a = (lhs[0], self._fold(lhs[1:], c))
-                    b = (rhs[0], self._fold(rhs[1:], c))
+                    a = slot[lhs[0], self._fold(lhs[1:], c).path]
+                    b = slot[rhs[0], self._fold(rhs[1:], c).path]
                     parent[find(a)] = find(b)
             members = {}
-            for pair in pairs:
-                members.setdefault(find(pair), []).append(pair)
+            for i, (g, c) in enumerate(pairs):
+                n, idx = key[c.path]
+                members.setdefault(find(i), []).append(
+                    ((n + 1, (self._gen_index[g],) + idx), g, c))
             arrows = []
             for group in members.values():
-                paths = [(g,) + c.path for g, c in group]
-                canon = (paths[0] if len(paths) == 1
-                         else min(paths, key=path_key))
-                arrow = Arrow(canon, s, group[0][1].cod)
+                # keys differ within a group, so min never compares g or c
+                k, g, c = min(group)
+                canon = (g,) + c.path
+                key[canon] = k
+                arrow = Arrow(canon, s, c.cod)
                 self._ext[canon] = {}
-                for g, c in group:
+                for _, g, c in group:
                     self._ext[c.path][g] = arrow
                 arrows.append(arrow)
-            arrows.sort(key=lambda a: (sort_index[a.cod], path_key(a.path)))
+            arrows.sort(key=lambda a: (sort_index[a.cod], key[a.path]))
             self._out[s] = tuple(arrows)
             for a in arrows:
                 self._hom.setdefault((s, a.cod), []).append(a)
@@ -248,6 +254,13 @@ class Signature:
                           for g in self._out_gens[q.cod]))
                 for q in order)
         return table
+
+    def factored(self, sort) -> frozenset:
+        """The positions out of ``sort`` that factor through another one."""
+        if sort not in self._factored:
+            self._factored[sort] = frozenset(
+                t for _, below in self.filling(sort) for _, t in below)
+        return self._factored[sort]
 
     def position_groups(self, sort) -> tuple:
         """``(R, groups)`` for each sort R strictly above ``sort``, in

@@ -10,7 +10,7 @@ variable only through its boundary, matching the convention that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -23,14 +23,18 @@ def _term(cls):
     is built.
 
     The hash equals the one ``dataclass`` would compute, but it hashes a
-    tuple of already hashed children instead of the whole tree.
+    tuple of already hashed children instead of the whole tree.  Like
+    ``sigcore.Arrow``'s, ``__init__`` sets fields and hash in one update.
     """
-    def __post_init__(self):
-        self.__dict__["_hash"] = hash(tuple(getattr(self, n) for n in names))
-
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True)(cls)
-    names = tuple(f.name for f in fields(cls))
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    ns = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    self.__dict__.update({''.join(f'{n}={n}, ' for n in names)}"
+         f"_hash=hash(({''.join(f'{n}, ' for n in names)})))", ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__defaults__ = tuple(
+        f.default for f in fields(cls) if f.default is not MISSING)
     cls.__hash__ = _stored_hash
     return cls
 

@@ -202,7 +202,7 @@ def verify_sections(h: Hom, sections) -> bool:
     """map after section is the identity on every target fiber."""
     for (K, _), table in sections.items():
         for b, a in table.items():
-            if h.apply(K, a) != b:
+            if h.maps[K][a] != b:
                 return False
     return True
 
@@ -232,13 +232,13 @@ def check_ind_preservation(h: Hom, level: int) -> dict:
             for b in elems:
                 if level == 2:
                     got = ind_truth_elems(h.src, K, a, b)
-                    want = ind_truth_elems(h.dst, K, h.apply(K, a),
-                                           h.apply(K, b))
+                    want = ind_truth_elems(h.dst, K, h.maps[K][a],
+                                           h.maps[K][b])
                     equal = got == want
                 else:
                     equal = (card_iso_elems(h.src, K, a, b)
-                             == card_iso_elems(h.dst, K, h.apply(K, a),
-                                               h.apply(K, b)))
+                             == card_iso_elems(h.dst, K, h.maps[K][a],
+                                               h.maps[K][b]))
                 if not equal:
                     violations.append({"sort": K, "pair": (a, b)})
     return {"ok": not violations, "violations": violations}

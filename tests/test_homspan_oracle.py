@@ -96,7 +96,7 @@ def oracle_is_fibsurj(h: Hom):
             dst_fiber = fiber(N, K, dst_delta)
             images = {}
             for e in src_fiber:
-                images.setdefault(h.apply(K, e), e)
+                images.setdefault(h.maps[K][e], e)
             if any(b not in images for b in dst_fiber):
                 return False, None
             key = (K, tuple(sorted((q.name, e)

@@ -4,7 +4,8 @@ from foldsat.errors import SortMismatch
 from foldsat.isogen import _fillers, ind, iso_formula, sort_equiv
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature
-from foldsat.synkit import And, Equiv, Exists, Forall, Implies, Top, mk_var
+from foldsat.synkit import (And, Equiv, Exists, Forall, Implies, Top,
+                            deepest_first, mk_var)
 from paper_checks import alpha_eq
 
 
@@ -40,10 +41,16 @@ def parallel_pair(sig):
 
 # -- _fillers -----------------------------------------------------------
 
+def fillers(sig, R, p, x, y):
+    """``_fillers`` with the pool that ``_ind`` builds once per (x, y)."""
+    pool = deepest_first(sig, x.dep() | y.dep())
+    return _fillers(sig, R, p, x, y, pool, {v.name for v in pool})
+
+
 def test_arrow_equality_fillers_three_patterns(lrg_eq):
     x, y, f, g = parallel_pair(lrg_eq)
     p = lrg_eq.cls(("s",))
-    pats = _fillers(lrg_eq, "eqA", p, f, g)
+    pats = fillers(lrg_eq, "eqA", p, f, g)
     # the non-distinguished position is filled by a fresh h, by f, or by g
     t_fillers = {pat.alpha.proj_map()["t"] for pat in pats}
     assert len(pats) == 3
@@ -59,13 +66,15 @@ def test_arrow_equality_fillers_three_patterns(lrg_eq):
 def test_shared_position_forces_equal_objects(lcat):
     x, y = obj(lcat, "x"), obj(lcat, "y")
     p = lcat.cls(("i", "d"))
-    assert _fillers(lcat, "I", p, x, y) == []
+    assert fillers(lcat, "I", p, x, y) == []
+    # p is i followed by d (= i.c), so Ind skips it when x != y
+    assert lcat.factored("I") == {p}
 
 
 def test_object_fillers_for_arrow_sort(lcat):
     x, y = obj(lcat, "x"), obj(lcat, "y")
     p = lcat.cls(("d",))
-    pats = _fillers(lcat, "A", p, x, y)
+    pats = fillers(lcat, "A", p, x, y)
     c_fillers = {pat.alpha.proj_map()["c"] for pat in pats}
     assert len(pats) == 3
     assert x in c_fillers and y in c_fillers

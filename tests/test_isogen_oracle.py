@@ -1,16 +1,18 @@
 """Ind filler generation against the enumeration it pruned.
 
 ``isogen._fillers`` returns no pattern at once when x and y differ at a
-position that p fixes and some shared position's boundary reaches it.
-The oracle is the enumeration without that check, kept here: it walks
-every shared position and finds the clash only on each branch.  Every
-``_fillers`` call made while generating ``Ind`` for the built-in
-signatures, diamond stacks and random DAG signatures, the saturation of
-the corpus, of random lcat structures and of random structures over DAG
-signatures, and ``~=`` between different fibers must return the oracle's
-patterns.
+position that p fixes and some shared position's boundary reaches it,
+and ``isogen._ind`` does not call it at all for a position p that
+factors through another position of R when x != y.  The oracle is the
+enumeration without either check, kept here: it walks every shared
+position and finds the clash only on each branch.  Every ``_fillers``
+call made while generating ``Ind`` for the built-in signatures, diamond
+stacks and random DAG signatures, the saturation of the corpus, of
+random lcat structures and of random structures over DAG signatures,
+and ``~=`` between different fibers must return the oracle's patterns,
+and the oracle must find none at every position ``_ind`` skipped.
 
-``_ind_at`` keeps every pattern ``_fillers`` returns, with no
+``_ind`` keeps every pattern ``_fillers`` returns, with no
 deduplication: each coincidence pattern of the fillers gives one
 pattern, and fresh variables are named in a fixed order, so no two
 patterns of one position give alpha-equal conjuncts.  ``alpha_eq`` is
@@ -33,7 +35,7 @@ from foldsat.isogen import (FillerPattern, _fresh_name, _pattern_formula,
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, corpus
-from foldsat.synkit import mk_var
+from foldsat.synkit import compatible_sorts, mk_var
 from paper_checks import alpha_eq
 from test_finsem_oracle import lcat_structures
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
@@ -106,23 +108,42 @@ def enumerate_fillers(sig, R, p, x, y):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Route every ``_fillers`` call through the oracle; yields the
-    list of results, one per call."""
-    real, calls = isogen._fillers, []
+    """Route every ``_fillers`` call through the oracle, and run the
+    oracle at every position of a compatible sort that ``_ind`` did not
+    pass to ``_fillers``, where it must find no pattern.  Yields the
+    list of ``_fillers`` results, one per call, and the list of skipped
+    ``(R, p)``."""
+    real_fillers, real_ind = isogen._fillers, isogen._ind
+    calls, reached, skipped = [], set(), []
 
-    def both(sig, R, p, x, y):
-        got = real(sig, R, p, x, y)
+    def both(sig, R, p, x, y, *pool):
+        got = real_fillers(sig, R, p, x, y, *pool)
         assert got == enumerate_fillers(sig, R, p, x, y), (R, p, x, y)
         calls.append(got)
+        reached.add((R, p))
         return got
 
+    def ind(sig, x, y):
+        reached.clear()
+        out = real_ind(sig, x, y)
+        compatible_y = compatible_sorts(sig, y)
+        for R in compatible_sorts(sig, x):
+            for p in sig.hom(R, x.sort) if R in compatible_y else ():
+                if (R, p) not in reached:
+                    assert enumerate_fillers(sig, R, p, x, y) == [], (
+                        R, p, x, y)
+                    skipped.append((R, p))
+        return out
+
     monkeypatch.setattr(isogen, "_fillers", both)
+    monkeypatch.setattr(isogen, "_ind", ind)
     isogen._IND_CACHE.clear()
-    yield calls
+    yield calls, skipped
     isogen._IND_CACHE.clear()
 
 
 def test_pruned_fillers_match_enumeration(checked):
+    calls, skipped = checked
     sigs = [builtin_signature(n) for n in ("lrg", "lrg_eq", "lcat")]
     sigs += [validate_signature(diamond_stack(k)) for k in (1, 2, 3)]
     for sig in sigs:
@@ -133,8 +154,9 @@ def test_pruned_fillers_match_enumeration(checked):
         phi = parse_formula("forall x:O. forall y:O. A(x,y) ~= A(y,x)",
                             M.sig)
         eval_card(M, phi)
-    assert len(checked) > 100
-    assert sum(1 for got in checked if not got) > 10  # the pruned case
+    assert len(calls) > 50
+    assert sum(1 for got in calls if not got) > 10  # the pruned case
+    assert len(skipped) > 40
 
 
 @settings(max_examples=15, deadline=None,
@@ -149,7 +171,7 @@ def test_pruned_fillers_match_enumeration_in_saturation(checked, M):
     for K in M.sig.sorts:
         if M.sig.level(K) >= 2:
             check_saturation(M, K)
-    assert checked
+    assert checked[0]
 
 
 def few_parallel_positions(sig):
@@ -203,8 +225,8 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
         return
     real = isogen._fillers
 
-    def distinct(sig, R, p, x, y):
-        pats = real(sig, R, p, x, y)
+    def distinct(sig, R, p, x, y, *pool):
+        pats = real(sig, R, p, x, y, *pool)
         formulas = [_pattern_formula(sig, pat) for pat in pats]
         for i, f in enumerate(formulas):
             for g in formulas[:i]:

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from foldsat.errors import FunctorialityError
 from foldsat.stdlib import builtin_signature
-from foldsat.synkit import (Atom, Forall, compatible_sorts, mk_var,
-                            union_contexts, universal_closure)
+from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
+                            Implies, Or, Top, Variable, compatible_sorts,
+                            mk_var, union_contexts, universal_closure)
 from paper_checks import alpha_eq
 
 
@@ -154,3 +157,32 @@ def test_free_vars_of_atom_is_boundary(lrg):
     f = arr(lrg, "f", x, x)
     u = mk_var(lrg, "u", "I", {"i": f})
     assert Atom(u).free_vars() == {f, x}
+
+
+def test_terms_keep_the_frozen_dataclass_contract():
+    """Each term class builds its instances in one step, and keeps the
+    defaults, keyword construction, repr and immutability of a frozen
+    dataclass; the cached ``dep``, ``boundary`` and free variables rely
+    on the last."""
+    o = Variable("o", "O")
+    f = Variable("f", "A", (("d", o), ("c", o)))
+    assert o.proj == () and Variable(name="o", sort="O") == o
+    e = Exists(f, Top())
+    assert e.untruncated is False
+    assert Exists(f, Top(), True).untruncated is True
+    assert repr(e) == "Exists(var=f:A(o,o), body=Top(), untruncated=False)"
+    assert repr(Forall(o, Implies(Atom(f), Bottom()))) == (
+        "Forall(var=o:O, body=Implies(lhs=Atom(var=f:A(o,o)), "
+        "rhs=Bottom()))")
+    assert repr(Equiv("A", f, f)) == (
+        "Equiv(sort='A', alpha=f:A(o,o), beta=f:A(o,o))")
+    terms = [o, f, Top(), Bottom(), Atom(f), And((Top(), Bottom())),
+             Or((Top(),)), Implies(Top(), Bottom()), Iff(Top(), Top()),
+             Forall(o, Top()), e, Equiv("A", f, f)]
+    for t in terms:
+        names = [fd.name for fd in fields(t)]
+        again = type(t)(**{n: getattr(t, n) for n in names})
+        assert again == t and hash(again) == hash(t) and again is not t
+        for n in names or ["extra"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, n, None)
