@@ -10,8 +10,8 @@ graph is pointwise indistinguishable; this is the finite-set form of the
 equivalence data and is cross-checked against the expanded three-part
 formula wherever the saturation precondition makes the two agree.
 Every fiber is read from ``FinStructure.fibers``, which indexes each
-sort's elements by boundary once and is only read after that; a
-natural boundary the index lacks has an empty fiber.
+sort's elements by their generator images once and is only read after
+that; a natural boundary the index lacks has an empty fiber.
 Nothing lies above a level-1 sort, so its ``Ind`` is ``Top``: its
 ``~=`` counts every bijection, and it is saturated when each of its
 fibers has at most one element.  Saturation is decided level by level
@@ -76,17 +76,17 @@ class FinStructure:
         return elem
 
     def fibers(self, sort) -> dict:
-        """The elements of ``sort`` by boundary: a map from the tuple of
-        their images along ``sig.out(sort)`` to the elements over it, in
-        carrier order.  Built once, on first use, and only read after
-        that: a natural boundary missing from it has an empty fiber."""
+        """The elements of ``sort`` by boundary, in carrier order, keyed
+        by their images along ``sig.out_gens(sort)``, which fix those
+        along every position (see ``boundary_key``).  Built once, on
+        first use, and only read after that: a natural boundary missing
+        from it has an empty fiber."""
         index = self._fibers.get(sort)
         if index is None:
-            out = self.sig.out(sort)
+            tables = [self.maps[g.name] for g in self.sig.out_gens(sort)]
             groups = {}
             for e in self.carrier(sort):
-                key = tuple(self.apply(q.path, e) for q in out)
-                groups.setdefault(key, []).append(e)
+                groups.setdefault(tuple(t[e] for t in tables), []).append(e)
             index = {key: tuple(es) for key, es in groups.items()}
             self._fibers[sort] = index
         return index
@@ -154,24 +154,27 @@ def validate_structure(sig: Signature, raw) -> FinStructure:
     return M
 
 
+def boundary_key(sig: Signature, K: str, delta) -> tuple:
+    """The key of a natural boundary in K's fiber index."""
+    return tuple(delta[sig.cls((g.name,))] for g in sig.out_gens(K))
+
+
 def boundary_instances(M: FinStructure, K: str) -> list:
     """All consistent boundary instances for sort K, in deterministic
     order.
 
     Positions are filled in ``sig.filling(K)`` order, so when position q
-    is reached the images its element must have are already chosen, and
-    its candidates are the fiber over them."""
-    sig = M.sig
-    under = [(q, tuple(sig.compose(q, r) for r in sig.out(q.cod)))
-             for q, _ in sig.filling(K)]
+    is reached its images along the generators out of q's codomain are
+    already chosen, and its candidates are the fiber over them."""
+    filling = M.sig.filling(K)
     results = []
 
     def assign(i, val):
-        if i == len(under):
+        if i == len(filling):
             results.append(dict(val))
             return
-        q, below = under[i]
-        for e in M.fibers(q.cod).get(tuple(val[r] for r in below), ()):
+        q, below = filling[i]
+        for e in M.fibers(q.cod).get(tuple(val[t] for _, t in below), ()):
             val[q] = e
             assign(i + 1, val)
             del val[q]
@@ -181,18 +184,14 @@ def boundary_instances(M: FinStructure, K: str) -> list:
 
 
 def fiber(M: FinStructure, K: str, delta) -> tuple:
-    """The elements of M(K) lying over a boundary instance.  A boundary
-    not in the fiber index is checked position by position in
-    ``sig.filling(K)`` order, and its first fault is raised; a valid one
-    has an empty fiber, which is not stored."""
+    """The elements of M(K) lying over a boundary instance, checked
+    position by position in ``sig.filling(K)`` order, its first fault
+    raised, then looked up by ``boundary_key``: a valid boundary the
+    index lacks has an empty fiber, which is not stored."""
     sig = M.sig
-    classes = sig.out(K)
-    if len(delta) != len(classes) or not all(q in delta for q in classes):
+    if set(delta) != set(sig.out(K)):
         raise InvalidBoundary(
             f"boundary for {K!r} must assign exactly its positions")
-    found = M.fibers(K).get(tuple(delta[q] for q in classes))
-    if found is not None:  # the boundary of an element
-        return found
     for q, below in sig.filling(K):
         e = delta[q]
         if e not in M.elements[q.cod]:
@@ -203,7 +202,7 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
                 raise InvalidBoundary(
                     f"boundary for {K!r} violates {g!r} naturality "
                     f"at position {q.name!r}")
-    return ()
+    return M.fibers(K).get(boundary_key(sig, K, delta), ())
 
 
 def _ind_is_top(sig: Signature, K: str) -> bool:
@@ -425,14 +424,13 @@ class _Evaluator:
 
     def _fiber_fn(self, var: Variable):
         """A function from an environment to the fiber ``var`` ranges
-        over, read from the fiber index.  Every boundary looked up is
-        natural: ``mk_var`` checks each variable against the equations
-        (``a*`` and ``b*`` copy the projections of checked ones),
-        quantifiers bind elements of fibers, and ``eval_card`` checks
-        the assignment.  So a boundary missing from the index has an
-        empty fiber."""
-        key_of = self._values(var.proj_along(q.path)
-                              for q in self.sig.out(var.sort))
+        over, read from the fiber index by the values of ``var.proj``.
+        Every boundary looked up is natural: ``mk_var`` checks each
+        variable against the equations (``a*`` and ``b*`` copy the
+        projections of checked ones), quantifiers bind elements of
+        fibers, and ``eval_card`` checks the assignment.  So a boundary
+        missing from the index has an empty fiber."""
+        key_of = self._values(v for _, v in var.proj)
         index = self.M.fibers(var.sort)
         return lambda env: index.get(key_of(env), ())
 
@@ -547,9 +545,9 @@ def _violations(M: FinStructure, K: str):
     """The violations of card(x ~ y) = [x = y] over the fibers of K,
     one at a time, fiber by fiber and pair by pair."""
     top = _ind_is_top(M.sig, K)
-    out, index = M.sig.out(K), M.fibers(K)
+    index = M.fibers(K)
     for delta in boundary_instances(M, K):
-        F = index.get(tuple(delta[q] for q in out), ())
+        F = index.get(boundary_key(M.sig, K, delta), ())
         for a in F:
             for b in F:
                 c = 1 if top else card_iso_elems(M, K, a, b)

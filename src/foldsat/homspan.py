@@ -3,10 +3,10 @@ identity decision.
 
 A homomorphism is a natural family of carrier maps.  The search for
 one runs fiber by fiber: an element's images are the elements of the
-target's fiber over the image of its boundary, read from the target's
-fiber index (``FinStructure.fibers``), which the search never writes.
-Fiberwise surjectivity is checked over every boundary instance of the
-domain and witnessed by stored sections.  Two structures are
+target's fiber over the images of its generator images, read from the
+target's fiber index (``FinStructure.fibers``), which the search never
+writes.  Fiberwise surjectivity is checked over every boundary instance
+of the domain and witnessed by stored sections.  Two structures are
 equivalent when a span of fiberwise surjections joins them; for totally
 saturated structures of a height-3 signature this coincides with the
 existence of a structure isomorphism, which is what the decision
@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import HeightOutOfScope, NotSaturated, SortMismatch
-from .finsem import FinStructure, boundary_instances, saturation_profile
+from .finsem import (FinStructure, boundary_instances, boundary_key,
+                     saturation_profile)
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,15 @@ def is_fibsurj(h: Hom):
     fibers are read from the fiber indexes by key, and a map family that
     is not natural is not rejected."""
     M, N = h.src, h.dst
-    sections = {}
-    for K in M.sig.sorts:
-        out, hK = M.sig.out(K), h.maps[K]
+    sig, sections = M.sig, {}
+    for K in sig.sorts:
+        gens, hK = sig.out_gens(K), h.maps[K]
         for delta in boundary_instances(M, K):
-            images = {}
-            for e in M.fibers(K).get(tuple(delta[q] for q in out), ()):
+            over, images = boundary_key(sig, K, delta), {}
+            for e in M.fibers(K).get(over, ()):
                 images.setdefault(hK[e], e)
             dst_fiber = N.fibers(K).get(
-                tuple(h.maps[q.cod][delta[q]] for q in out), ())
+                tuple(h.maps[g.cod][e] for g, e in zip(gens, over)), ())
             if any(b not in images for b in dst_fiber):
                 return False, None
             key = (K, tuple(sorted((q.name, e)
@@ -102,9 +103,9 @@ def colour_refinement(M: FinStructure, N: FinStructure):
 def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
     """All natural map families M -> N, deterministically: depth first
     over M's elements, sorts by decreasing level, so an element's
-    boundary is mapped before the element.  Its images are tried from
-    N's fiber over the image of that boundary, in carrier order: the
-    elements that keep the family natural along every position.
+    generator images are mapped before the element.  Its images are
+    tried from N's fiber over theirs, in carrier order: the elements
+    that keep the family natural along every generator.
 
     ``bijective`` restricts to per-sort bijections and keeps from each
     fiber only the elements with the stable colour of the element
@@ -118,8 +119,9 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
     sig = M.sig
     sorts = sorted(sig.sorts, key=lambda K: (-sig.level(K),
                                              sig.sorts.index(K)))
-    # each element with its boundary, as (sort, element) per position
-    elems = [(K, e, tuple((q.cod, M.apply(q.path, e)) for q in sig.out(K)))
+    # each element with its fiber's key, as (sort, element) per generator
+    elems = [(K, e, tuple((g.cod, M.apply_gen(g.name, e))
+                          for g in sig.out_gens(K)))
              for K in sorts for e in M.carrier(K)]
     if bijective:
         mcol, ncol = colour_refinement(M, N)

@@ -26,7 +26,7 @@ from .pretty import pformat
 from .sigcore import Arrow, Signature
 from .synkit import (And, Equiv, Exists, Forall, Formula, Implies,
                      Variable, compatible_sorts, conj, deepest_first,
-                     mk_var, universal_closure)
+                     mk_var)
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,11 @@ def _fresh_name(sort, used):
     return f"{base}{i}"
 
 
-def _pattern_formula(sig, pat: FillerPattern) -> Formula:
-    body = Equiv(pat.alpha.sort, pat.alpha, pat.beta)
-    return universal_closure(sig, body, pat.quantified)
+def _pattern_formula(pat: FillerPattern) -> Formula:
+    out = Equiv(pat.alpha.sort, pat.alpha, pat.beta)
+    for v in reversed(pat.quantified):
+        out = Forall(v, out)
+    return out
 
 
 # signature -> {(x, y): Ind(x, y)}; an entry lives as long as its signature
@@ -136,7 +138,7 @@ def _ind(sig: Signature, x: Variable, y: Variable) -> Formula:
         for p in sig.hom(R, K):  # R lies above K: no identity
             if p not in skip:
                 parts.extend(sorted(
-                    (_pattern_formula(sig, pat)
+                    (_pattern_formula(pat)
                      for pat in _fillers(sig, R, p, x, y, pool, used_names)),
                     key=pformat))
     return conj(parts)

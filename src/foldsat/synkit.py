@@ -126,8 +126,8 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
                 f"position {g.name} of {sort} needs sort {g.cod}, "
                 f"got {v.sort}")
         proj.append((g.name, v))
-    extra = set(fillers) - {g.name for g in gens}
-    if extra:
+    if len(fillers) > len(gens):  # each generator has its filler
+        extra = set(fillers) - {g.name for g in gens}
         raise FunctorialityError(f"unknown positions for {sort}: {extra}")
     var = Variable(name, sort, tuple(proj))
     # the dependency closure is walked depth-first from var, so the broken
@@ -285,13 +285,11 @@ def deepest_first(sig: Signature, vars_) -> list:
     """``vars_`` deepest sort first, then by name; ``repr`` orders
     variables that tie there.  A variable's boundary lies in deeper
     sorts, so it comes before the variable."""
-    def key(v):
-        return -sig.level(v.sort), v.name
-
-    out = sorted(vars_, key=key)
-    if len(set(map(key, out))) < len(out):
-        out.sort(key=lambda v: (key(v), repr(v)))
-    return out
+    keyed = sorted((((-sig.level(v.sort), v.name), v) for v in vars_),
+                   key=lambda kv: kv[0])
+    if len({k for k, _ in keyed}) < len(keyed):
+        keyed.sort(key=lambda kv: (kv[0], repr(kv[1])))
+    return [v for _, v in keyed]
 
 
 def universal_closure(sig: Signature, phi: Formula, vars_) -> Formula:

@@ -209,13 +209,10 @@ def test_fiber_index_is_read_only_after_it_is_built():
     assert satisfies(M, tcat_axioms())[0]
     saturation_profile(M)
     assert {K: list(M.fibers(K)) for K in M.sig.sorts} == built
-    # e . e = e, so nothing of comp lies over (e, e, s)
-    empty = [d for d in boundary_instances(M, "comp")
-             if tuple(d[q] for q in M.sig.out("comp"))
-             not in M.fibers("comp")]
-    assert empty
-    for delta in empty:
-        assert fiber(M, "comp", delta) == ()
+    # e . e = e, so nothing of comp lies over (e, e, s): fiber finds
+    # some boundary instances empty
+    assert any(not fiber(M, "comp", d)
+               for d in boundary_instances(M, "comp"))
     assert {K: list(M.fibers(K)) for K in M.sig.sorts} == built
 
 

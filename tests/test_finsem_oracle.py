@@ -25,8 +25,8 @@ from foldsat import finsem, isogen
 from foldsat.cli import _ATOM_VAR, parse_formula
 from foldsat.errors import FoldsError, FunctorialityError, InvalidBoundary
 from foldsat.finsem import (_permanent, _saturated, boundary_instances,
-                            card_iso_elems, check_saturation, eval_card,
-                            fiber, satisfies, saturation_profile,
+                            boundary_key, card_iso_elems, check_saturation,
+                            eval_card, fiber, satisfies, saturation_profile,
                             validate_structure)
 from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
@@ -63,6 +63,16 @@ def scan_fiber(M, K, delta):
                     f"boundary for {K!r} violates {g.name!r} naturality "
                     f"at position {q.name!r}")
     return tuple(e for e in M.carrier(K) if boundary_of(M, K, e) == delta)
+
+
+def full_boundary_fibers(M, K):
+    """The fiber index keyed as it first was: each element by its images
+    along every position out of K, not only along K's generators."""
+    groups = {}
+    for e in M.carrier(K):
+        key = tuple(M.apply(q.path, e) for q in M.sig.out(K))
+        groups.setdefault(key, []).append(e)
+    return {key: tuple(es) for key, es in groups.items()}
 
 
 def eager_profile(M):
@@ -405,7 +415,7 @@ def check_fibers(M, rnd):
                     fiber(M, K, delta)
                 assert str(got.value) == str(exc)
             else:
-                # twice: the second lookup may be answered by the index
+                # twice: a lookup adds nothing to the index
                 assert fiber(M, K, delta) == want
                 assert fiber(M, K, delta) == want
 
@@ -421,6 +431,73 @@ def test_fiber_index_matches_carrier_scan_on_corpus():
     for M in corpus().values():
         for _ in range(5):
             check_fibers(M, rnd)
+
+
+def check_index_keys(M):
+    """The index holds the fibers of the full-boundary grouping, in its
+    order, each under the ``boundary_key`` of its boundary."""
+    sig = M.sig
+    for K in sig.sorts:
+        full = full_boundary_fibers(M, K)
+        assert list(M.fibers(K).values()) == list(full.values()), K
+        for key, F in full.items():
+            delta = dict(zip(sig.out(K), key))
+            assert M.fibers(K)[boundary_key(sig, K, delta)] == F, K
+
+
+def check_composite_faults(M):
+    """Each element's boundary with one position that is not a generator
+    position changed to another element of its sort: ``fiber`` raises
+    what the carrier scan raises, although the generator positions still
+    hold a key of the index.  Returns the number of boundaries tried."""
+    sig = M.sig
+    tried = 0
+    for K in sig.sorts:
+        gen_positions = {sig.cls((g.name,)) for g in sig.out_gens(K)}
+        for e in M.carrier(K):
+            delta = boundary_of(M, K, e)
+            for q in sig.out(K):
+                if q in gen_positions:
+                    continue
+                for other in M.carrier(q.cod):
+                    if other == delta[q]:
+                        continue
+                    bad = {**delta, q: other}
+                    with pytest.raises(InvalidBoundary) as want:
+                        scan_fiber(M, K, bad)
+                    with pytest.raises(InvalidBoundary) as got:
+                        fiber(M, K, bad)
+                    assert str(got.value) == str(want.value), (K, e, q)
+                    tried += 1
+    return tried
+
+
+@SETTINGS
+@given(lcat_structures())
+def test_fiber_index_keys_and_composite_faults_on_lcat(M):
+    check_index_keys(M)
+    check_composite_faults(M)
+
+
+def test_fiber_index_keys_and_composite_faults_on_corpus():
+    tried = 0
+    for M in corpus().values():
+        check_index_keys(M)
+        tried += check_composite_faults(M)
+    assert tried > 100
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_fiber_index_keys_on_dag_signatures(raw, data):
+    order, sig = _codomains_first(raw)
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+    except FunctorialityError:
+        return
+    check_index_keys(M)
 
 
 # -- Ind over name-free pair contexts ---------------------------------------

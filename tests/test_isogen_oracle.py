@@ -227,7 +227,7 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
 
     def distinct(sig, R, p, x, y, *pool):
         pats = real(sig, R, p, x, y, *pool)
-        formulas = [_pattern_formula(sig, pat) for pat in pats]
+        formulas = [_pattern_formula(pat) for pat in pats]
         for i, f in enumerate(formulas):
             for g in formulas[:i]:
                 assert not alpha_eq(f, g), (R, p, pformat(f))
