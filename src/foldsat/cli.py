@@ -254,7 +254,13 @@ def _quant(p, sig, env):
                               ("exists", Exists, False),
                               ("sum", Exists, True)):
         if p.accept(kw):
+            at = p.i
             v = _parse_decl(p, sig, env)
+            old = env.get(v.name)
+            for w in env.values():
+                if w is not old and old in w.dep():
+                    raise p.error(f"binder {v.name!r} rebinds {v.name!r}, on "
+                                  f"which the sort of {w.name!r} depends", at)
             p.expect(".")
             inner = dict(env)
             inner[v.name] = v

@@ -16,11 +16,10 @@ Nothing lies above a level-1 sort, so its ``Ind`` is ``Top``: its
 ``~=`` counts every bijection, and it is saturated when each of its
 fibers has at most one element.  Saturation is decided level by level
 from the bottom: the first violation settles its level and every level
-above it.  Level 2 is decided only once level 1 holds; then each ``~=``
-in a level-2 ``Ind`` compares fibers of at most one element, so card
-Ind(a, a) is 1 and only distinct elements of one fiber are checked.
-Above level 2 a ``~=`` may compare larger fibers, and the diagonal can
-exceed 1 (64 at the object of Z_2).
+above it.  Level 2 is decided only once level 1 holds, on distinct
+elements of one fiber (see ``_saturated``).  Each fiber, or pair of
+boundaries, compiles its ``Ind`` once (``_ind_counter``), and the
+permanent of ``~=`` runs over column types (``_permanent``).
 """
 
 from __future__ import annotations
@@ -205,24 +204,26 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
     return M.fibers(K).get(boundary_key(sig, K, delta), ())
 
 
-def _ind_is_top(sig: Signature, K: str) -> bool:
-    """Whether Ind(x, y) is Top on K: nothing lies above a level-1 sort."""
-    return sig.level(K) == 1
-
-
 def _permanent(rows) -> int:
     """The permanent of a square matrix of non-negative integers: the sum
     over bijections from rows to columns of the product of the chosen
-    entries.  Dynamic programming over the set of columns the first rows
-    use, so 2**n sets at most rather than n! bijections."""
-    ways = {0: 1}
-    for row in rows:
+    entries.  Equal columns form one type, and a dynamic program over the
+    rows keeps the number of free columns of each type: a row placed on a
+    type with r free columns adds weight w*r.  An all-equal n x n matrix
+    has n + 1 states; only one with no two equal columns reaches 2**n."""
+    if len(rows) < 2:  # 0 x 0 or 1 x 1, the matrices of most ``~=``
+        return rows[0][0] if rows else 1
+    types = {}
+    for col in zip(*rows):
+        types[col] = types.get(col, 0) + 1
+    ways = {tuple(types.values()): 1}
+    for i in range(len(rows)):
         nxt = {}
-        for used, n in ways.items():
-            for j, w in enumerate(row):
-                bit = 1 << j
-                if w and not used & bit:
-                    nxt[used | bit] = nxt.get(used | bit, 0) + n * w
+        for free, n in ways.items():
+            for j, col in enumerate(types):
+                if free[j] and col[i]:
+                    key = free[:j] + (free[j] - 1,) + free[j + 1:]
+                    nxt[key] = nxt.get(key, 0) + n * col[i] * free[j]
         ways = nxt
     return sum(ways.values())
 
@@ -440,7 +441,7 @@ class _Evaluator:
         a level-1 sort every entry is 1, so two fibers of n elements
         give n!."""
         f1, f2 = self._fiber_fn(node.alpha), self._fiber_fn(node.beta)
-        top = _ind_is_top(self.sig, node.sort)
+        top = self.sig.level(node.sort) == 1
         xv = Variable("a*", node.sort, node.alpha.proj)
         yv = Variable("b*", node.sort, node.beta.proj)
         sx, sy = self._slot_of(xv), self._slot_of(yv)
@@ -521,43 +522,55 @@ def satisfies(M: FinStructure, theory):
 
 # -- element-indexed indistinguishability -------------------------------
 
+def _ind_counter(M: FinStructure, K: str, da, db):
+    """card of Ind(x*, y*), x* and y* over the boundaries da and db of K,
+    as a function of the elements a, b they stand for: ``Ind`` compiled
+    once, and each call binds x*, y* in a copy of one environment."""
+    ev = M.evaluator()
+    (xv, yv), value_of = variables_over(M.sig, K, (da, db), ("x*", "y*"))
+    count = ev._count(ind(M.sig, xv, yv))
+    base = {ev._slot_of(v): e for v, e in value_of.items()}
+    sx, sy = ev._slot_of(xv), ev._slot_of(yv)
+
+    def card(a, b):
+        env = dict(base)
+        env[sx], env[sy] = a, b
+        return count(env)
+    return card
+
+
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     """card of Ind(x, y) with x, y standing over the element boundaries
     of a and b, which must be elements of K."""
-    out = M.sig.out(K)
     _check_element(M, K, a)
     _check_element(M, K, b)
-    (xv, yv), asg = variables_over(
-        M.sig, K, [{q: M.apply(q.path, e) for q in out} for e in (a, b)],
-        ("x*", "y*"))
-    asg[xv] = a
-    asg[yv] = b
-    phi = ind(M.sig, xv, yv)
-    fv = phi.free_vars()
-    return eval_card(M, phi, {v: e for v, e in asg.items() if v in fv})
+    da, db = ({q: M.apply(q.path, e) for q in M.sig.out(K)} for e in (a, b))
+    return _ind_counter(M, K, da, db)(a, b)
 
 
 def ind_truth_elems(M: FinStructure, K: str, a, b) -> bool:
     return card_iso_elems(M, K, a, b) > 0
 
 
-def _violations(M: FinStructure, K: str):
-    """The violations of card(x ~ y) = [x = y] over the fibers of K,
-    one at a time, fiber by fiber and pair by pair."""
-    top = _ind_is_top(M.sig, K)
+def _violations(M: FinStructure, K: str, distinct=False):
+    """The violations of card(x ~ y) = [x = y] over the fibers of K (of
+    distinct x, y only if ``distinct``), one at a time, fiber by fiber
+    and pair by pair, with one ``Ind`` counter per fiber with a pair."""
+    top = M.sig.level(K) == 1
     index = M.fibers(K)
     for delta in boundary_instances(M, K):
         F = index.get(boundary_key(M.sig, K, delta), ())
-        for a in F:
-            for b in F:
-                c = 1 if top else card_iso_elems(M, K, a, b)
-                if c != (1 if a == b else 0):
-                    yield {
-                        "sort": K,
-                        "boundary": {q.name: e for q, e in delta.items()},
-                        "pair": (a, b),
-                        "card": c,
-                    }
+        pairs = [(a, b) for a in F for b in F if not distinct or a != b]
+        card = None if top or not pairs else _ind_counter(M, K, delta, delta)
+        for a, b in pairs:
+            c = 1 if top else card(a, b)
+            if c != (1 if a == b else 0):
+                yield {
+                    "sort": K,
+                    "boundary": {q.name: e for q, e in delta.items()},
+                    "pair": (a, b),
+                    "card": c,
+                }
 
 
 def check_saturation(M: FinStructure, K: str) -> list:
@@ -573,13 +586,9 @@ def _saturated(M: FinStructure, K: str) -> bool:
     at most one element, so each ``~=`` in its ``Ind`` is 0! or 1!, and
     card Ind(a, a) is 1.  Above level 2 this fails (on Z_2, card(x ~ x)
     is 64 at ``O``)."""
-    if _ind_is_top(M.sig, K):
+    if M.sig.level(K) == 1:
         return all(len(F) <= 1 for F in M.fibers(K).values())
-    if M.sig.level(K) == 2:
-        return all(card_iso_elems(M, K, a, b) == 0
-                   for F in M.fibers(K).values()
-                   for a in F for b in F if a != b)
-    return next(_violations(M, K), None) is None
+    return next(_violations(M, K, M.sig.level(K) == 2), None) is None
 
 
 def saturation_profile(M: FinStructure) -> dict:
@@ -620,5 +629,5 @@ def equiv_card_via_bijections(M: FinStructure, K: str, d1, d2) -> int:
     f1, f2 = fiber(M, K, d1), fiber(M, K, d2)
     if len(f1) != len(f2):
         return 0
-    return _permanent([[int(ind_truth_elems(M, K, a, b)) for b in f2]
-                       for a in f1])
+    card = _ind_counter(M, K, d1, d2)
+    return _permanent([[int(card(a, b) > 0) for b in f2] for a in f1])

@@ -13,7 +13,7 @@ from foldsat.cli import (format_signature, format_structure, format_theory,
                          main, parse_formula, parse_signature,
                          parse_structure, parse_theory)
 from foldsat.errors import ParseError
-from foldsat.finsem import eval_prop
+from foldsat.finsem import eval_card, eval_prop
 from foldsat.isogen import iso_formula
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
@@ -114,6 +114,23 @@ def test_parse_errors(lcat):
         parse_formula("forall f:A. true", lcat)
     with pytest.raises(ParseError):
         parse_structure("structure X over wrong { }", lcat)
+
+
+def test_binder_may_not_rebind_a_variable_a_sort_depends_on(capsys, lcat):
+    """The inner ``x`` would stand in the outer one's place in ``f``'s
+    boundary, so the count would not be well defined; shadowing with no
+    dependent in scope stays legal."""
+    text = "sum x:O. sum f:A(x,x).\n  sum x:O. I(f)"
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, lcat)
+    assert str(err.value) == ("binder 'x' rebinds 'x', on which the sort "
+                              "of 'f' depends (line 2, col 7)")
+    code, out, _ = run(capsys, "eval", p("lcat.folds"), p("Chain3.str"),
+                       "-e", text, "--card")
+    assert (code, out) == (2, "")
+    shadowed = parse_formula("sum x:O. sum f:A(x,x). sum f:A(x,x). "
+                             "sum y:O. sum y:O. I(f)", lcat)
+    assert eval_card(corpus()["Chain3"], shadowed) == 27
 
 
 def test_parse_error_position_after_multiline_prefix(lcat):
@@ -404,14 +421,17 @@ SAT_VARIANTS = ([], ["--total"], ["--level", "1"], ["--level", "2"],
 
 
 # ParallelPair (two parallel arrows, nothing else) is saturated at level
-# 1 but not at level 2: nothing above A tells its two arrows apart
+# 1 but not at level 2: nothing above A tells its two arrows apart.  Z12,
+# the cyclic group of order 12, fails at level 3 only; its card, 12!**6,
+# pins six permanents of 12 x 12 matrices to the last digit
 @pytest.mark.parametrize("name", sorted(path.stem
                                         for path in CORPUS.glob("*.str"))
-                         + ["ParallelPair"])
+                         + ["ParallelPair", "Z12"])
 def test_sat_golden(capsys, name):
     """Every form of `sat`, text and `--json`, byte for byte as printed
     before levels were decided bottom-up (ParallelPair: as printed
-    before level 2 was decided on distinct elements of a shared fiber)."""
+    before level 2 was decided on distinct elements of a shared fiber;
+    Z12: before the permanent grouped equal columns)."""
     transcript = []
     for json_flag in ([], ["--json"]):
         for extra in SAT_VARIANTS:
