@@ -532,7 +532,7 @@ def _cmd_sat(args, sig, M):
 
 def _cmd_hom(args, sig, M, N):
     kind = "fiberwise surjective hom" if args.fibsurj else "hom"
-    homs = ((h.maps for h, _ in fibsurj_homs(M, N)) if args.fibsurj
+    homs = ((h.maps for h in fibsurj_homs(M, N)) if args.fibsurj
             else _hom_search(M, N))
     for maps in homs:
         return _Result(True, [f"{kind} found"], witness=maps)

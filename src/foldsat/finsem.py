@@ -525,15 +525,15 @@ def satisfies(M: FinStructure, theory):
 def _ind_counter(M: FinStructure, K: str, da, db):
     """card of Ind(x*, y*), x* and y* over the boundaries da and db of K,
     as a function of the elements a, b they stand for: ``Ind`` compiled
-    once, and each call binds x*, y* in a copy of one environment."""
+    once, and each call binds x*, y* in one environment, where every
+    quantifier and ``~=`` restores the slot it binds."""
     ev = M.evaluator()
     (xv, yv), value_of = variables_over(M.sig, K, (da, db), ("x*", "y*"))
     count = ev._count(ind(M.sig, xv, yv))
-    base = {ev._slot_of(v): e for v, e in value_of.items()}
+    env = {ev._slot_of(v): e for v, e in value_of.items()}
     sx, sy = ev._slot_of(xv), ev._slot_of(yv)
 
     def card(a, b):
-        env = dict(base)
         env[sx], env[sy] = a, b
         return count(env)
     return card

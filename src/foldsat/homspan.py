@@ -5,12 +5,11 @@ A homomorphism is a natural family of carrier maps.  The search for
 one runs fiber by fiber: an element's images are the elements of the
 target's fiber over the images of its generator images, read from the
 target's fiber index (``FinStructure.fibers``), which the search never
-writes.  Fiberwise surjectivity is checked over every boundary instance
-of the domain and witnessed by stored sections.  Two structures are
-equivalent when a span of fiberwise surjections joins them; for totally
-saturated structures of a height-3 signature this coincides with the
-existence of a structure isomorphism, which is what the decision
-procedure computes.
+writes.  Fiberwise surjectivity is a predicate, checked over every
+boundary instance of the domain.  Two structures are equivalent when a
+span of fiberwise surjections joins them; for totally saturated
+structures of a height-3 signature this coincides with the existence of
+a structure isomorphism, which is what the decision procedure computes.
 """
 
 from __future__ import annotations
@@ -36,28 +35,24 @@ def identity_hom(M: FinStructure) -> Hom:
     return Hom(M, M, {K: {e: e for e in M.carrier(K)} for K in M.sig.sorts})
 
 
-def is_fibsurj(h: Hom):
-    """Fiberwise surjectivity over every boundary instance of the
-    domain, with deterministic least-preimage sections.  ``h`` must be
-    a homomorphism: it sends natural boundaries to natural ones, so both
-    fibers are read from the fiber indexes by key, and a map family that
-    is not natural is not rejected."""
+def is_fibsurj(h: Hom) -> bool:
+    """Whether h maps each fiber of its domain onto the target's fiber
+    over the image boundary.  ``h`` must be a homomorphism: it sends
+    natural boundaries to natural ones, so both fibers are read from the
+    fiber indexes by key, and a map family that is not natural is not
+    rejected."""
     M, N = h.src, h.dst
-    sig, sections = M.sig, {}
+    sig = M.sig
     for K in sig.sorts:
         gens, hK = sig.out_gens(K), h.maps[K]
         for delta in boundary_instances(M, K):
-            over, images = boundary_key(sig, K, delta), {}
-            for e in M.fibers(K).get(over, ()):
-                images.setdefault(hK[e], e)
+            over = boundary_key(sig, K, delta)
+            images = {hK[e] for e in M.fibers(K).get(over, ())}
             dst_fiber = N.fibers(K).get(
                 tuple(h.maps[g.cod][e] for g, e in zip(gens, over)), ())
-            if any(b not in images for b in dst_fiber):
-                return False, None
-            key = (K, tuple(sorted((q.name, e)
-                                   for q, e in delta.items())))
-            sections[key] = {b: images[b] for b in dst_fiber}
-    return True, sections
+            if not images.issuperset(dst_fiber):
+                return False
+    return True
 
 
 def colour_refinement(M: FinStructure, N: FinStructure):
@@ -165,13 +160,12 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
 
 
 def fibsurj_homs(M: FinStructure, N: FinStructure):
-    """The fiberwise-surjective homs M -> N, each with its sections
-    (``is_fibsurj``), in the order ``_hom_search`` yields them."""
+    """The fiberwise-surjective homs M -> N (``is_fibsurj``), in the
+    order ``_hom_search`` yields them."""
     for maps in _hom_search(M, N):
         h = Hom(M, N, maps)
-        ok, sections = is_fibsurj(h)
-        if ok:
-            yield h, sections
+        if is_fibsurj(h):
+            yield h
 
 
 def structure_iso(M: FinStructure, N: FinStructure):
@@ -182,30 +176,17 @@ def structure_iso(M: FinStructure, N: FinStructure):
 
 @dataclass(frozen=True)
 class Span:
-    """A FOLDS-equivalence witness: both legs fiberwise surjective."""
+    """A FOLDS-equivalence witness: fiberwise surjections out of apex."""
 
     apex: FinStructure
     left: Hom
     right: Hom
-    left_sections: dict
-    right_sections: dict
 
 
 @dataclass(frozen=True)
 class SpanResult:
     status: str  # "found" | "absent" | "bound_exceeded"
     span: Span = None
-
-
-def _span(left: Hom, right: Hom):
-    """The span of two fiberwise surjections out of one apex, or None."""
-    okl, sl = is_fibsurj(left)
-    if not okl:
-        return None
-    okr, sr = is_fibsurj(right)
-    if not okr:
-        return None
-    return Span(left.src, left, right, sl, sr)
 
 
 def _product_structure(M: FinStructure, N: FinStructure) -> FinStructure:
@@ -219,39 +200,55 @@ def _product_structure(M: FinStructure, N: FinStructure) -> FinStructure:
     return FinStructure(sig, carriers, maps)
 
 
+def _projections_fibsurj(M: FinStructure, N: FinStructure) -> bool:
+    """Whether both projections out of M x N are fiberwise surjective,
+    decided from the factors (see ``find_span``)."""
+    return not any(A.carrier(K)
+                   and len(boundary_instances(B, K)) > len(B.fibers(K))
+                   for A, B in ((M, N), (N, M)) for K in M.sig.sorts)
+
+
 def find_span(M: FinStructure, N: FinStructure, max_apex=None):
     """A span of fiberwise surjections joining M and N, searched over a
     deterministic family of candidate apexes: M with its identity, N
     with its identity, then the product M x N with its projections,
     unless some sort of the product would have more than ``max_apex``
-    elements (an int, or None for no bound).  Each leg is a homomorphism,
-    as ``is_fibsurj`` requires.
+    elements (an int, or None for no bound).
+
+    The product is built only for the witness.  Its natural boundaries
+    over a sort K are the pairs (dM, dN) of natural boundaries of M and
+    N, and its fiber over one is M(dM) x N(dN).  So the projection onto
+    M is fiberwise surjective iff no K has an element of M and a natural
+    boundary of N with an empty fiber; the projection onto N is the
+    mirror image.
 
     Absence is definitive only on the totally saturated fast path; when
     the bounded search is exhausted elsewhere, the result is reported as
     bound_exceeded rather than absent.
     """
+    # Identity and isomorphism legs are not checked: an identity is
+    # fiberwise surjective, and so is a natural bijection, because its
+    # inverse is a hom.
     if (saturation_profile(M)["total"]
             and saturation_profile(N)["total"]):
         iso = structure_iso(M, N)
         if iso is None:
             return SpanResult("absent")
-        return SpanResult("found", _span(identity_hom(M), Hom(M, N, iso)))
-    for h, sections in fibsurj_homs(M, N):
-        i = identity_hom(M)
-        return SpanResult("found", Span(M, i, h, is_fibsurj(i)[1], sections))
-    for h, sections in fibsurj_homs(N, M):
-        i = identity_hom(N)
-        return SpanResult("found", Span(N, h, i, sections, is_fibsurj(i)[1]))
-    if max_apex is None or all(
+        return SpanResult("found", Span(M, identity_hom(M),
+                                        Hom(M, N, iso)))
+    for h in fibsurj_homs(M, N):
+        return SpanResult("found", Span(M, identity_hom(M), h))
+    for h in fibsurj_homs(N, M):
+        return SpanResult("found", Span(N, h, identity_hom(N)))
+    if ((max_apex is None or all(
             len(M.carrier(K)) * len(N.carrier(K)) <= max_apex
-            for K in M.sig.sorts):
+            for K in M.sig.sorts))
+            and _projections_fibsurj(M, N)):
         P = _product_structure(M, N)
-        lmaps = {K: {p: p[0] for p in P.carrier(K)} for K in P.sig.sorts}
-        rmaps = {K: {p: p[1] for p in P.carrier(K)} for K in P.sig.sorts}
-        span = _span(Hom(P, M, lmaps), Hom(P, N, rmaps))
-        if span is not None:
-            return SpanResult("found", span)
+        legs = [Hom(P, S, {K: {p: p[i] for p in P.carrier(K)}
+                           for K in P.sig.sorts})
+                for i, S in enumerate((M, N))]
+        return SpanResult("found", Span(P, *legs))
     return SpanResult("bound_exceeded")
 
 

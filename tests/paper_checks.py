@@ -3,11 +3,11 @@
 They build the objects the lemmas speak about (element-named variables,
 boundary pairs, the categorical ``Iso`` and ``Yso`` formulas, the category
 read off a model) and decide the properties the lemmas state (hom
-naturality, sections, preservation of ``Ind`` along fiberwise
-surjections, the expanded equivalence count, equality of formulas up to
-renaming of bound variables).  The tests compare them with what the
-package computes.  The lexer that tracks every token's position as it
-scans is kept here too, as the oracle of the one in ``foldsat.cli``.
+naturality, preservation of ``Ind`` along fiberwise surjections, the
+expanded equivalence count, equality of formulas up to renaming of bound
+variables).  The tests compare them with what the package computes.  The
+lexer that tracks every token's position as it scans is kept here too,
+as the oracle of the one in ``foldsat.cli``.
 """
 
 import re
@@ -198,15 +198,6 @@ def is_hom(M: FinStructure, N: FinStructure, maps) -> bool:
     return True
 
 
-def verify_sections(h: Hom, sections) -> bool:
-    """map after section is the identity on every target fiber."""
-    for (K, _), table in sections.items():
-        for b, a in table.items():
-            if h.maps[K][a] != b:
-                return False
-    return True
-
-
 def check_ind_preservation(h: Hom, level: int) -> dict:
     """Indistinguishability along a fiberwise surjection.
 
@@ -215,8 +206,7 @@ def check_ind_preservation(h: Hom, level: int) -> dict:
     formula match on all pairs of level-3 elements; requires totally
     saturated endpoints.
     """
-    ok, _ = is_fibsurj(h)
-    if not ok:
+    if not is_fibsurj(h):
         raise PreconditionViolation("homomorphism is not fiberwise "
                                     "surjective")
     if level == 3 and not (saturation_profile(h.src)["total"]

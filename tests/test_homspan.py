@@ -10,7 +10,7 @@ from foldsat.sigcore import validate_signature
 from foldsat.stdlib import (_poset_category, builtin_signature,
                             category_to_structure, corpus)
 from paper_checks import (PreconditionViolation, check_ind_preservation,
-                          compose_homs, is_hom, verify_sections)
+                          compose_homs, is_hom)
 
 
 @pytest.fixture(scope="module")
@@ -78,17 +78,12 @@ def test_compose_homs(models):
 
 def test_identity_is_fibsurj(models):
     for M in models.values():
-        ok, sections = is_fibsurj(identity_hom(M))
-        assert ok
-        assert verify_sections(identity_hom(M), sections)
+        assert is_fibsurj(identity_hom(M))
 
 
 def test_collapse_walkiso_is_fibsurj(models):
     M, T = models["WalkIso"], models["TermCat"]
-    h = Hom(M, T, collapse_to_termcat(M, T))
-    ok, sections = is_fibsurj(h)
-    assert ok
-    assert verify_sections(h, sections)
+    assert is_fibsurj(Hom(M, T, collapse_to_termcat(M, T)))
 
 
 def test_collapse_arrow2_rejected(models):
@@ -97,25 +92,14 @@ def test_collapse_arrow2_rejected(models):
     M, T = models["Arrow2"], models["TermCat"]
     h = Hom(M, T, collapse_to_termcat(M, T))
     assert is_hom(M, T, h.maps)
-    ok, sections = is_fibsurj(h)
-    assert not ok and sections is None
+    assert not is_fibsurj(h)
 
 
 def test_compose_fibsurj(models):
     M, T = models["WalkIso"], models["TermCat"]
     h = compose_homs(Hom(M, T, collapse_to_termcat(M, T)),
                      identity_hom(T))
-    ok, _ = is_fibsurj(h)
-    assert ok
-
-
-def test_sections_cover_every_boundary_instance(models):
-    from foldsat.finsem import boundary_instances
-    M = models["WalkIso"]
-    _, sections = is_fibsurj(identity_hom(M))
-    for K in M.sig.sorts:
-        keys = [k for k in sections if k[0] == K]
-        assert len(keys) == len(boundary_instances(M, K))
+    assert is_fibsurj(h)
 
 
 # -- structure isomorphism ----------------------------------------------
@@ -169,10 +153,12 @@ def test_structure_iso_absent(models):
 
 def test_find_span_saturated_fast_path(models):
     M = models["Arrow2"]
-    res = find_span(M, relabel(M, "r_"))
+    N = relabel(M, "r_")
+    res = find_span(M, N)
     assert res.status == "found"
     assert res.span.apex is M
-    assert verify_sections(res.span.right, res.span.right_sections)
+    assert is_hom(M, N, res.span.right.maps)
+    assert is_fibsurj(res.span.right)
 
 
 def test_find_span_absent_on_saturated_pair(models):
@@ -188,8 +174,7 @@ def test_find_span_walkiso_termcat(models):
     assert res.status == "found"
     assert res.span.apex is M
     assert res.span.right.dst is T
-    ok, _ = is_fibsurj(res.span.right)
-    assert ok
+    assert is_fibsurj(res.span.right)
 
 
 def test_find_span_symmetric(models):

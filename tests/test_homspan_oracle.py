@@ -8,28 +8,39 @@ The search oracle is the recursive backtracking over whole carriers that
 exactly when it finds none, and the non-bijective search must yield the
 same maps in the same order.  Inputs are random small lcat structures
 (preorders and cyclic groups, some with one element duplicated), the
-corpus, Z_4 and Z_6, and random structures over random DAG signatures.
+corpus, Z_4 and Z_6, and random structures over random DAG signatures;
+the span searches also take Z_1-Z_5, the indiscrete categories on 2 and
+3 objects and the golden structures (``span_inputs``).
 
 The fiberwise-surjectivity oracle looks both fibers up through the
 validating ``finsem.fiber``, with the target boundary pushed forward
-position by position; the span oracle checks the identity leg once per
-candidate and takes its apex bound per sort.  Both must give the same
-answers and the same sections.
+position by position, and keeps the least-preimage sections the check
+once stored; only its verdict is compared.  The span oracle checks
+every leg it returns, identities included, takes its apex bound per
+sort, and builds the product apex to check its projections, which
+``find_span`` decides from the factors alone.  Both must give the same
+answers, and every leg ``find_span`` returns must be a hom the oracle
+accepts.
 """
 
-from itertools import islice, permutations, product
+from itertools import count, islice, permutations, product
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from foldsat import homspan
+from foldsat.cli import parse_structure
 from foldsat.errors import FunctorialityError, SortMismatch
 from foldsat.finsem import (boundary_instances, fiber, saturation_profile,
                             validate_structure)
 from foldsat.homspan import (Hom, Span, SpanResult, _hom_search,
-                             _product_structure, colour_refinement,
-                             fibsurj_homs, find_span, identity_hom,
-                             is_fibsurj, structure_iso)
-from foldsat.stdlib import _poset_category, category_to_structure, corpus
+                             _product_structure, _projections_fibsurj,
+                             colour_refinement, fibsurj_homs, find_span,
+                             identity_hom, is_fibsurj, structure_iso)
+from foldsat.stdlib import (_poset_category, builtin_signature,
+                            category_to_structure, corpus)
+from paper_checks import is_hom
 from test_finsem_oracle import cyclic, duplicate, relabel
 from test_isogen_oracle import few_parallel_positions
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
@@ -107,18 +118,15 @@ def oracle_is_fibsurj(h: Hom):
 
 def oracle_span_through(P, M, N, lmaps, rmaps):
     left, right = Hom(P, M, lmaps), Hom(P, N, rmaps)
-    okl, sl = oracle_is_fibsurj(left)
-    if not okl:
-        return None
-    okr, sr = oracle_is_fibsurj(right)
-    if not okr:
-        return None
-    return Span(P, left, right, sl, sr)
+    if oracle_is_fibsurj(left)[0] and oracle_is_fibsurj(right)[0]:
+        return Span(P, left, right)
+    return None
 
 
-def oracle_find_span(M, N, apex_bound=None):
+def oracle_find_span(M, N, apex_bound=None, search=_hom_search):
     """A span of fiberwise surjections joining M and N, searched over a
-    deterministic family of candidate apexes."""
+    deterministic family of candidate apexes, with the legs out of M and
+    N drawn from ``search``."""
     if M.sig is not N.sig:
         raise SortMismatch("structures are over different signatures")
     if (saturation_profile(M)["total"]
@@ -129,12 +137,12 @@ def oracle_find_span(M, N, apex_bound=None):
         span = oracle_span_through(M, M, N, identity_hom(M).maps, iso)
         return SpanResult("found", span)
     # apex M: identity left leg, searched fiberwise-surjective right leg
-    for maps in _hom_search(M, N):
+    for maps in search(M, N):
         span = oracle_span_through(M, M, N, identity_hom(M).maps, maps)
         if span is not None:
             return SpanResult("found", span)
     # apex N, symmetric
-    for maps in _hom_search(N, M):
+    for maps in search(N, M):
         span = oracle_span_through(N, M, N, maps, identity_hom(N).maps)
         if span is not None:
             return SpanResult("found", span)
@@ -172,6 +180,34 @@ def small_structures(draw, objects=None):
         K = draw(st.sampled_from([K for K in M.sig.sorts if M.carrier(K)]))
         M = duplicate(M, K, draw(st.sampled_from(M.carrier(K))))
     return M
+
+
+def indiscrete(n):
+    """The category with exactly one arrow between any two of n
+    objects."""
+    objs = [f"o{i}" for i in range(n)]
+    return _poset_category(f"I{n}", objs,
+                           [(a, b) for a in objs for b in objs if a != b])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def span_inputs(golden=False):
+    """The corpus, Z_1-Z_5 and the indiscrete categories on 2 and 3
+    objects; with ``golden``, also every golden structure but Z12, whose
+    hom searches run for minutes, and Arrow2Dup, which is rejected."""
+    models = dict(corpus())
+    if golden:
+        lcat = builtin_signature("lcat")
+        models.update((path.stem, parse_structure(path.read_text(), lcat))
+                      for path in sorted(GOLDEN.glob("*.str"))
+                      if path.stem not in ("Z12", "Arrow2Dup"))
+    models.update((f"Z{n}", category_to_structure(cyclic(n)))
+                  for n in range(1, 6))
+    models.update((f"I{n}", category_to_structure(indiscrete(n)))
+                  for n in (2, 3))
+    return models
 
 
 def shuffler(rnd):
@@ -289,10 +325,13 @@ def test_searches_match_oracle_on_dag_signatures(raw, data, rnd):
         assert structure_iso(A, B) == oracle_iso(A, B)
         for maps in want:
             h = Hom(A, B, maps)
-            assert is_fibsurj(h) == oracle_is_fibsurj(h)
+            assert is_fibsurj(h) == oracle_is_fibsurj(h)[0]
     for A in (M, N):
-        assert is_fibsurj(identity_hom(A)) == oracle_is_fibsurj(
-            identity_hom(A))
+        assert is_fibsurj(identity_hom(A))
+        assert oracle_is_fibsurj(identity_hom(A))[0]
+    for A, B in ((M, N), (N, M)):
+        assert _projections_fibsurj(A, B) == all(
+            oracle_is_fibsurj(h)[0] for h in projections(A, B))
 
 
 # -- fiberwise surjections and spans -----------------------------------------
@@ -300,9 +339,8 @@ def test_searches_match_oracle_on_dag_signatures(raw, data, rnd):
 def test_fibsurj_matches_oracle_on_identities():
     for M in [*corpus().values(), Z4, Z6]:
         h = identity_hom(M)
-        ok, sections = is_fibsurj(h)
-        assert ok
-        assert (ok, sections) == oracle_is_fibsurj(h)
+        assert is_fibsurj(h)
+        assert oracle_is_fibsurj(h)[0]
 
 
 def projections(M, N):
@@ -313,40 +351,71 @@ def projections(M, N):
 
 
 def test_fibsurj_matches_oracle_on_product_projections():
-    for M, N in product(corpus().values(), repeat=2):
-        for h in projections(M, N):
-            assert is_fibsurj(h) == oracle_is_fibsurj(h)
+    """Each projection out of M x N, and the product rule of
+    ``find_span``, which decides both from M and N alone."""
+    for M, N in product(span_inputs(golden=True).values(), repeat=2):
+        verdicts = [oracle_is_fibsurj(h)[0] for h in projections(M, N)]
+        assert [is_fibsurj(h) for h in projections(M, N)] == verdicts
+        assert _projections_fibsurj(M, N) == all(verdicts)
 
 
 def test_fibsurj_homs_match_oracle_on_corpus():
     for M, N in product(corpus().values(), repeat=2):
-        want = [(maps, sections) for maps in oracle_hom_search(M, N)
-                for ok, sections in [oracle_is_fibsurj(Hom(M, N, maps))]
-                if ok]
+        want = [maps for maps in oracle_hom_search(M, N)
+                if oracle_is_fibsurj(Hom(M, N, maps))[0]]
         got = list(fibsurj_homs(M, N))
-        assert all(h.src is M and h.dst is N for h, _ in got)
-        assert [(h.maps, sections) for h, sections in got] == want
+        assert all(h.src is M and h.dst is N for h in got)
+        assert [h.maps for h in got] == want
 
 
 def span_facts(res):
-    """Status, apex, legs and sections of a span search result."""
+    """Status, apex and legs of a span search result."""
     span = res.span
     if span is None:
         return res.status, None
     apex = span.apex
     return (res.status, (apex.carriers, apex.maps),
-            [(h.src is apex, h.dst, h.maps) for h in (span.left, span.right)],
-            span.left_sections, span.right_sections)
+            [(h.src is apex, h.dst, h.maps) for h in (span.left, span.right)])
 
 
-def test_find_span_matches_oracle_on_corpus():
-    models = corpus()
+def replayed(search):
+    """``search`` run at most once per (M, N, bijective): each run is
+    kept as it goes and replayed to every later caller."""
+    runs = {}
+
+    def replay(M, N, bijective=False):
+        it, seen = runs.setdefault((id(M), id(N), bijective),
+                                   (search(M, N, bijective), []))
+        for i in count():
+            if i == len(seen):
+                maps = next(it, None)
+                if maps is None:
+                    return
+                seen.append(maps)
+            yield seen[i]
+    return replay
+
+
+def test_find_span_matches_oracle_on_corpus(monkeypatch):
+    """Every leg ``find_span`` returns is checked here, since it checks
+    none of the identity, isomorphism and projection legs itself.
+    ``find_span`` and the oracle replay one run of each hom search for
+    all four bounds: a search from SquarePoset or I3 into Z_5 takes
+    seconds."""
+    search = replayed(_hom_search)
+    monkeypatch.setattr(homspan, "_hom_search", search)
+    models = span_inputs()
     for M, N in product(models.values(), repeat=2):
         for bound in (None, 1, 3, 8):
             got = find_span(M, N, max_apex=bound)
             want = oracle_find_span(
                 M, N, None if bound is None
-                else {K: bound for K in M.sig.sorts})
+                else {K: bound for K in M.sig.sorts}, search)
             assert span_facts(got) == span_facts(want)
-            if got.span is not None and got.span.apex in (M, N):
+            if got.span is None:
+                continue
+            for h in (got.span.left, got.span.right):
+                assert is_hom(h.src, h.dst, h.maps)
+                assert oracle_is_fibsurj(h)[0]
+            if got.span.apex in (M, N):
                 assert got.span.apex is want.span.apex
