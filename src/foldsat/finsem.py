@@ -18,8 +18,12 @@ fibers has at most one element.  Saturation is decided level by level
 from the bottom: the first violation settles its level and every level
 above it.  Level 2 is decided only once level 1 holds, on distinct
 elements of one fiber (see ``_saturated``).  Each fiber, or pair of
-boundaries, compiles its ``Ind`` once (``_ind_counter``), and the
-permanent of ``~=`` runs over column types (``_permanent``).
+boundaries, builds its ``Ind`` counter once (``_ind_counter``), and the
+permanent of ``~=`` runs over column types (``_permanent``).  Both count
+``Ind`` as a product of its conjuncts that stops at the first 0, and
+generate and compile a conjunct only when the product reaches it
+(``_Evaluator._ind_count``): on Z_n, two distinct loops are told apart
+within the first (R, p) group of ``Ind`` at ``A``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
                      SortMismatch, StructureError, UnboundVariable,
                      UnknownName, UnknownSort)
-from .isogen import ind, variables_over
+from .isogen import ind_conjuncts, variables_over
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
                      Implies, Or, Top, Variable, conj)
@@ -305,7 +309,7 @@ class _Evaluator:
         self.M = M
         self.sig = M.sig
         self._slot = {}  # variable -> slot
-        self._compiled = {}  # formula -> count function
+        self._compiled = {}  # formula, or Ind's conjuncts -> count function
         self._guarded = {}  # forall node -> what to compile, see _hoist_guards
 
     def card(self, phi, asg):
@@ -346,6 +350,33 @@ class _Evaluator:
 
             self._compiled[phi] = fn
         return fn
+
+    def _ind_count(self, x, y):
+        """The count of Ind(x, y), as a product of its conjuncts' counts
+        that stops at the first 0, like the compiled ``And`` of ``ind``.
+        A conjunct is compiled, and its (R, p) group generated, when the
+        product first reaches it.  Built once per evaluator and not
+        memoized: a ``~=`` counts each pair of its fibers once."""
+        conjuncts = ind_conjuncts(self.sig, x, y)
+        product = self._compiled.get(conjuncts)
+        if product is None:
+            counts, parts = [], conjuncts.parts
+
+            def product(env):
+                n = 1
+                for c in counts:
+                    n *= c(env)
+                    if n == 0:
+                        return 0
+                while len(counts) < len(parts) or conjuncts.more():
+                    c = self._count(parts[len(counts)])
+                    counts.append(c)
+                    n *= c(env)
+                    if n == 0:
+                        return 0
+                return n
+            self._compiled[conjuncts] = product
+        return product
 
     def _build(self, phi):
         """The unmemoized count function of one node."""
@@ -437,9 +468,9 @@ class _Evaluator:
 
     def _equiv(self, node: Equiv):
         """Sum over fiber bijections of the product of pointwise
-        indistinguishability counts: the permanent of their matrix.  On
-        a level-1 sort every entry is 1, so two fibers of n elements
-        give n!."""
+        indistinguishability counts: the permanent of their matrix, each
+        entry an ``_ind_count``.  On a level-1 sort every entry is 1, so
+        two fibers of n elements give n!."""
         f1, f2 = self._fiber_fn(node.alpha), self._fiber_fn(node.beta)
         top = self.sig.level(node.sort) == 1
         xv = Variable("a*", node.sort, node.alpha.proj)
@@ -455,7 +486,7 @@ class _Evaluator:
             if top:
                 return factorial(len(left))
             if inner is None:
-                inner = self._count(ind(self.sig, xv, yv))
+                inner = self._ind_count(xv, yv)
             saved = env.get(sx, _UNSET), env.get(sy, _UNSET)
             rows = []
             for a in left:
@@ -524,12 +555,13 @@ def satisfies(M: FinStructure, theory):
 
 def _ind_counter(M: FinStructure, K: str, da, db):
     """card of Ind(x*, y*), x* and y* over the boundaries da and db of K,
-    as a function of the elements a, b they stand for: ``Ind`` compiled
-    once, and each call binds x*, y* in one environment, where every
-    quantifier and ``~=`` restores the slot it binds."""
+    as a function of the elements a, b they stand for: one
+    ``_ind_count``, which generates and compiles the conjuncts as far as
+    the pairs need, and each call binds x*, y* in one environment, where
+    every quantifier and ``~=`` restores the slot it binds."""
     ev = M.evaluator()
     (xv, yv), value_of = variables_over(M.sig, K, (da, db), ("x*", "y*"))
-    count = ev._count(ind(M.sig, xv, yv))
+    count = ev._ind_count(xv, yv)
     env = {ev._slot_of(v): e for v, e in value_of.items()}
     sx, sy = ev._slot_of(xv), ev._slot_of(yv)
 

@@ -14,6 +14,10 @@ Both walks read the signature's fill order: the filler search and
 generic ones or those of elements.  When x != y, ``_ind`` skips each
 position p = q∘g of R with q another position: one variable fills q on
 both sides, but its boundary would hold x on one side and y on the other.
+
+The conjuncts are generated one (R, p) group at a time, and only as far
+as they are read: a count reads ``ind_conjuncts`` until a conjunct is 0,
+and ``ind`` reads it to the end.
 """
 
 from __future__ import annotations
@@ -111,37 +115,75 @@ def _pattern_formula(pat: FillerPattern) -> Formula:
     return out
 
 
-# signature -> {(x, y): Ind(x, y)}; an entry lives as long as its signature
+class _Conjuncts:
+    """The conjuncts of one ``Ind(x, y)`` in order: ``parts`` holds those
+    generated so far, and ``more`` generates the next (R, p) group."""
+
+    def __init__(self, groups):
+        self.parts = []
+        self._groups = groups
+        self._formula = None
+
+    def more(self) -> bool:
+        """Append the next non-empty group to ``parts``; False once every
+        group is generated."""
+        for group in self._groups:
+            if group:
+                self.parts.extend(group)
+                return True
+        return False
+
+    def formula(self) -> Formula:
+        if self._formula is None:
+            for group in self._groups:
+                self.parts.extend(group)
+            self._formula = conj(self.parts)
+        return self._formula
+
+
+# signature -> {(x, y): Ind(x, y)'s conjuncts}; an entry lives as long as
+# its signature
 _IND_CACHE = weakref.WeakKeyDictionary()
 
 
-def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
-    """The indistinguishability formula Ind(x, y); when the boundaries
-    coincide this is the isomorphism formula x ~ y."""
+def ind_conjuncts(sig: Signature, x: Variable, y: Variable) -> _Conjuncts:
+    """The conjuncts of Ind(x, y), generated as far as they are read."""
     table = _IND_CACHE.setdefault(sig, {})
-    if (x, y) not in table:
-        table[(x, y)] = _ind(sig, x, y)
-    return table[(x, y)]
+    seq = table.get((x, y))
+    if seq is None:
+        seq = table[(x, y)] = _Conjuncts(_ind(sig, x, y))
+    return seq
 
 
-def _ind(sig: Signature, x: Variable, y: Variable) -> Formula:
+def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
+    """The indistinguishability formula Ind(x, y), every conjunct
+    generated; when the boundaries coincide this is the isomorphism
+    formula x ~ y."""
+    return ind_conjuncts(sig, x, y).formula()
+
+
+def _ind(sig: Signature, x: Variable, y: Variable):
+    """Ind(x, y)'s conjuncts, one (R, p) group at a time, each sorted by
+    ``pformat``.  The groups read the signature through a weak reference:
+    an entry of ``_IND_CACHE`` must not keep its key alive."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
     K = x.sort
     compatible_y = compatible_sorts(sig, y)
-    both = [R for R in compatible_sorts(sig, x) if R in compatible_y]
+    positions = []
+    for R in compatible_sorts(sig, x):
+        if R in compatible_y:
+            skip = sig.factored(R) if x != y else ()
+            for p in sig.hom(R, K):  # R lies above K: no identity
+                if p not in skip:
+                    positions.append((R, p))
     pool = deepest_first(sig, x.dep() | y.dep())
     used_names = {v.name for v in pool}
-    parts = []
-    for R in both:
-        skip = sig.factored(R) if x != y else ()
-        for p in sig.hom(R, K):  # R lies above K: no identity
-            if p not in skip:
-                parts.extend(sorted(
-                    (_pattern_formula(pat)
-                     for pat in _fillers(sig, R, p, x, y, pool, used_names)),
-                    key=pformat))
-    return conj(parts)
+    ref = weakref.ref(sig)
+    return (sorted((_pattern_formula(pat) for pat in
+                    _fillers(ref(), R, p, x, y, pool, used_names)),
+                   key=pformat)
+            for R, p in positions)
 
 
 def sort_equiv(sig: Signature, K: str, alpha: Variable,

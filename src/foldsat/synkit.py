@@ -11,11 +11,25 @@ variable only through its boundary, matching the convention that
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
 from types import MappingProxyType
 
 from .errors import FunctorialityError, SortMismatch, UnknownSort
 from .sigcore import Signature
+
+
+class _once:
+    """``functools.cached_property`` without the lock that Python 3.10
+    and 3.11 take on each first read, which ``Ind`` generation, building
+    many variables, pays often."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def _term(cls):
@@ -57,7 +71,7 @@ class Variable:
     sort: str
     proj: tuple = ()  # tuple of (generator name, Variable)
 
-    @cached_property
+    @_once
     def _proj_map(self):
         return MappingProxyType(dict(self.proj))
 
@@ -72,14 +86,14 @@ class Variable:
             v = v._proj_map[g]
         return v
 
-    @cached_property
+    @_once
     def _dep(self):
         out = {self}
         for _, v in self.proj:
             out |= v.dep()
         return frozenset(out)
 
-    @cached_property
+    @_once
     def _boundary(self):
         return self._dep - {self}
 
@@ -166,7 +180,7 @@ class Formula:
     """Base class for formula nodes; each node computes its free
     variables once, through its class's ``_free_vars``."""
 
-    @cached_property
+    @_once
     def _fv(self):
         return self._free_vars()
 
@@ -279,7 +293,7 @@ def conj(args) -> Formula:
     return And(args)
 
 
-# -- universal closure --------------------------------------------------
+# -- dependency order ---------------------------------------------------
 
 def deepest_first(sig: Signature, vars_) -> list:
     """``vars_`` deepest sort first, then by name; ``repr`` orders
@@ -290,15 +304,6 @@ def deepest_first(sig: Signature, vars_) -> list:
     if len({k for k, _ in keyed}) < len(keyed):
         keyed.sort(key=lambda kv: (kv[0], repr(kv[1])))
     return [v for _, v in keyed]
-
-
-def universal_closure(sig: Signature, phi: Formula, vars_) -> Formula:
-    """Forall-quantify ``vars_`` in dependency order (variables with deeper
-    boundaries innermost)."""
-    out = phi
-    for v in reversed(deepest_first(sig, vars_)):
-        out = Forall(v, out)
-    return out
 
 
 # -- compatible sorts ---------------------------------------------------

@@ -5,9 +5,10 @@ boundary pairs, the categorical ``Iso`` and ``Yso`` formulas, the category
 read off a model) and decide the properties the lemmas state (hom
 naturality, preservation of ``Ind`` along fiberwise surjections, the
 expanded equivalence count, equality of formulas up to renaming of bound
-variables).  The tests compare them with what the package computes.  The
-lexer that tracks every token's position as it scans is kept here too,
-as the oracle of the one in ``foldsat.cli``.
+variables, the universal closure of a formula).  The tests compare them
+with what the package computes.  The lexer that tracks every token's
+position as it scans is kept here too, as the oracle of the one in
+``foldsat.cli``.
 """
 
 import re
@@ -21,7 +22,8 @@ from foldsat.cli import parse_formula
 from foldsat.stdlib import (FiniteCategory, builtin_signature, tcat_axioms,
                             validate_category)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
-                            Implies, Or, Top, Variable, mk_var)
+                            Implies, Or, Top, Variable, deepest_first,
+                            mk_var)
 
 
 class PreconditionViolation(FoldsError):
@@ -167,6 +169,18 @@ def alpha_eq(phi, psi) -> bool:
         raise TypeError(f"unknown node {f!r}")
 
     return rec(phi, psi, {})
+
+
+# -- universal closure --------------------------------------------------
+
+def universal_closure(sig, phi, vars_):
+    """Forall-quantify ``vars_`` in dependency order (variables with deeper
+    boundaries innermost)."""
+    out = phi
+    for v in reversed(deepest_first(sig, vars_)):
+        out = Forall(v, out)
+    return out
+
 
 # -- homomorphisms ------------------------------------------------------
 

@@ -466,6 +466,15 @@ def test_gen_iso_par3_golden(capsys):
     assert out == (GOLDEN / "gen_iso_par3_S.txt").read_text()
 
 
+# `gen-iso --verbose` for lcat's arrows, byte for byte, as printed while
+# Ind was generated in one piece: its 23 conjuncts come from five (R, p)
+# groups, each sorted on its own, so it pins the order across groups
+def test_gen_iso_lcat_A_golden(capsys):
+    code, out, _ = run(capsys, "gen-iso", p("lcat.folds"), "A", "--verbose")
+    assert code == 0
+    assert out == (GOLDEN / "gen_iso_lcat_A.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, max_apex, message", [
     (["gen-iso", p("lcat.folds"), "NOPE"], None, "unknown sort 'NOPE'"),
     (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "abc",

@@ -136,16 +136,21 @@ def oracle_find_span(M, N, apex_bound=None, search=_hom_search):
             return SpanResult("absent")
         span = oracle_span_through(M, M, N, identity_hom(M).maps, iso)
         return SpanResult("found", span)
-    # apex M: identity left leg, searched fiberwise-surjective right leg
-    for maps in search(M, N):
-        span = oracle_span_through(M, M, N, identity_hom(M).maps, maps)
-        if span is not None:
-            return SpanResult("found", span)
+    # apex M: identity left leg, checked once, and a searched
+    # fiberwise-surjective right leg
+    left = Hom(M, M, identity_hom(M).maps)
+    if oracle_is_fibsurj(left)[0]:
+        for maps in search(M, N):
+            right = Hom(M, N, maps)
+            if oracle_is_fibsurj(right)[0]:
+                return SpanResult("found", Span(M, left, right))
     # apex N, symmetric
-    for maps in search(N, M):
-        span = oracle_span_through(N, M, N, maps, identity_hom(N).maps)
-        if span is not None:
-            return SpanResult("found", span)
+    right = Hom(N, N, identity_hom(N).maps)
+    if oracle_is_fibsurj(right)[0]:
+        for maps in search(N, M):
+            left = Hom(N, M, maps)
+            if oracle_is_fibsurj(left)[0]:
+                return SpanResult("found", Span(N, left, right))
     # apex M x N with the projections, unless it exceeds a given bound
     if not apex_bound or all(
             len(M.carrier(K)) * len(N.carrier(K)) <= apex_bound.get(K, 0)

@@ -110,8 +110,10 @@ def enumerate_fillers(sig, R, p, x, y):
 def checked(monkeypatch):
     """Route every ``_fillers`` call through the oracle, and run the
     oracle at every position of a compatible sort that ``_ind`` did not
-    pass to ``_fillers``, where it must find no pattern.  Yields the
-    list of ``_fillers`` results, one per call, and the list of skipped
+    pass to ``_fillers``, where it must find no pattern.  ``_ind``
+    yields its groups lazily, so the wrapper drains them all before it
+    reads which positions were reached.  Yields the list of
+    ``_fillers`` results, one per call, and the list of skipped
     ``(R, p)``."""
     real_fillers, real_ind = isogen._fillers, isogen._ind
     calls, reached, skipped = [], set(), []
@@ -125,7 +127,7 @@ def checked(monkeypatch):
 
     def ind(sig, x, y):
         reached.clear()
-        out = real_ind(sig, x, y)
+        groups = list(real_ind(sig, x, y))
         compatible_y = compatible_sorts(sig, y)
         for R in compatible_sorts(sig, x):
             for p in sig.hom(R, x.sort) if R in compatible_y else ():
@@ -133,7 +135,7 @@ def checked(monkeypatch):
                     assert enumerate_fillers(sig, R, p, x, y) == [], (
                         R, p, x, y)
                     skipped.append((R, p))
-        return out
+        return iter(groups)
 
     monkeypatch.setattr(isogen, "_fillers", both)
     monkeypatch.setattr(isogen, "_ind", ind)
@@ -236,4 +238,4 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(isogen, "_fillers", distinct)
         for K in sig.sorts:
-            isogen._ind(sig, *generic_context(sig, K))
+            list(isogen._ind(sig, *generic_context(sig, K)))

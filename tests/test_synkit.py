@@ -6,8 +6,8 @@ from foldsat.errors import FunctorialityError
 from foldsat.stdlib import builtin_signature
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, compatible_sorts,
-                            mk_var, union_contexts, universal_closure)
-from paper_checks import alpha_eq
+                            mk_var, union_contexts)
+from paper_checks import alpha_eq, universal_closure
 
 
 @pytest.fixture(scope="module")
