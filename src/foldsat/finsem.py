@@ -197,7 +197,7 @@ def fiber(M: FinStructure, K: str, delta) -> tuple:
             f"boundary for {K!r} must assign exactly its positions")
     for q, below in sig.filling(K):
         e = delta[q]
-        if e not in M.elements[q.cod]:
+        if not _in_carrier(M, q.cod, e):
             raise InvalidBoundary(f"{e!r} is not in the carrier of "
                                   f"{q.cod!r}")
         for g, t in below:
@@ -292,17 +292,18 @@ def _hoist_guards(phi):
 
 
 class _Evaluator:
-    """Memoizing witness-count evaluator bound to one structure.
+    """Witness-count evaluator bound to one structure.
 
     Each formula is compiled once into a count function over an
     environment that maps variable slots (small integers, one per
-    variable) to elements.  A count function memoizes its results on the
-    values of its free variables, read from the environment with one
-    ``itemgetter`` call.  Quantifiers bind their variable in place and
-    restore it afterwards.  A ``forall`` chain is compiled in guarded
-    form (see ``_hoist_guards``), so an antecedent such as
-    ``comp(f,g,h)`` prunes the tuples below its last variable instead of
-    being tested on every tuple of the chain.
+    variable) to elements; ``_compiled`` is the one cache, and a count
+    function keeps no table of its own.  So a subformula that does not
+    mention an enclosing binder is counted again for each value of that
+    binder.  Quantifiers bind their variable in place and restore it
+    afterwards.  A ``forall`` chain is compiled in guarded form (see
+    ``_hoist_guards``), so an antecedent such as ``comp(f,g,h)`` prunes
+    the tuples below its last variable instead of being tested on every
+    tuple of the chain.
     """
 
     def __init__(self, M: FinStructure):
@@ -324,39 +325,17 @@ class _Evaluator:
             slot = self._slot[var] = len(self._slot)
         return slot
 
-    def _values(self, vars_):
-        """A function from an environment to the tuple of values of
-        ``vars_``."""
-        slots = [self._slot_of(v) for v in vars_]
-        if len(slots) > 1:
-            return itemgetter(*slots)
-        if slots:
-            s = slots[0]
-            return lambda env: (env[s],)
-        return lambda env: ()
-
     def _count(self, phi):
         fn = self._compiled.get(phi)
         if fn is None:
-            count = self._build(phi)
-            key_of, table = self._values(phi.free_vars()), {}
-
-            def fn(env):
-                key = key_of(env)
-                n = table.get(key)
-                if n is None:
-                    n = table[key] = count(env)
-                return n
-
-            self._compiled[phi] = fn
+            fn = self._compiled[phi] = self._build(phi)
         return fn
 
     def _ind_count(self, x, y):
         """The count of Ind(x, y), as a product of its conjuncts' counts
         that stops at the first 0, like the compiled ``And`` of ``ind``.
         A conjunct is compiled, and its (R, p) group generated, when the
-        product first reaches it.  Built once per evaluator and not
-        memoized: a ``~=`` counts each pair of its fibers once."""
+        product first reaches it.  Built once per evaluator."""
         conjuncts = ind_conjuncts(self.sig, x, y)
         product = self._compiled.get(conjuncts)
         if product is None:
@@ -379,7 +358,7 @@ class _Evaluator:
         return product
 
     def _build(self, phi):
-        """The unmemoized count function of one node."""
+        """The count function of one node."""
         if isinstance(phi, Top):
             return lambda env: 1
         if isinstance(phi, Bottom):
@@ -462,9 +441,16 @@ class _Evaluator:
         projections of checked ones), quantifiers bind elements of
         fibers, and ``eval_card`` checks the assignment.  So a boundary
         missing from the index has an empty fiber."""
-        key_of = self._values(v for _, v in var.proj)
+        slots = [self._slot_of(v) for _, v in var.proj]
         index = self.M.fibers(var.sort)
-        return lambda env: index.get(key_of(env), ())
+        if len(slots) > 1:
+            key_of = itemgetter(*slots)
+            return lambda env: index.get(key_of(env), ())
+        if slots:
+            s = slots[0]
+            return lambda env: index.get((env[s],), ())
+        fib = index.get((), ())
+        return lambda env: fib
 
     def _equiv(self, node: Equiv):
         """Sum over fiber bijections of the product of pointwise
@@ -502,12 +488,15 @@ class _Evaluator:
         return equiv
 
 
-def _check_element(M, K, e):
+def _in_carrier(M, K, e) -> bool:
     try:
-        known = e in M.elements[K]
+        return e in M.elements[K]
     except TypeError:  # unhashable, so in no carrier
-        known = False
-    if not known:
+        return False
+
+
+def _check_element(M, K, e):
+    if not _in_carrier(M, K, e):
         raise SortMismatch(f"{e!r} is not an element of {K!r}")
 
 

@@ -156,6 +156,10 @@ def test_invalid_boundary_reports_its_deepest_fault_first():
     with pytest.raises(InvalidBoundary) as err:
         fiber(M, "X", {pos["f"]: "s1", pos["o"]: "s2", pos["f.d"]: "a"})
     assert str(err.value) == "'s2' is not in the carrier of 'O'"
+    # an unhashable value is in no carrier, and is reported the same way
+    with pytest.raises(InvalidBoundary) as err:
+        fiber(M, "X", {q: ["a"] for q in sig.out("X")})
+    assert str(err.value) == "['a'] is not in the carrier of 'O'"
 
 
 def test_element_pairs_of_one_boundary_pattern_share_their_ind(lcat):
@@ -310,7 +314,8 @@ def test_card_iso_elems_rejects_elements_outside_the_carrier(models, K, a,
     assert str(err.value) == f"{bad!r} is not an element of {K!r}"
 
 
-def test_memoization_consistency(models):
+def test_repeated_card_iso_elems_through_compile_cache(models):
+    """The second call runs the ``Ind`` count the first one compiled."""
     M = models["Z2Cat"]
     a = card_iso_elems(M, "O", "*", "*")
     b = card_iso_elems(M, "O", "*", "*")

@@ -860,6 +860,9 @@ FORMULAS = (
     # shadowed binders: the guard reads the outer y, and the inner x
     "sum y:O. forall x:O. (A(x,y) -> (forall y:O. A(y,x)))",
     "sum x:O. forall y:O. forall x:O. A(y,y) & A(x,y) -> A(y,x)",
+    # a subformula that mentions no enclosing binder, counted again for
+    # each of their values
+    "sum x:O. sum y:O. (sum u:O. sum v:O. A(u,v)) & A(x,y)",
 )
 
 # ~= on the level-1 sorts, whose Ind is Top: fibers of equal size, which
