@@ -148,9 +148,9 @@ def parse_signature(text):
         if p.accept("eq"):
             p.expect("{")
             while not p.accept("}"):
-                equations.append((_parse_path(p), None))
+                lhs = _parse_path(p)
                 p.expect("=")
-                equations[-1] = (equations[-1][0], _parse_path(p))
+                equations.append((lhs, _parse_path(p)))
                 p.accept(";")
         p.accept(";")
     p.done()
@@ -165,22 +165,29 @@ def _parse_path(p):
     return tuple(path)
 
 
+def _header(text, kind, sig):
+    """A parser past the header ``KIND NAME over SIG {`` of a structure
+    or theory file, where SIG must name ``sig``."""
+    p = _Parser(text)
+    p.expect(kind)
+    p.ident(f"{kind} name")
+    p.expect("over")
+    at = p.i
+    signame = p.ident("signature name")
+    if signame != sig.name:
+        raise p.error(f"{kind} is over {signame!r}, expected {sig.name!r}",
+                      at)
+    p.expect("{")
+    return p
+
+
 # -- structure files -----------------------------------------------------
 
 def parse_structure(text, sig):
     """``structure NAME over SIG { O = { a, b }; A = { u(a,b) }; I = {
     (ida) }; }``; rows may be named (``w:(ida)`` or ``u(a,b)``),
     anonymous (``(ida)``) or bare names for empty boundaries."""
-    p = _Parser(text)
-    p.expect("structure")
-    p.ident("structure name")
-    p.expect("over")
-    at = p.i
-    signame = p.ident("signature name")
-    if signame != sig.name:
-        raise p.error(f"structure is over {signame!r}, expected "
-                      f"{sig.name!r}", at)
-    p.expect("{")
+    p = _header(text, "structure", sig)
     carriers = {K: [] for K in sig.sorts}
     maps = {g.name: {} for g in sig.gens}
     auto = 0
@@ -372,16 +379,7 @@ def parse_context(decls, sig):
 
 def parse_theory(text, sig):
     """``theory NAME over SIG { axiom NAME: FORMULA; ... }``"""
-    p = _Parser(text)
-    p.expect("theory")
-    p.ident("theory name")
-    p.expect("over")
-    at = p.i
-    signame = p.ident("signature name")
-    if signame != sig.name:
-        raise p.error(f"theory is over {signame!r}, expected "
-                      f"{sig.name!r}", at)
-    p.expect("{")
+    p = _header(text, "theory", sig)
     axioms = []
     while not p.accept("}"):
         p.expect("axiom")

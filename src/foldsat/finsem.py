@@ -569,10 +569,6 @@ def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     return _ind_counter(M, K, da, db)(a, b)
 
 
-def ind_truth_elems(M: FinStructure, K: str, a, b) -> bool:
-    return card_iso_elems(M, K, a, b) > 0
-
-
 def _violations(M: FinStructure, K: str, distinct=False):
     """The violations of card(x ~ y) = [x = y] over the fibers of K (of
     distinct x, y only if ``distinct``), one at a time, fiber by fiber

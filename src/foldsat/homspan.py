@@ -128,21 +128,21 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
         K, e, below = elems[i]
         over = N.fibers(K).get(tuple(maps[c][b] for c, b in below), ())
         if bijective:
-            return (v for v in over if ncol[K, v] == mcol[K, e])
+            return (v for v in over
+                    if v not in used[K] and ncol[K, v] == mcol[K, e])
         return iter(over)
 
     if not elems:
         yield maps
         return
     used = {K: set() for K in sig.sorts}  # images taken, when bijective
+    end = object()
     stack = [candidates(0)]  # untried images of elems[i] at depth i
     while stack:
         i = len(stack) - 1
         K, e, _ = elems[i]
-        for v in stack[-1]:
-            if v not in used[K]:
-                break
-        else:
+        v = next(stack[-1], end)
+        if v is end:
             stack.pop()
             if stack:
                 K, e, _ = elems[i - 1]

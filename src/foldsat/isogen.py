@@ -17,12 +17,12 @@ both sides, but its boundary would hold x on one side and y on the other.
 
 The conjuncts are generated one (R, p) group at a time, and only as far
 as they are read: a count reads ``ind_conjuncts`` until a conjunct is 0,
-and ``ind`` reads it to the end.
+and ``ind`` reads it to the end.  The signature's ``ind_table`` keeps
+them, so every structure over one signature shares them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
@@ -141,17 +141,12 @@ class _Conjuncts:
         return self._formula
 
 
-# signature -> {(x, y): Ind(x, y)'s conjuncts}; an entry lives as long as
-# its signature
-_IND_CACHE = weakref.WeakKeyDictionary()
-
-
 def ind_conjuncts(sig: Signature, x: Variable, y: Variable) -> _Conjuncts:
-    """The conjuncts of Ind(x, y), generated as far as they are read."""
-    table = _IND_CACHE.setdefault(sig, {})
-    seq = table.get((x, y))
+    """The conjuncts of Ind(x, y), generated as far as they are read and
+    kept in ``sig.ind_table``."""
+    seq = sig.ind_table.get((x, y))
     if seq is None:
-        seq = table[(x, y)] = _Conjuncts(_ind(sig, x, y))
+        seq = sig.ind_table[(x, y)] = _Conjuncts(_ind(sig, x, y))
     return seq
 
 
@@ -164,8 +159,8 @@ def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
 
 def _ind(sig: Signature, x: Variable, y: Variable):
     """Ind(x, y)'s conjuncts, one (R, p) group at a time, each sorted by
-    ``pformat``.  The groups read the signature through a weak reference:
-    an entry of ``_IND_CACHE`` must not keep its key alive."""
+    ``pformat``.  The groups hold the signature, and ``ind_conjuncts``
+    keeps them in its ``ind_table``: the two are freed together."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
     K = x.sort
@@ -179,9 +174,8 @@ def _ind(sig: Signature, x: Variable, y: Variable):
                     positions.append((R, p))
     pool = deepest_first(sig, x.dep() | y.dep())
     used_names = {v.name for v in pool}
-    ref = weakref.ref(sig)
     return (sorted((_pattern_formula(pat) for pat in
-                    _fillers(ref(), R, p, x, y, pool, used_names)),
+                    _fillers(sig, R, p, x, y, pool, used_names)),
                    key=pformat)
             for R, p in positions)
 

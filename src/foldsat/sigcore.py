@@ -72,9 +72,8 @@ class Signature:
     """A validated finite inverse category.
 
     Immutable after construction; build instances through
-    :func:`validate_signature`.  Besides the hom-classes it owns four
-    tables of facts derived from them, each filled on first use, and a
-    mark:
+    :func:`validate_signature`.  Besides the hom-classes it owns five
+    tables of facts derived from them, each filled on first use:
 
     - ``compose``: ``(first, then) -> composite``
     - ``filling``: per sort K, the positions out of K in fill order,
@@ -82,8 +81,9 @@ class Signature:
     - ``factored``: per sort K, the positions q∘g, q out of K, g a generator
     - ``position_groups``: per sort K, for each sort R above K, the
       groups of K's positions that R identifies
-    - ``validity_mark``: what ``synkit.mk_var`` leaves on the variables
-      it has validated for this signature
+    - ``ind_table``: ``(x, y) ->`` Ind(x, y)'s conjuncts, as far as they
+      are generated; only ``isogen.ind_conjuncts`` fills it, and every
+      structure over the signature shares it
     """
 
     def __init__(self, name, sorts, gens, equations, order, _token=None):
@@ -108,10 +108,7 @@ class Signature:
         self._filling = {}
         self._factored = {}
         self._position_groups = {}
-        # a plain object rather than the signature itself, so that marked
-        # variables kept in a cache keyed weakly by the signature do not
-        # keep it alive
-        self.validity_mark = object()
+        self.ind_table = {}
 
     # -- construction ----------------------------------------------------
 

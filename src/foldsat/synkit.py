@@ -121,9 +121,11 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     which is enough for every pair of paths the equations identify.
 
     Every variable the closure walk checks is then marked valid for
-    ``sig`` (it holds ``sig.validity_mark``).  A later walk stops at a
-    marked variable, since its own closure holds no broken equation, so
-    it rejects exactly what a full walk would, with the same message.
+    ``sig`` (it holds ``sig`` itself).  A later walk stops at a marked
+    variable, since its own closure holds no broken equation, so it
+    rejects exactly what a full walk would, with the same message.  A
+    marked variable in ``sig.ind_table`` and ``sig`` form a cycle, which
+    the collector frees with the signature.
     """
     if sort not in sig.levels:
         raise UnknownSort(f"unknown sort {sort!r}")
@@ -146,11 +148,10 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     var = Variable(name, sort, tuple(proj))
     # the dependency closure is walked depth-first from var, so the broken
     # equation reported first does not depend on set iteration order
-    mark = sig.validity_mark
     stack, seen, walked = [var], set(), []
     while stack:
         w = stack.pop()
-        if id(w) in seen or w.__dict__.get("_valid_for") is mark:
+        if id(w) in seen or w.__dict__.get("_valid_for") is sig:
             continue
         seen.add(id(w))
         walked.append(w)
@@ -161,17 +162,8 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
                     f"{'.'.join(lhs)} = {'.'.join(rhs)} at {w.name}")
         stack.extend(v for _, v in w.proj)
     for w in walked:
-        w.__dict__["_valid_for"] = mark
+        w.__dict__["_valid_for"] = sig
     return var
-
-
-# -- contexts -----------------------------------------------------------
-
-def union_contexts(*ctxs) -> frozenset:
-    out = frozenset()
-    for c in ctxs:
-        out |= c
-    return out
 
 
 # -- formulas -----------------------------------------------------------
@@ -219,7 +211,7 @@ class And(Formula):
     args: tuple
 
     def _free_vars(self):
-        return union_contexts(*(a.free_vars() for a in self.args))
+        return frozenset().union(*(a.free_vars() for a in self.args))
 
 
 @_term
@@ -227,7 +219,7 @@ class Or(Formula):
     args: tuple
 
     def _free_vars(self):
-        return union_contexts(*(a.free_vars() for a in self.args))
+        return frozenset().union(*(a.free_vars() for a in self.args))
 
 
 @_term

@@ -1,0 +1,97 @@
+"""The output manifest: CLI runs with their exit code and the sha256 of
+their stdout and stderr, one tab-separated line per run.
+
+``tests/golden/sweep.tsv`` holds, each as text and as ``--json``:
+
+- ``gen-iso --verbose`` on every sort of every corpus and golden
+  signature;
+- ``sat``, ``sat --total`` and ``sat --level n`` for each level, on
+  every corpus and golden structure;
+- ``hom``, ``hom --fibsurj`` and ``hsip`` on every ordered pair of
+  corpus structures;
+- the malformed inputs under ``tests/golden``.
+
+Paths are relative to the repository, and every run is made there, in
+process, through ``cli.main``.  ``test_sweep.py`` replays the manifest;
+after a change that alters output on purpose, rewrite it with
+``PYTHONPATH=src python tests/sweep.py`` and say which lines changed.
+"""
+
+import hashlib
+import io
+import os
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from foldsat.cli import main, parse_signature
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden" / "sweep.tsv"
+
+_LCAT = "corpus/lcat.folds"
+_THEORY = "corpus/tcat.thy"
+_SIGNATURES = ("corpus/lcat.folds", "corpus/lrg.folds", "corpus/lrg_eq.folds",
+               "tests/golden/diamond3.folds", "tests/golden/par3.folds")
+_CORPUS = tuple(f"corpus/{n}.str" for n in (
+    "Arrow2", "Chain3", "Disc1", "Disc2", "Disc3", "DoubledI",
+    "SquarePoset", "TermCat", "WalkIso", "Z2Cat"))
+_GOLDEN = tuple(f"tests/golden/{n}.str" for n in (
+    "Disc3Rev", "ParallelPair", "SquarePosetRev", "Z12"))
+_MALFORMED = (("check-sig", "tests/golden/BadChar.folds"),
+              ("levels", "tests/golden/BadChar.folds"),
+              ("sat", _LCAT, "tests/golden/Arrow2Dup.str"),
+              ("sat", _LCAT, "tests/golden/Arrow2Dup.str", "--total"))
+
+
+def commands():
+    """Every argv of the manifest, in its order."""
+    runs = []
+    for path in _SIGNATURES:
+        sig = parse_signature((ROOT / path).read_text(encoding="utf-8"))
+        runs += [("gen-iso", path, K, "--verbose") for K in sig.sorts]
+    height = parse_signature(
+        (ROOT / _LCAT).read_text(encoding="utf-8")).height
+    for M in _CORPUS + _GOLDEN:
+        runs += [("sat", _LCAT, M), ("sat", _LCAT, M, "--total")]
+        runs += [("sat", _LCAT, M, "--level", str(n))
+                 for n in range(1, height + 1)]
+    for M in _CORPUS:
+        for N in _CORPUS:
+            runs += [("hom", _LCAT, M, N), ("hom", _LCAT, M, N, "--fibsurj"),
+                     ("hsip", _LCAT, _THEORY, M, N)]
+    runs += _MALFORMED
+    return [flag + list(argv) for argv in runs for flag in ([], ["--json"])]
+
+
+def run(argv):
+    """``(exit code, sha256 of stdout, sha256 of stderr)`` of one
+    in-process run from the repository's root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return (code,) + tuple(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                           for s in (out, err))
+
+
+def line(argv, outcome) -> str:
+    return "\t".join([shlex.join(argv), *map(str, outcome)])
+
+
+def read():
+    """The manifest's ``(argv, line)`` pairs."""
+    return [(shlex.split(text.split("\t", 1)[0]), text)
+            for text in MANIFEST.read_text(encoding="utf-8").splitlines()]
+
+
+if __name__ == "__main__":
+    lines = [line(argv, run(argv)) for argv in commands()]
+    MANIFEST.write_text("".join(f"{t}\n" for t in lines), encoding="utf-8")
+    print(f"{len(lines)} runs written to {MANIFEST.relative_to(ROOT)}",
+          file=sys.stderr)

@@ -9,8 +9,7 @@ import pytest
 
 from foldsat.finsem import (boundary_instances, card_iso_elems,
                             equiv_card_via_bijections, eval_prop, fiber,
-                            ind_truth_elems, saturation_profile,
-                            validate_structure)
+                            saturation_profile, validate_structure)
 from foldsat.homspan import (Hom, find_span, hsip_decide, identity_hom,
                              is_fibsurj, structure_iso)
 from foldsat.isogen import generic_context, ind, iso_formula
@@ -104,7 +103,7 @@ def test_equivalence_relation_laws(models):
                 elems = M.carrier(K)
                 for e in elems:
                     assert card_iso_elems(M, K, e, e) >= 1, (name, K, e)
-                truth = {(a, b): ind_truth_elems(M, K, a, b)
+                truth = {(a, b): card_iso_elems(M, K, a, b) > 0
                          for a in elems for b in elems}
                 for a, b in truth:
                     assert truth[(a, b)] == truth[(b, a)], (name, K, a, b)

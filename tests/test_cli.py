@@ -165,8 +165,9 @@ def test_syntax_error_messages(text, message):
     assert str(err.value) == message
 
 
-# a file over another signature is reported at the signature's name, and a
-# row with the wrong number of boundary entries at its first token
+# a file over another signature is reported at the signature's name, a row
+# with the wrong number of boundary entries at its first token, and the
+# other faults of the header the two kinds share at the token found
 @pytest.mark.parametrize("parse, text, message", [
     (parse_structure, "structure X over lrg { }",
      "structure is over 'lrg', expected 'lcat' (line 1, col 18)"),
@@ -179,6 +180,12 @@ def test_syntax_error_messages(text, message):
      "(line 2, col 20)"),
     (parse_theory, "theory T over\n  lrg { }",
      "theory is over 'lrg', expected 'lcat' (line 2, col 3)"),
+    (parse_theory, "theory { }",
+     "expected theory name, got '{' (line 1, col 8)"),
+    (parse_structure, "structure X\n  lcat { }",
+     "expected 'over', got 'lcat' (line 2, col 3)"),
+    (parse_structure, "theory X over lcat { }",
+     "expected 'structure', got 'theory' (line 1, col 1)"),
 ])
 def test_structure_and_theory_errors_name_their_position(lcat, parse, text,
                                                          message):

@@ -11,7 +11,6 @@ saturation) and the corpus.
 
 import random
 import time
-import weakref
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from itertools import permutations
@@ -30,7 +29,8 @@ from foldsat.finsem import (_permanent, _saturated, boundary_instances,
                             validate_structure)
 from foldsat.isogen import ind, iso_formula
 from foldsat.stdlib import (FiniteCategory, _poset_category,
-                            category_to_structure, corpus, tcat_axioms)
+                            builtin_signature, category_to_structure, corpus,
+                            tcat_axioms)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
                             Formula, Iff, Implies, Or, Top, Variable,
                             mk_var)
@@ -654,6 +654,14 @@ def test_level1_saturation_by_fiber_size_on_dag_signatures(raw, data):
             == sorted(F for F in M.fibers(K).values() if F), K
 
 
+def fresh_ind_tables(*sigs):
+    """Empty the ``Ind`` tables of ``sigs`` and of the builtin signatures,
+    which ``stdlib`` builds once and every corpus structure shares, so
+    that each ``Ind`` read from now on is generated again."""
+    for sig in sigs + tuple(map(builtin_signature, ("lrg", "lrg_eq", "lcat"))):
+        sig.ind_table.clear()
+
+
 def spy_on_ind(monkeypatch):
     """The sorts of the ``Ind`` formulas generated from now on."""
     generated = []
@@ -663,7 +671,7 @@ def spy_on_ind(monkeypatch):
         generated.append(x.sort)
         return real(sig, x, y)
 
-    monkeypatch.setattr(isogen, "_IND_CACHE", weakref.WeakKeyDictionary())
+    fresh_ind_tables()
     monkeypatch.setattr(isogen, "_ind", spy)
     return generated
 

@@ -28,7 +28,7 @@ from foldsat.finsem import (FinStructure, boundary_instances, card_iso_elems,
 from foldsat.isogen import ind, variables_over
 from foldsat.stdlib import category_to_structure, corpus
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
-                                lcat_structures)
+                                fresh_ind_tables, lcat_structures, relabel)
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  draw_structure)
 
@@ -64,7 +64,7 @@ def check_lazy_counts(M, texts=EQUIV_FORMULAS):
     count is made before the first eager one, so the lazy counts are the
     ones that find ``Ind`` partly generated.  Returns the number of
     element pairs checked."""
-    isogen._IND_CACHE.clear()
+    fresh_ind_tables(M.sig)
     sig = M.sig
     lazy, cases = {}, []
     for K in sig.sorts:
@@ -160,7 +160,7 @@ def spy_on_groups(monkeypatch):
                 yield group
         return counted()
 
-    monkeypatch.setattr(isogen, "_IND_CACHE", weakref.WeakKeyDictionary())
+    fresh_ind_tables()
     monkeypatch.setattr(isogen, "_ind", spy)
     return drawn
 
@@ -183,13 +183,39 @@ def test_level2_generates_only_the_first_group(monkeypatch, n):
 
 def test_partly_generated_ind_does_not_keep_its_signature():
     """Z_2's two loops are told apart in the first group of their
-    ``Ind``, which leaves later groups to generate; that cache entry
-    still goes when its signature does."""
+    ``Ind``, which leaves later groups to generate.  That entry of the
+    signature's ``ind_table`` holds the signature, and the two still go
+    together."""
     sig = parse_signature((CORPUS / "lcat.folds").read_text())
     M = parse_structure((CORPUS / "Z2Cat.str").read_text(), sig)
     assert card_iso_elems(M, "A", *M.carrier("A")) == 0
-    assert any(c.more() for c in isogen._IND_CACHE[sig].values())
+    assert any(c.more() for c in sig.ind_table.values())
     gone = weakref.ref(sig)
     del sig, M
     gc.collect()
     assert gone() is None
+
+
+# DoubledI's level-1 violation settles its profile before any Ind
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.str")
+                                        if p.stem != "DoubledI"))
+def test_structures_over_one_signature_share_its_ind(monkeypatch, name):
+    """Saturating a relabelled copy of a corpus structure, its carriers
+    reversed, generates no ``Ind(x, y)`` that saturating the structure
+    itself generated: both read the one ``ind_table`` of their
+    signature, as ``hsip`` and ``equiv`` do for their two structures."""
+    generated = []
+    real = isogen._ind
+
+    def spy(sig, x, y):
+        generated.append((x, y))
+        return real(sig, x, y)
+
+    sig = parse_signature((CORPUS / "lcat.folds").read_text())
+    M = parse_structure((CORPUS / f"{name}.str").read_text(), sig)
+    monkeypatch.setattr(isogen, "_ind", spy)
+    saturation_profile(M)
+    first = set(generated)
+    generated.clear()
+    saturation_profile(relabel(M, lambda K, carrier: carrier[::-1]))
+    assert first and not first & set(generated)

@@ -37,7 +37,7 @@ from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, corpus
 from foldsat.synkit import compatible_sorts, mk_var
 from paper_checks import alpha_eq
-from test_finsem_oracle import lcat_structures
+from test_finsem_oracle import fresh_ind_tables, lcat_structures
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  diamond_stack, draw_structure)
 
@@ -139,9 +139,9 @@ def checked(monkeypatch):
 
     monkeypatch.setattr(isogen, "_fillers", both)
     monkeypatch.setattr(isogen, "_ind", ind)
-    isogen._IND_CACHE.clear()
+    fresh_ind_tables()
     yield calls, skipped
-    isogen._IND_CACHE.clear()
+    fresh_ind_tables()
 
 
 def test_pruned_fillers_match_enumeration(checked):
@@ -168,7 +168,7 @@ def test_pruned_fillers_match_enumeration(checked):
 def test_pruned_fillers_match_enumeration_in_saturation(checked, M):
     """The profile generates no ``Ind`` for level-1 sorts, so the sorts
     above level 1 are checked in full as well."""
-    isogen._IND_CACHE.clear()
+    fresh_ind_tables(M.sig)
     saturation_profile(M)
     for K in M.sig.sorts:
         if M.sig.level(K) >= 2:

@@ -6,7 +6,7 @@ from foldsat.errors import FunctorialityError
 from foldsat.stdlib import builtin_signature
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, compatible_sorts,
-                            mk_var, union_contexts)
+                            mk_var)
 from paper_checks import alpha_eq, universal_closure
 
 
@@ -78,12 +78,12 @@ def test_composition_witness_respects_equations(lcat):
         mk_var(lcat, "w", "comp", {"t0": f, "t1": g, "t2": bad})
 
 
-def test_union_contexts(lrg):
-    x, y = obj(lrg, "x"), obj(lrg, "y")
-    f = arr(lrg, "f", x, y)
-    g = arr(lrg, "g", x, y)
-    assert union_contexts(f.dep(), frozenset()) == f.dep()
-    assert union_contexts(f.dep(), g.dep()) == {f, g, x, y}
+def test_free_vars_of_and_or_is_the_union(lrg):
+    x, y, z = obj(lrg, "x"), obj(lrg, "y"), obj(lrg, "z")
+    f, g = arr(lrg, "f", x, y), arr(lrg, "g", y, z)
+    for node in (And, Or):
+        assert node((Atom(f), Top())).free_vars() == {x, y}
+        assert node((Atom(f), Atom(g))).free_vars() == {x, y, z}
 
 
 def test_alpha_eq_bound_renaming(lrg_eq):
