@@ -22,8 +22,8 @@ boundaries, builds its ``Ind`` counter once (``_ind_counter``), and the
 permanent of ``~=`` runs over column types (``_permanent``).  Both count
 ``Ind`` as a product of its conjuncts that stops at the first 0, and
 generate and compile a conjunct only when the product reaches it
-(``_Evaluator._ind_count``): on Z_n, two distinct loops are told apart
-within the first (R, p) group of ``Ind`` at ``A``.
+(``_Evaluator._ind_count``), fail-first: on Z_n, two distinct loops
+are told apart at ``A`` by ``I`` or ``eqA``, before any group of ``comp``.
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ Each coincidence pattern gives one filler pattern, so no two of them are
 alpha-equal and nothing is deduplicated (a property test pins this).
 Both walks read the signature's fill order: the filler search and
 ``variables_over``, which builds the variables over given boundaries,
-generic ones or those of elements.  When x != y, ``_ind`` skips each
-position p = q∘g of R with q another position: one variable fills q on
-both sides, but its boundary would hold x on one side and y on the other.
+generic ones or those of elements.  ``_ind`` skips each position p of R
+where x and y differ at an arrow c of ``sig.pinned(p)``: a position that
+one variable fills on both sides would hold p∘c of x and of y.
 
 The conjuncts are generated one (R, p) group at a time, and only as far
 as they are read: a count reads ``ind_conjuncts`` until a conjunct is 0,
-and ``ind`` reads it to the end.  The signature's ``ind_table`` keeps
-them, so every structure over one signature shares them.
+fail-first (the sorts with fewest positions first), and ``ind`` reads it
+to the end, in print order.  The signature's ``ind_table`` keeps them,
+so every structure over one signature shares them.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class FillerPattern:
 def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
              pool: list, used_names: set) -> list:
     """All filler patterns for Ind_R at position p, one per coincidence
-    pattern of the fillers; p must be a position of R over x's sort and R
-    compatible with both x and y.  ``pool`` is ``x.dep() | y.dep()``
-    deepest first, and ``used_names`` their names."""
+    pattern of the fillers; p must be a position of R over x's sort that
+    ``_ind`` walks.  ``pool`` is ``x.dep() | y.dep()`` deepest first, and
+    ``used_names`` their names."""
     # what the x side and the y side hold at each position of R: p and the
     # positions p forces, then the shared positions, each filled with one
     # variable on both sides
@@ -56,16 +57,12 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
         side[sig.compose(p, g)] = (x.proj_along(g.path),
                                    y.proj_along(g.path))
     shared = [(q, below) for q, below in sig.filling(R) if q not in side]
-    # a shared position over one where x and y differ has no filler,
-    # whatever the other positions hold
-    if any(t in side and side[t][0] != side[t][1]
-           for _, below in shared for _, t in below):
-        return []
 
     patterns = []
 
     # Every position below a shared one comes earlier in the fill order,
     # so each branch sets what it reads and nothing is unset on return.
+    # A pattern quantifies exactly the fresh fillers of its branch.
     def assign(i, fresh):
         taken = used_names | {v.name for v in fresh}
         if i == len(shared):
@@ -75,10 +72,8 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
             alpha = mk_var(sig, aname, R, {g: a for g, (a, _) in fill})
             beta = mk_var(sig, _fresh_name(R, taken | {aname}), R,
                           {g: b for g, (_, b) in fill})
-            gamma = (alpha.boundary() | beta.boundary()) - (x.dep()
-                                                            | y.dep())
             patterns.append(FillerPattern(alpha, beta,
-                                          tuple(deepest_first(sig, gamma))))
+                                          tuple(deepest_first(sig, fresh))))
             return
         q, below = shared[i]
         S = q.cod
@@ -116,28 +111,33 @@ def _pattern_formula(pat: FillerPattern) -> Formula:
 
 
 class _Conjuncts:
-    """The conjuncts of one ``Ind(x, y)`` in order: ``parts`` holds those
-    generated so far, and ``more`` generates the next (R, p) group."""
+    """The conjuncts of one ``Ind(x, y)`` in read order: ``parts`` holds
+    those generated so far, ``more`` generates the next (R, p) group, and
+    ``formula`` puts every group back in print order."""
 
     def __init__(self, groups):
         self.parts = []
         self._groups = groups
+        self._by_index = {}  # print index -> group
         self._formula = None
 
     def more(self) -> bool:
         """Append the next non-empty group to ``parts``; False once every
         group is generated."""
-        for group in self._groups:
+        for i, group in self._groups:
             if group:
+                self._by_index[i] = group
                 self.parts.extend(group)
                 return True
         return False
 
     def formula(self) -> Formula:
+        """Every group, in print order and sorted by ``pformat``."""
         if self._formula is None:
-            for group in self._groups:
-                self.parts.extend(group)
-            self._formula = conj(self.parts)
+            while self.more():
+                pass
+            self._formula = conj([c for _, group in sorted(
+                self._by_index.items()) for c in sorted(group, key=pformat)])
         return self._formula
 
 
@@ -158,26 +158,38 @@ def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
 
 
 def _ind(sig: Signature, x: Variable, y: Variable):
-    """Ind(x, y)'s conjuncts, one (R, p) group at a time, each sorted by
-    ``pformat``.  The groups hold the signature, and ``ind_conjuncts``
-    keeps them in its ``ind_table``: the two are freed together."""
+    """Ind(x, y)'s conjuncts as ``(print index, group)``, unsorted, one
+    (R, p) group at a time: fail-first, the sorts R with fewest positions
+    first, ties in print order.  No group comes for a position where x
+    and y differ at an arrow of ``sig.pinned(p)``.  The groups hold the
+    signature, and ``ind_conjuncts`` keeps them in its ``ind_table``: the
+    two are freed together."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
     K = x.sort
     compatible_y = compatible_sorts(sig, y)
-    positions = []
-    for R in compatible_sorts(sig, x):
-        if R in compatible_y:
-            skip = sig.factored(R) if x != y else ()
-            for p in sig.hom(R, K):  # R lies above K: no identity
-                if p not in skip:
-                    positions.append((R, p))
-    pool = deepest_first(sig, x.dep() | y.dep())
-    used_names = {v.name for v in pool}
-    return (sorted((_pattern_formula(pat) for pat in
-                    _fillers(sig, R, p, x, y, pool, used_names)),
-                   key=pformat)
-            for R, p in positions)
+    positions = sorted(enumerate(
+        (R, p) for R in compatible_sorts(sig, x) if R in compatible_y
+        for p in sig.hom(R, K)),  # R lies above K: no identity
+        key=lambda ip: len(sig.out(ip[1][0])))
+
+    def blocked(p):
+        if x.proj == y.proj:  # x and y differ at the identity at most
+            return x != y and p in sig.factored(p.dom)
+        return any(x.proj_along(c.path) != y.proj_along(c.path)
+                   for c in sig.pinned(p))
+
+    def groups():
+        pool = None
+        for i, (R, p) in positions:
+            if blocked(p):
+                continue
+            if pool is None:
+                pool = deepest_first(sig, x.dep() | y.dep())
+                used_names = {v.name for v in pool}
+            yield i, [_pattern_formula(pat) for pat in
+                      _fillers(sig, R, p, x, y, pool, used_names)]
+    return groups()
 
 
 def sort_equiv(sig: Signature, K: str, alpha: Variable,

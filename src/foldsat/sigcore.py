@@ -79,6 +79,8 @@ class Signature:
     - ``filling``: per sort K, the positions out of K in fill order,
       each with its generator images as positions of K
     - ``factored``: per sort K, the positions q∘g, q out of K, g a generator
+    - ``pinned``: per position p, the arrows c out of p's codomain such
+      that p∘c is a generator image of a position p does not fix
     - ``position_groups``: per sort K, for each sort R above K, the
       groups of K's positions that R identifies
     - ``ind_table``: ``(x, y) ->`` Ind(x, y)'s conjuncts, as far as they
@@ -107,6 +109,7 @@ class Signature:
         self._composite = {}
         self._filling = {}
         self._factored = {}
+        self._pinned = {}
         self._position_groups = {}
         self.ind_table = {}
 
@@ -258,6 +261,20 @@ class Signature:
             self._factored[sort] = frozenset(
                 t for _, below in self.filling(sort) for _, t in below)
         return self._factored[sort]
+
+    def pinned(self, p: Arrow) -> tuple:
+        """The arrows c out of ``p.cod``, the identity included, such that
+        p∘c is a generator image of a position of ``p.dom`` other than p
+        and every p∘c': ``Ind`` fills it with one variable on both sides."""
+        table = self._pinned.get(p)
+        if table is None:
+            fixed = {p: self._identity[p.cod]}
+            for c in self._out[p.cod]:
+                fixed[self.compose(p, c)] = c
+            table = self._pinned[p] = tuple(dict.fromkeys(
+                fixed[t] for q, below in self.filling(p.dom)
+                if q not in fixed for _, t in below if t in fixed))
+        return table
 
     def position_groups(self, sort) -> tuple:
         """``(R, groups)`` for each sort R strictly above ``sort``, in

@@ -7,6 +7,9 @@ their stdout and stderr, one tab-separated line per run.
   signature;
 - ``sat``, ``sat --total`` and ``sat --level n`` for each level, on
   every corpus and golden structure;
+- ``eval --card`` of each ``EQUIV_FORMULAS``, the ``~=`` on lcat's ``A``
+  and ``O`` whose ``Ind`` a count reads only in part, on every corpus and
+  golden structure;
 - ``hom``, ``hom --fibsurj`` and ``hsip`` on every ordered pair of
   corpus structures;
 - the malformed inputs under ``tests/golden``.
@@ -44,6 +47,14 @@ _MALFORMED = (("check-sig", "tests/golden/BadChar.folds"),
               ("sat", _LCAT, "tests/golden/Arrow2Dup.str"),
               ("sat", _LCAT, "tests/golden/Arrow2Dup.str", "--total"))
 
+# ~= on A (level 2) and on O (level 3), whose Ind holds ~= on A in turn
+EQUIV_FORMULAS = (
+    "forall x:O. forall y:O. A(x,y) ~= A(y,x)",
+    "sum x:O. sum y:O. A(x,y) ~= A(x,y)",
+    "sum x:O. sum y:O. sum f:A(x,y). sum g:A(x,y). eqA(f,g) ~= eqA(g,f)",
+    "O ~= O",
+)
+
 
 def commands():
     """Every argv of the manifest, in its order."""
@@ -57,6 +68,9 @@ def commands():
         runs += [("sat", _LCAT, M), ("sat", _LCAT, M, "--total")]
         runs += [("sat", _LCAT, M, "--level", str(n))
                  for n in range(1, height + 1)]
+    for M in _CORPUS + _GOLDEN:
+        runs += [("eval", _LCAT, M, "-e", text, "--card")
+                 for text in EQUIV_FORMULAS]
     for M in _CORPUS:
         for N in _CORPUS:
             runs += [("hom", _LCAT, M, N), ("hom", _LCAT, M, N, "--fibsurj"),

@@ -7,11 +7,15 @@ group of conjuncts only when the product reaches it.  The oracle is the
 evaluator before that change: ``ind`` generates every conjunct and the
 whole ``And`` is compiled and counted.  It runs on a copy of each
 structure, so the two share no compiled count.
+
+A count reads the groups fail-first and unsorted, and ``_ind`` walks no
+position that ``sig.pinned`` rules out; ``ind`` must still print the
+formula it printed before: ``print_order_ind`` is that generation,
+group by group in (R, p) order.
 """
 
 import gc
 import weakref
-from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -25,22 +29,20 @@ from foldsat.errors import FunctorialityError
 from foldsat.finsem import (FinStructure, boundary_instances, card_iso_elems,
                             eval_card, fiber, saturation_profile,
                             validate_structure)
-from foldsat.isogen import ind, variables_over
-from foldsat.stdlib import category_to_structure, corpus
+from foldsat.isogen import (_pattern_formula, generic_context, ind,
+                            variables_over)
+from foldsat.pretty import pformat
+from foldsat.sigcore import validate_signature
+from foldsat.stdlib import builtin_signature, category_to_structure, corpus
+from foldsat.synkit import compatible_sorts, conj
+from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
                                 fresh_ind_tables, lcat_structures, relabel)
+from test_isogen_oracle import enumerate_fillers, few_parallel_positions
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
-                                 draw_structure)
+                                 diamond_stack, draw_structure)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-# ~= on A (level 2) and on O (level 3), whose Ind holds ~= on A in turn
-EQUIV_FORMULAS = (
-    "forall x:O. forall y:O. A(x,y) ~= A(y,x)",
-    "sum x:O. sum y:O. A(x,y) ~= A(x,y)",
-    "sum x:O. sum y:O. sum f:A(x,y). sum g:A(x,y). eqA(f,g) ~= eqA(g,f)",
-    "O ~= O",
-)
 
 
 def eager_ind_count(ev, x, y):
@@ -113,11 +115,10 @@ def test_lazy_counts_match_eager_ind_on_lcat(M):
 def test_lazy_counts_match_eager_ind_on_dag_signatures(raw, data):
     """Every sort above level 1 of a random signature; the ``~=``
     formulas name lcat's sorts, so only the fiber pairs are checked.
-    Signatures with more than three positions into one sort are skipped,
+    Signatures with more than four positions into one sort are skipped,
     as in the other oracles: ``Ind`` grows steeply with that number."""
     order, sig = _codomains_first(raw)
-    if any(n > 3 for K in sig.sorts
-           for n in Counter(q.cod for q in sig.out(K)).values()):
+    if not few_parallel_positions(sig):
         return
     try:
         M = validate_structure(sig, dict(zip(
@@ -146,39 +147,117 @@ def test_lazy_equiv_matches_eager_in_eval_card(monkeypatch, capsys, name):
 
 
 def spy_on_groups(monkeypatch):
-    """(x, y) -> the number of (R, p) groups of Ind(x, y) generated from
-    now on."""
-    drawn = Counter()
-    real = isogen._ind
+    """(x, y) -> the (R, p) groups of Ind(x, y) generated from now on, in
+    the order they are generated."""
+    drawn = {}
+    real = isogen._fillers
 
-    def spy(sig, x, y):
-        groups = real(sig, x, y)
-
-        def counted():
-            for group in groups:
-                drawn[x, y] += 1
-                yield group
-        return counted()
+    def spy(sig, R, p, x, y, *pool):
+        drawn.setdefault((x, y), []).append((R, p))
+        return real(sig, R, p, x, y, *pool)
 
     fresh_ind_tables()
-    monkeypatch.setattr(isogen, "_ind", spy)
+    monkeypatch.setattr(isogen, "_fillers", spy)
     return drawn
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_level2_generates_only_the_first_group(monkeypatch, n):
-    """Z_n's one ``A`` fiber holds n loops, and every two distinct ones
-    are told apart by a conjunct of the first (R, p) group of
-    Ind(x*, y*): level-2 saturation generates no later group, and the
-    profile is the one every sort's full check gives."""
+    """Z_n's one ``A`` fiber holds n loops.  Ind(x*, y*) reads the sorts
+    with fewest positions first: ``I``'s one group, then ``eqA``'s two,
+    then ``comp``'s three.  Every two distinct loops are told apart by
+    the first group of ``I`` (on Z_2) or of ``eqA``: level-2 saturation
+    generates no later group and no group of ``comp``, and the profile
+    is the one every sort's full check gives."""
     want = eager_profile(category_to_structure(cyclic(n)))
     M = category_to_structure(cyclic(n))
     drawn = spy_on_groups(monkeypatch)
     assert saturation_profile(M) == want
+    sig = M.sig
+    first = [(R, sig.hom(R, "A")[0]) for R in ("I", "eqA")]
     level2 = [xy for xy in drawn if xy[0].sort == "A" and xy[0].name == "x*"]
-    assert level2 and all(drawn[xy] == 1 for xy in level2)
+    assert level2 and all(drawn[xy] == first[:1 if n == 2 else 2]
+                          for xy in level2)
     monkeypatch.undo()
-    assert all(len(list(isogen._ind(M.sig, *xy))) > 1 for xy in level2)
+    assert all(len(list(isogen._ind(sig, *xy))) == 6 for xy in level2)
+
+
+def print_order_ind(sig, x, y):
+    """Ind(x, y) as ``isogen`` printed and generated it before counts
+    read it fail-first: the (R, p) groups in ``compatible_sorts`` and
+    ``sig.hom`` order, each sorted by ``pformat``, with only the
+    ``factored`` skip, and each group enumerated by the brute-force
+    oracle, which finds a position that no filler can take on each
+    branch."""
+    compatible_y = compatible_sorts(sig, y)
+    parts = []
+    for R in compatible_sorts(sig, x):
+        if R not in compatible_y:
+            continue
+        skip = sig.factored(R) if x != y else ()
+        for p in sig.hom(R, x.sort):
+            if p not in skip:
+                parts += sorted(map(_pattern_formula,
+                                    enumerate_fillers(sig, R, p, x, y)),
+                                key=pformat)
+    return conj(parts)
+
+
+def check_print_order(sig, pairs):
+    """``ind`` of each pair, and its printed form, against
+    ``print_order_ind``, each ``Ind`` generated afresh."""
+    sig.ind_table.clear()
+    for x, y in pairs:
+        want = print_order_ind(sig, x, y)
+        assert ind(sig, x, y) == want, (x, y)
+        assert pformat(ind(sig, x, y)) == pformat(want)
+
+
+def generic_pairs(sig):
+    """Each sort's generic context (x, y) and (x, x)."""
+    for K in sig.sorts:
+        x, y = generic_context(sig, K)
+        yield from ((x, y), (x, x))
+
+
+def element_pairs(M):
+    """(x*, y*) over every ordered pair of non-empty boundary instances
+    of each sort above level 1 of M."""
+    for K in M.sig.sorts:
+        if M.sig.level(K) == 1:
+            continue
+        deltas = [d for d in boundary_instances(M, K) if fiber(M, K, d)]
+        for da, db in product(deltas, repeat=2):
+            yield variables_over(M.sig, K, (da, db), ("x*", "y*"))[0]
+
+
+def test_ind_matches_print_order_on_builtins_and_diamonds():
+    """Among lcat's element pairs, those over different boundaries
+    reach positions that only ``sig.pinned`` rules out."""
+    for name in ("lrg", "lrg_eq", "lcat"):
+        sig = builtin_signature(name)
+        check_print_order(sig, generic_pairs(sig))
+    for M in corpus().values():
+        check_print_order(M.sig, element_pairs(M))
+    for k in (1, 2, 3):
+        sig = validate_signature(diamond_stack(k))
+        check_print_order(sig, generic_pairs(sig))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_ind_matches_print_order_on_dag_signatures(raw, data):
+    order, sig = _codomains_first(raw)
+    if not few_parallel_positions(sig):
+        return
+    check_print_order(sig, generic_pairs(sig))
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+    except FunctorialityError:
+        return
+    check_print_order(sig, element_pairs(M))
 
 
 def test_partly_generated_ind_does_not_keep_its_signature():

@@ -1,7 +1,7 @@
 import pytest
 
 from foldsat.errors import SortMismatch
-from foldsat.isogen import _fillers, ind, iso_formula, sort_equiv
+from foldsat.isogen import _fillers, _ind, ind, iso_formula, sort_equiv
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature
 from foldsat.synkit import (And, Equiv, Exists, Forall, Implies, Top,
@@ -64,11 +64,24 @@ def test_arrow_equality_fillers_three_patterns(lrg_eq):
 
 
 def test_shared_position_forces_equal_objects(lcat):
-    x, y = obj(lcat, "x"), obj(lcat, "y")
+    """A position of R that p does not fix is filled by one variable on
+    both sides, so x and y must agree wherever p reaches its boundary:
+    ``sig.pinned(p)``, at which ``_ind`` walks no position."""
+    x, y, z = obj(lcat, "x"), obj(lcat, "y"), obj(lcat, "z")
     p = lcat.cls(("i", "d"))
-    assert fillers(lcat, "I", p, x, y) == []
-    # p is i followed by d (= i.c), so Ind skips it when x != y
+    # p is i followed by d (= i.c): i's filler would hold x and y
+    assert lcat.pinned(p) == (lcat.identity("O"),)
     assert lcat.factored("I") == {p}
+    # eqA's t shares s's endpoints, and comp's t1 shares t0's codomain
+    d, c = lcat.cls(("d",)), lcat.cls(("c",))
+    assert lcat.pinned(lcat.cls(("s",))) == (d, c)
+    assert lcat.pinned(lcat.cls(("t0",))) == (c, d)
+    assert lcat.pinned(lcat.cls(("i",))) == ()
+    # every position of comp and eqA over f and g is pinned at c, and I
+    # is compatible with neither
+    f, g = arr(lcat, "f", x, y), arr(lcat, "g", x, z)
+    assert list(_ind(lcat, f, g)) == []
+    assert isinstance(ind(lcat, f, g), Top)
 
 
 def test_object_fillers_for_arrow_sort(lcat):
