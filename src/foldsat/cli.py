@@ -4,7 +4,11 @@ Three file kinds share one lexer: signature files (``.folds``),
 structure files (``.str``) and theory files (``.thy``).  The formula
 syntax round-trips with :func:`foldsat.pretty.pformat`.
 
-The lexer is one ``re.findall`` returning the token strings.  A
+The lexer returns the token strings.  A plain text, made only of
+identifier characters, one-character operators and whitespace (every
+corpus structure and signature file is one), is split on whitespace
+once the operators are spaced out.  Any other text is read by one
+``re.findall``, which the tests also hold the split to.  There, a
 character that starts no token comes out as a token of its own, and is
 reported before any syntax error.  Tokens carry no position: a
 ``ParseError`` scans the text again for the line and column of its
@@ -45,17 +49,26 @@ from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff, Implies,
 # separate tokens.  An operator starts with a character of _OP_START and
 # an identifier never does, so a token's kind is its first character.
 
-_TOKEN = r"<->|->|~=|[{}();,:=.&|]|[\w'*]+(?:-[\w'*]+)*"
-_OP_START = "<-~{}();,:=.&|"
+_OPS = "{}();,:=.&|"  # the one-character operators
+_TOKEN = rf"<->|->|~=|[{_OPS}]|[\w'*]+(?:-[\w'*]+)*"
+_OP_START = "<-~" + _OPS
 _TOKEN_RE = re.compile(_TOKEN)
 # a comment, a token, or one character that starts no token
 _SCAN_RE = re.compile(rf"\#[^\n]*|{_TOKEN}|\S")
+# a text whose identifiers are the runs of identifier characters between
+# whitespace and one-character operators
+_PLAIN_RE = re.compile(rf"[\w'*{_OPS}\s]*")
 
 
 def _lex(text):
-    """The token strings of ``text``, from one ``findall``.  A character
-    that starts no token is an error, raised before the parser reads any
-    token."""
+    """The token strings of ``text``: split on whitespace once the
+    operators are spaced out when the text is plain, else from one
+    ``findall``.  A character that starts no token is an error, raised
+    before the parser reads any token."""
+    if _PLAIN_RE.fullmatch(text):
+        for op in _OPS:
+            text = text.replace(op, f" {op} ")
+        return text.split()
     tokens = _SCAN_RE.findall(text)
     if "#" in text:
         tokens = [t for t in tokens if t[0] != "#"]
@@ -538,14 +551,20 @@ def _cmd_hom(args, sig, M, N):
 
 
 def _max_apex(args):
+    """The apex bound: ``--max-apex``, else ``FOLDS_MAX_APEX``, else
+    None; a negative bound is an input error."""
+    bound, source = args.max_apex, "--max-apex"
     env = os.environ.get("FOLDS_MAX_APEX")
-    if args.max_apex is not None or env is None:
-        return args.max_apex
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"FOLDS_MAX_APEX must be an integer, "
-                         f"got {env!r}") from None
+    if bound is None and env is not None:
+        source = "FOLDS_MAX_APEX"
+        try:
+            bound = int(env)
+        except ValueError:
+            raise ValueError(f"FOLDS_MAX_APEX must be an integer, "
+                             f"got {env!r}") from None
+    if bound is not None and bound < 0:
+        raise ValueError(f"{source} must not be negative, got {bound}")
+    return bound
 
 
 def _cmd_equiv(args, sig, M, N):

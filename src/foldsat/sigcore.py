@@ -72,8 +72,12 @@ class Signature:
     """A validated finite inverse category.
 
     Immutable after construction; build instances through
-    :func:`validate_signature`.  Besides the hom-classes it owns five
-    tables of facts derived from them, each filled on first use:
+    :func:`validate_signature`, which builds the levels.  The hom-classes
+    (``_ext``, ``_out`` and ``_hom``, see ``_build_classes``) are built
+    when ``cls``, ``compose``, ``hom`` or ``out`` first needs them, so a
+    command that reads only names and levels never builds them.  The
+    signature owns six more tables of facts derived from them, each
+    filled on first use:
 
     - ``compose``: ``(first, then) -> composite``
     - ``filling``: per sort K, the positions out of K in fill order,
@@ -105,7 +109,8 @@ class Signature:
             self._equations_at[self._gen_by_name[lhs[0]].dom].append(
                 (lhs, rhs))
         self._compute_levels(order)
-        self._build_classes(order)
+        self._order = order
+        self._ext = self._out = self._hom = None  # see _build_classes
         self._composite = {}
         self._filling = {}
         self._factored = {}
@@ -124,8 +129,9 @@ class Signature:
         self.levels = levels
         self.height = max(levels.values()) if levels else 1
 
-    def _build_classes(self, order):
-        """Hom-classes out of each sort, codomains before domains.
+    def _build_classes(self):
+        """Hom-classes out of each sort, codomains before domains, along
+        the topological order that validation found.
 
         A class out of ``s`` is a generator ``g: s -> t`` followed by the
         identity or a class ``c`` out of ``t``; ``self._ext[c.path][g]`` is
@@ -135,14 +141,15 @@ class Signature:
         starting at ``s``: any other one-step rewrite acts inside ``c`` and
         is already quotiented there.  The union-find runs over the pairs'
         indexes, found by ``(g, c.path)``; a pair's order key is ``c``'s
-        with ``g``'s index put in front.
+        with ``g``'s index put in front.  Building raises nothing: the
+        equations were checked when the signature was validated.
         """
         sort_index = {s: i for i, s in enumerate(self.sorts)}
         key = {(): (0, ())}  # canonical path -> (length, generator indexes)
         self._ext = {(): {}}
         self._out = {}
-        self._hom = {}
-        for s in reversed(order):
+        hom = {}
+        for s in reversed(self._order):
             pairs = [(g.name, c) for g in self.out_gens(s)
                      for c in (self._identity[g.cod],) + self._out[g.cod]]
             slot = {(g, c.path): i for i, (g, c) in enumerate(pairs)}
@@ -179,13 +186,16 @@ class Signature:
             arrows.sort(key=lambda a: (sort_index[a.cod], key[a.path]))
             self._out[s] = tuple(arrows)
             for a in arrows:
-                self._hom.setdefault((s, a.cod), []).append(a)
-        self._hom = {k: tuple(v) for k, v in self._hom.items()}
+                hom.setdefault((s, a.cod), []).append(a)
+        self._hom = {k: tuple(v) for k, v in hom.items()}
 
     def _fold(self, path, then: Arrow) -> Arrow:
         """The class of ``path`` followed by ``then``."""
+        if self._ext is None:
+            self._build_classes()
+        ext = self._ext
         for g in reversed(path):
-            then = self._ext[then.path][g]
+            then = ext[then.path][g]
         return then
 
     # -- queries ---------------------------------------------------------
@@ -204,6 +214,8 @@ class Signature:
         """Canonical hom-class of a generator path."""
         if not path:
             raise ValueError("empty path needs a sort; use identity()")
+        if self._ext is None:
+            self._build_classes()
         try:
             return self._fold(path[:-1], self._ext[()][path[-1]])
         except KeyError:
@@ -226,6 +238,8 @@ class Signature:
         for s in (dom, cod):
             if s not in self.levels:
                 raise UnknownSort(f"unknown sort {s!r}")
+        if self._hom is None:
+            self._build_classes()
         arrows = self._hom.get((dom, cod), ())
         if dom == cod:
             return (self.identity(dom),) + arrows
@@ -235,6 +249,8 @@ class Signature:
         """All non-identity arrows out of ``sort``, deterministic order."""
         if sort not in self.levels:
             raise UnknownSort(f"unknown sort {sort!r}")
+        if self._out is None:
+            self._build_classes()
         return self._out[sort]
 
     def filling(self, sort) -> tuple:
@@ -269,7 +285,7 @@ class Signature:
         table = self._pinned.get(p)
         if table is None:
             fixed = {p: self._identity[p.cod]}
-            for c in self._out[p.cod]:
+            for c in self.out(p.cod):
                 fixed[self.compose(p, c)] = c
             table = self._pinned[p] = tuple(dict.fromkeys(
                 fixed[t] for q, below in self.filling(p.dom)
@@ -286,7 +302,7 @@ class Signature:
             lv = self.level(sort)
             # only parallel positions can share a composite
             parallel = {}
-            for p in self._out[sort]:
+            for p in self.out(sort):
                 parallel.setdefault(p.cod, []).append(p)
             parallel = [ps for ps in parallel.values() if len(ps) > 1]
             table = []

@@ -3,6 +3,7 @@ their stdout and stderr, one tab-separated line per run.
 
 ``tests/golden/sweep.tsv`` holds, each as text and as ``--json``:
 
+- ``check-sig`` and ``levels`` on every corpus and golden signature;
 - ``gen-iso --verbose`` on every sort of every corpus and golden
   signature;
 - ``sat``, ``sat --total`` and ``sat --level n`` for each level, on
@@ -10,8 +11,10 @@ their stdout and stderr, one tab-separated line per run.
 - ``eval --card`` of each ``EQUIV_FORMULAS``, the ``~=`` on lcat's ``A``
   and ``O`` whose ``Ind`` a count reads only in part, on every corpus and
   golden structure;
-- ``hom``, ``hom --fibsurj`` and ``hsip`` on every ordered pair of
-  corpus structures;
+- ``check-model`` with ``corpus/tcat.thy`` on every corpus and golden
+  structure;
+- ``hom``, ``hom --fibsurj``, ``hsip``, ``equiv`` and ``equiv
+  --max-apex 3`` on every ordered pair of corpus structures;
 - the malformed inputs under ``tests/golden``.
 
 Paths are relative to the repository, and every run is made there, in
@@ -60,6 +63,8 @@ def commands():
     """Every argv of the manifest, in its order."""
     runs = []
     for path in _SIGNATURES:
+        runs += [("check-sig", path), ("levels", path)]
+    for path in _SIGNATURES:
         sig = parse_signature((ROOT / path).read_text(encoding="utf-8"))
         runs += [("gen-iso", path, K, "--verbose") for K in sig.sorts]
     height = parse_signature(
@@ -71,10 +76,13 @@ def commands():
     for M in _CORPUS + _GOLDEN:
         runs += [("eval", _LCAT, M, "-e", text, "--card")
                  for text in EQUIV_FORMULAS]
+    runs += [("check-model", _LCAT, _THEORY, M) for M in _CORPUS + _GOLDEN]
     for M in _CORPUS:
         for N in _CORPUS:
             runs += [("hom", _LCAT, M, N), ("hom", _LCAT, M, N, "--fibsurj"),
-                     ("hsip", _LCAT, _THEORY, M, N)]
+                     ("hsip", _LCAT, _THEORY, M, N),
+                     ("equiv", _LCAT, M, N),
+                     ("equiv", _LCAT, M, N, "--max-apex", "3")]
     runs += _MALFORMED
     return [flag + list(argv) for argv in runs for flag in ([], ["--json"])]
 

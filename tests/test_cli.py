@@ -16,6 +16,7 @@ from foldsat.errors import ParseError
 from foldsat.finsem import eval_card, eval_prop
 from foldsat.isogen import iso_formula
 from foldsat.pretty import pformat
+from foldsat.sigcore import Signature
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
 from test_finsem_oracle import formulas
 
@@ -486,6 +487,11 @@ def test_gen_iso_lcat_A_golden(capsys):
     (["gen-iso", p("lcat.folds"), "NOPE"], None, "unknown sort 'NOPE'"),
     (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "abc",
      "FOLDS_MAX_APEX must be an integer, got 'abc'"),
+    # a negative apex bound, from the option or from the environment
+    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str"),
+      "--max-apex", "-1"], None, "--max-apex must not be negative, got -1"),
+    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "-3",
+     "FOLDS_MAX_APEX must not be negative, got -3"),
     *((["sat", p("lcat.folds"), p("Z2Cat.str"), "--level", level], None,
        f"--level must be between 1 and 3, got {level}")
       for level in ("0", "-1", "4", "9")),
@@ -502,6 +508,34 @@ def test_errors_name_the_problem(capsys, monkeypatch, argv, max_apex,
     code, out, _ = run(capsys, "--json", *argv)
     assert code == 2
     assert json.loads(out)["report"] == {"error": message}
+
+
+@pytest.mark.parametrize("argv, code, builds", [
+    # commands that read names, levels and fibers only
+    (["check-sig", p("lcat.folds")], 0, 0),
+    (["levels", p("lcat.folds")], 0, 0),
+    (["check-model", p("lcat.folds"), p("tcat.thy"), p("WalkIso.str")], 0, 0),
+    (["eval", p("lcat.folds"), p("Z2Cat.str"), "-e",
+      "sum x:O. sum f:A(x,x). eqA(f,f)", "--card"], 0, 0),
+    # level 1 settles it from fiber sizes
+    (["sat", p("lcat.folds"), p("DoubledI.str"), "--total"], 1, 0),
+    # commands that generate Ind
+    (["gen-iso", p("lcat.folds"), "A"], 0, 1),
+    (["sat", p("lcat.folds"), p("Chain3.str")], 0, 1),
+])
+def test_hom_classes_are_built_on_first_read(capsys, monkeypatch, argv, code,
+                                             builds):
+    """A signature builds its hom-classes once, and only for a command
+    that reads them."""
+    calls = []
+    build = Signature._build_classes
+
+    def spy(sig):
+        calls.append(sig)
+        build(sig)
+    monkeypatch.setattr(Signature, "_build_classes", spy)
+    assert run(capsys, *argv)[0] == code
+    assert len(calls) == builds
 
 
 COMMANDS = ("check-sig", "levels", "compat", "gen-iso", "eval",

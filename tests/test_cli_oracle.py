@@ -1,7 +1,9 @@
 """The lexer of ``foldsat.cli`` against the one it replaced.
 
-``cli._lex`` returns bare token strings from one ``findall`` and finds a
-token's position only when an error asks for it (``cli._position``).
+``cli._lex`` returns bare token strings, split on whitespace for a plain
+text and from one ``findall`` otherwise, and finds a token's position
+only when an error asks for it (``cli._position``).  The split must give
+``_SCAN_RE.findall``'s tokens on every plain text.
 The oracle, ``paper_checks.lex_with_positions``, tracks the line and
 column of every token as it scans.  On random texts over the token
 alphabet, with whitespace, comments, newlines and junk characters, and
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from foldsat.cli import _OP_START, _lex, _position
+from foldsat.cli import _OP_START, _PLAIN_RE, _SCAN_RE, _lex, _position
 from foldsat.errors import ParseError
 from paper_checks import lex_with_positions
 
@@ -94,3 +96,36 @@ def test_lexer_matches_oracle_on_edited_corpus_files(text):
 def test_lexer_matches_oracle_on_corpus_files():
     for text in CORPUS_TEXTS:
         assert_lexers_agree(text)
+
+
+# the alphabet of a plain text: identifier characters, non-ASCII word
+# characters among them, the one-character operators and whitespace
+PLAIN_PIECES = ("x", "A1", "f'", "g*", "_", "id_0", "é", "٣", "ß", "Ω",
+                "{", "}", "(", ")", ";", ",", ":", "=", ".", "&", "|",
+                " ", "\t", "\n", "\r\n", "\x0b", "\xa0", "\u2003",
+                "\x1c")
+# pieces outside it: each sends a text down the findall path
+OTHER_PIECES = ("-", "a-b", "->", "<->", "~=", "<", ">", "~", "#",
+                "# c", "$", "@", "\x00")
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(PLAIN_PIECES), max_size=40).map("".join))
+@example("structure S over lcat { O = { a }; A = { f(a,a) }; }")
+def test_split_lexer_matches_findall_on_plain_texts(text):
+    assert _PLAIN_RE.fullmatch(text)
+    assert _lex(text) == _SCAN_RE.findall(text)
+    assert_lexers_agree(text)
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(PLAIN_PIECES), max_size=30).map("".join),
+       st.sampled_from(OTHER_PIECES), st.data())
+def test_text_outside_the_plain_alphabet_takes_the_findall_path(text, piece,
+                                                               data):
+    """One piece outside the alphabet anywhere in a plain text: the
+    tokens, or the first error at its line and column, of the oracle."""
+    at = data.draw(st.integers(0, len(text)))
+    text = text[:at] + piece + text[at:]
+    assert not _PLAIN_RE.fullmatch(text)
+    assert_lexers_agree(text)
