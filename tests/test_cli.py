@@ -487,17 +487,17 @@ def test_gen_iso_lcat_A_golden(capsys):
     (["gen-iso", p("lcat.folds"), "NOPE"], None, "unknown sort 'NOPE'"),
     (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "abc",
      "FOLDS_MAX_APEX must be an integer, got 'abc'"),
-    # a negative apex bound, from the option or from the environment
-    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str"),
-      "--max-apex", "-1"], None, "--max-apex must not be negative, got -1"),
-    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "-3",
-     "FOLDS_MAX_APEX must not be negative, got -3"),
     *((["sat", p("lcat.folds"), p("Z2Cat.str"), "--level", level], None,
        f"--level must be between 1 and 3, got {level}")
       for level in ("0", "-1", "4", "9")),
     # --level is checked against the signature before the structure is read
     (["sat", p("lcat.folds"), p("nope.str"), "--level", "9"], None,
      "--level must be between 1 and 3, got 9"),
+    # a negative apex bound, from the option or from the environment
+    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str"),
+      "--max-apex", "-1"], None, "--max-apex must not be negative, got -1"),
+    (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "-3",
+     "FOLDS_MAX_APEX must not be negative, got -3"),
 ])
 def test_errors_name_the_problem(capsys, monkeypatch, argv, max_apex,
                                  message):
