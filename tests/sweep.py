@@ -9,8 +9,9 @@ their stdout and stderr, one tab-separated line per run.
 - ``sat``, ``sat --total`` and ``sat --level n`` for each level, on
   every corpus and golden structure;
 - ``eval --card`` of each ``EQUIV_FORMULAS``, the ``~=`` on lcat's ``A``
-  and ``O`` whose ``Ind`` a count reads only in part, on every corpus and
-  golden structure;
+  and ``O`` whose ``Ind`` a count reads only in part, and of each
+  ``GUARDED_FORMULAS``, the ``forall`` chains whose antecedents the
+  evaluator tests early, on every corpus and golden structure;
 - ``check-model`` with ``corpus/tcat.thy`` on every corpus and golden
   structure;
 - ``hom``, ``hom --fibsurj``, ``hsip``, ``equiv`` and ``equiv
@@ -58,6 +59,29 @@ EQUIV_FORMULAS = (
     "O ~= O",
 )
 
+# forall chains guarded by ->, each antecedent conjunct tested after the
+# last chain binder it mentions (see finsem._guarded_chain)
+GUARDED_FORMULAS = (
+    # a guard over variables bound outside the chain only
+    "sum x:O. sum f:A(x,x). forall y:O. forall g:A(x,y). "
+    "I(f) -> comp(f,g,g)",
+    # outer and inner guards mixed, one of them already in place
+    "sum x:O. forall y:O. forall f:A(x,y). forall g:A(y,x). "
+    "forall h:A(x,x). A(x,x) & eqA(f,f) & comp(f,g,h) -> "
+    "(sum k:A(x,x). I(k) & eqA(h,k))",
+    # an untruncated guard, so the exponent G can exceed one
+    "forall x:O. forall y:O. (sum f:A(x,x). true) & A(y,y) -> "
+    "(sum g:A(x,y). sum g2:A(x,y). true)",
+    # a guarded chain under sum, and guards in two implications
+    "sum x:O. sum y:O. forall f:A(x,y). A(y,y) -> (forall g:A(y,x). "
+    "eqA(f,f) -> (sum h:A(x,x). comp(f,g,h)))",
+    # the guard moves out past a binder whose fiber may be empty
+    "sum x:O. sum y:O. forall f:A(y,x). A(x,x) -> false",
+    # shadowed binders: the guard reads the outer y, and the inner x
+    "sum y:O. forall x:O. (A(x,y) -> (forall y:O. A(y,x)))",
+    "sum x:O. forall y:O. forall x:O. A(y,y) & A(x,y) -> A(y,x)",
+)
+
 
 def commands():
     """Every argv of the manifest, in its order."""
@@ -75,7 +99,7 @@ def commands():
                  for n in range(1, height + 1)]
     for M in _CORPUS + _GOLDEN:
         runs += [("eval", _LCAT, M, "-e", text, "--card")
-                 for text in EQUIV_FORMULAS]
+                 for text in EQUIV_FORMULAS + GUARDED_FORMULAS]
     runs += [("check-model", _LCAT, _THEORY, M) for M in _CORPUS + _GOLDEN]
     for M in _CORPUS:
         for N in _CORPUS:

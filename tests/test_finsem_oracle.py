@@ -35,6 +35,7 @@ from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
                             Formula, Iff, Implies, Or, Top, Variable,
                             mk_var)
 from paper_checks import boundary_of, element_variable
+from sweep import GUARDED_FORMULAS
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  draw_structure)
 
@@ -841,8 +842,10 @@ def test_column_type_permanent_on_an_all_equal_matrix():
 
 
 # every connective, counts above one under a truncated existential, ~=
-# between fibers of different sizes, and forall chains whose antecedents
-# the evaluator moves out (see finsem._hoist_guards)
+# between fibers of different sizes, the guarded forall chains of the
+# output manifest, whose antecedents the evaluator tests as early as their
+# variables allow (see finsem._guarded_chain), and a subformula that
+# mentions no enclosing binder, counted again for each of their values
 FORMULAS = (
     "exists x:O. sum f:A(x,x). eqA(f,f)",
     "sum x:O. exists f:A(x,x). I(f)",
@@ -850,26 +853,7 @@ FORMULAS = (
     "forall x:O. forall y:O. A(x,y) ~= A(y,x)",
     "sum x:O. sum f:A(x,x). (I(f) -> (sum g:A(x,x). comp(f,g,f)))",
     "forall x:O. A(x,x) ~= A(x,x) & true",
-    # a guard over variables bound outside the chain only
-    "sum x:O. sum f:A(x,x). forall y:O. forall g:A(x,y). "
-    "I(f) -> comp(f,g,g)",
-    # outer and inner guards mixed, one of them already in place
-    "sum x:O. forall y:O. forall f:A(x,y). forall g:A(y,x). "
-    "forall h:A(x,x). A(x,x) & eqA(f,f) & comp(f,g,h) -> "
-    "(sum k:A(x,x). I(k) & eqA(h,k))",
-    # an untruncated guard, so the exponent G can exceed one
-    "forall x:O. forall y:O. (sum f:A(x,x). true) & A(y,y) -> "
-    "(sum g:A(x,y). sum g2:A(x,y). true)",
-    # a guarded chain under sum, and guards in two implications
-    "sum x:O. sum y:O. forall f:A(x,y). A(y,y) -> (forall g:A(y,x). "
-    "eqA(f,f) -> (sum h:A(x,x). comp(f,g,h)))",
-    # the guard moves out past a binder whose fiber may be empty
-    "sum x:O. sum y:O. forall f:A(y,x). A(x,x) -> false",
-    # shadowed binders: the guard reads the outer y, and the inner x
-    "sum y:O. forall x:O. (A(x,y) -> (forall y:O. A(y,x)))",
-    "sum x:O. forall y:O. forall x:O. A(y,y) & A(x,y) -> A(y,x)",
-    # a subformula that mentions no enclosing binder, counted again for
-    # each of their values
+    *GUARDED_FORMULAS,
     "sum x:O. sum y:O. (sum u:O. sum v:O. A(u,v)) & A(x,y)",
 )
 
