@@ -4,11 +4,14 @@ A finite structure assigns a finite carrier to every sort and a total
 map to every generating arrow, functorially.  Formulas are evaluated to
 exact witness counts: conjunction and universal quantification multiply,
 untruncated existentials sum over the fiber, implication counts the
-function space, and truncated connectives clamp to one.  The generated
-equivalence nodes are evaluated as sums over fiber bijections whose
-graph is pointwise indistinguishable; this is the finite-set form of the
-equivalence data and is cross-checked against the expanded three-part
-formula wherever the saturation precondition makes the two agree.
+function space, and truncated connectives clamp to one; a power past
+``_MAX_BITS`` bits is an error.  A ``forall`` chain tests each ``->``
+antecedent after the last binder it mentions (``_guarded_chain``).
+The generated equivalence nodes are evaluated as sums over fiber
+bijections whose graph is pointwise indistinguishable; this is the
+finite-set form of the equivalence data and is cross-checked against the
+expanded three-part formula wherever the saturation precondition makes
+the two agree.
 Every fiber is read from ``FinStructure.fibers``, which indexes each
 sort's elements by their generator images once and is only read after
 that; a natural boundary the index lacks has an empty fiber.
@@ -32,14 +35,14 @@ from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
 
-from .errors import (FunctorialityError, InvalidBoundary,
+from .errors import (FoldsError, FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
                      SortMismatch, StructureError, UnboundVariable,
                      UnknownName, UnknownSort)
 from .isogen import ind_conjuncts, variables_over
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
-                     Implies, Or, Top, Variable, conj)
+                     Implies, Or, Top, Variable)
 
 
 class FinStructure:
@@ -242,53 +245,64 @@ def _restore(env, slot, saved):
         env[slot] = saved
 
 
-def _hoist_guards(phi):
-    """The guarded form of a chain of ``forall`` binders and ``->``
-    antecedents: each antecedent conjunct moves out to just after the
-    binder of the last chain variable it mentions (before the chain if
-    it mentions none).  Returns a map from each ``forall`` node of the
-    chain to the formula to compile in its place: the node itself, or
-    for the first node a conjunct moves out past, the rebuilt rest of
-    the chain.  Nodes above that keep their place, so nothing is built
-    when no conjunct moves.
-
-    ``forall v. (G & A -> B)`` with ``v`` not free in ``G`` becomes
-    ``G -> forall v. (A -> B)``.  The count is unchanged: the product
-    over ``v`` of ``B(v) ** (G * A(v))`` is ``(product of B(v) ** A(v))
-    ** G``, also when ``G`` is 0 or the fiber of ``v`` is empty.  Only
-    binders ahead of a conjunct count, so a later binder that shadows a
-    variable it mentions does not pull it inward.  The chain is walked
-    with a loop, not by recursion.
+def _guarded_chain(phi):
+    """A chain of ``forall`` binders and ``->`` antecedents in guarded
+    form: its binders, outermost first, ``guards``, where ``guards[i]``
+    lists the antecedent conjuncts to test after the first i binders,
+    and the formula it ends in.  A conjunct is tested after the binder of
+    the last chain variable it mentions, counting only binders ahead of
+    it, so a later binder that shadows one of its variables does not pull
+    it inward.  ``forall v. (G & A -> B)`` with ``v`` not free in ``G``
+    counts as ``G -> forall v. (A -> B)``: the product over ``v`` of
+    ``B(v) ** (G * A(v))`` is ``(product of B(v) ** A(v)) ** G``, also
+    when ``G`` is 0 or the fiber of ``v`` is empty.  The chain is walked
+    with a loop, not by recursion, and no formula node is built.
     """
-    binders, nodes, guards, moved = [], [], [], False
-    f = phi
-    while isinstance(f, (Forall, Implies)):
-        if isinstance(f, Forall):
-            binders.append(f.var)
-            nodes.append(f)
-            f = f.body
+    binders, guards = [], [[]]
+    while isinstance(phi, (Forall, Implies)):
+        if isinstance(phi, Forall):
+            binders.append(phi.var)
+            guards.append([])
+            phi = phi.body
             continue
-        for g in f.lhs.args if isinstance(f.lhs, And) else (f.lhs,):
+        for g in phi.lhs.args if isinstance(phi.lhs, And) else (phi.lhs,):
             fv, at = g.free_vars(), len(binders)
             while at and binders[at - 1] not in fv:
                 at -= 1
-            moved = moved or at < len(binders)
-            guards.append((at, g))
-        f = f.rhs
-    if not moved:
-        return {node: node for node in nodes}
-    first = min(at for at, _ in guards)
-    place = {node: node for node in nodes[:first]}
-    after = [[] for _ in range(len(binders) + 1)]
-    for at, g in guards:
-        after[at].append(g)
-    for at in range(len(binders), first - 1, -1):
-        if after[at]:
-            f = Implies(conj(after[at]), f)
-        if at > first:
-            f = place[f] = Forall(binders[at - 1], f)
-    place[nodes[first]] = f
-    return place
+            guards[at].append(g)
+        phi = phi.rhs
+    return binders, guards, phi
+
+
+_MAX_BITS = 1 << 16  # past any printable count (4300 digits, 14,300 bits)
+
+
+def _power(b, a):
+    """``b ** a``, checked against ``_MAX_BITS`` before it is computed: a
+    nested ``->`` or ``<->`` can ask for 64 ** (64 ** 64)."""
+    if b > 1 and a * b.bit_length() > _MAX_BITS:
+        raise FoldsError(f"a witness count exceeds {_MAX_BITS} bits")
+    return b ** a
+
+
+def _product(counts):
+    """The count function of a conjunction, which stops at the first 0."""
+    def product(env):
+        n = 1
+        for c in counts:
+            n *= c(env)
+            if n == 0:
+                return 0
+        return n
+    return counts[0] if len(counts) == 1 else product
+
+
+def _implies(lhs, rhs):
+    """The count function of ``lhs -> rhs``, ``rhs`` to the power ``lhs``."""
+    def implies(env):
+        a = lhs(env)
+        return _power(rhs(env), a) if a else 1
+    return implies
 
 
 class _Evaluator:
@@ -300,10 +314,10 @@ class _Evaluator:
     function keeps no table of its own.  So a subformula that does not
     mention an enclosing binder is counted again for each value of that
     binder.  Quantifiers bind their variable in place and restore it
-    afterwards.  A ``forall`` chain is compiled in guarded form (see
-    ``_hoist_guards``), so an antecedent such as ``comp(f,g,h)`` prunes
-    the tuples below its last variable instead of being tested on every
-    tuple of the chain.
+    afterwards.  A ``forall`` chain is compiled as one count function,
+    inside out from its ``_guarded_chain``, so an antecedent such as
+    ``comp(f,g,h)`` prunes the tuples below its last variable instead of
+    being tested on every tuple of the chain.
     """
 
     def __init__(self, M: FinStructure):
@@ -311,7 +325,6 @@ class _Evaluator:
         self.sig = M.sig
         self._slot = {}  # variable -> slot
         self._compiled = {}  # formula, or Ind's conjuncts -> count function
-        self._guarded = {}  # forall node -> what to compile, see _hoist_guards
 
     def card(self, phi, asg):
         for v in phi.free_vars():
@@ -320,10 +333,7 @@ class _Evaluator:
         return self._count(phi)({self._slot_of(v): e for v, e in asg.items()})
 
     def _slot_of(self, var):
-        slot = self._slot.get(var)
-        if slot is None:
-            slot = self._slot[var] = len(self._slot)
-        return slot
+        return self._slot.setdefault(var, len(self._slot))
 
     def _count(self, phi):
         fn = self._compiled.get(phi)
@@ -367,51 +377,40 @@ class _Evaluator:
             fib = self._fiber_fn(phi.var)
             return lambda env: 1 if fib(env) else 0
         if isinstance(phi, And):
-            args = [self._count(a) for a in phi.args]
-
-            def conj(env):
-                n = 1
-                for a in args:
-                    n *= a(env)
-                    if n == 0:
-                        return 0
-                return n
-            return conj
+            return _product([self._count(a) for a in phi.args])
         if isinstance(phi, Or):
             args = [self._count(a) for a in phi.args]
             return lambda env: 1 if any(a(env) for a in args) else 0
-        if isinstance(phi, Implies):
-            lhs, rhs = self._count(phi.lhs), self._count(phi.rhs)
-
-            def implies(env):
-                a = lhs(env)
-                return rhs(env) ** a if a else 1
-            return implies
         if isinstance(phi, Iff):
             lhs, rhs = self._count(phi.lhs), self._count(phi.rhs)
 
             def iff(env):
                 a, b = lhs(env), rhs(env)
-                return (b ** a) * (a ** b)
+                return _power(b, a) * _power(a, b)
             return iff
-        if isinstance(phi, Forall):
-            if phi not in self._guarded:
-                self._guarded.update(_hoist_guards(phi))
-            if self._guarded[phi] is not phi:
-                return self._build(self._guarded[phi])
-        if isinstance(phi, (Forall, Exists)):
-            return self._quantifier(phi)
+        if isinstance(phi, (Forall, Implies)):
+            binders, guards, end = _guarded_chain(phi)
+            count = self._count(end)
+            for at in range(len(binders), -1, -1):
+                if guards[at]:
+                    count = _implies(
+                        _product([self._count(g) for g in guards[at]]), count)
+                if at:
+                    count = self._quantifier(binders[at - 1], count, "forall")
+            return count
+        if isinstance(phi, Exists):
+            return self._quantifier(phi.var, self._count(phi.body),
+                                    "sum" if phi.untruncated else "exists")
         if isinstance(phi, Equiv):
             return self._equiv(phi)
         raise TypeError(f"unknown formula node {phi!r}")
 
-    def _quantifier(self, phi):
-        """Forall multiplies over the fiber, the untruncated existential
-        sums, and the truncated one stops at the first witness."""
-        slot = self._slot_of(phi.var)
-        fib, body = self._fiber_fn(phi.var), self._count(phi.body)
-        forall = isinstance(phi, Forall)
-        truncated = not forall and not phi.untruncated
+    def _quantifier(self, var, body, kind):
+        """``kind`` over ``var`` of the count ``body``: ``forall``
+        multiplies over the fiber, ``sum`` sums, ``exists`` stops at the
+        first witness."""
+        slot, fib = self._slot_of(var), self._fiber_fn(var)
+        forall, truncated = kind == "forall", kind == "exists"
 
         def quantify(env):
             saved = env.get(slot, _UNSET)

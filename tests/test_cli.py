@@ -13,7 +13,7 @@ from foldsat.cli import (format_signature, format_structure, format_theory,
                          main, parse_formula, parse_signature,
                          parse_structure, parse_theory)
 from foldsat.errors import ParseError
-from foldsat.finsem import eval_card, eval_prop
+from foldsat.finsem import _MAX_BITS, eval_card, eval_prop
 from foldsat.isogen import iso_formula
 from foldsat.pretty import pformat
 from foldsat.sigcore import Signature
@@ -269,6 +269,28 @@ def test_eval_rejects_open_formula(capsys):
     code, _, err = run(capsys, "eval", p("lcat.folds"), p("TermCat.str"),
                        "-e", "exists f:A(x,x). I(f)")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("expr", [
+    "((O ~= O) -> (O ~= O)) -> (O ~= O)",
+    "(O ~= O) <-> ((O ~= O) <-> (O ~= O))",
+])
+def test_a_count_past_the_bit_bound_is_an_error(capsys, tmp_path, expr):
+    """On Z_2, O ~= O counts 64, so each formula asks for a power tower
+    such as 64 ** (64 ** 64): refused in text and --json, and in an
+    axiom of check-model, with exit 2."""
+    error = f"a witness count exceeds {_MAX_BITS} bits"
+    code, out, err = run(capsys, "eval", p("lcat.folds"), p("Z2Cat.str"),
+                         "-e", expr, "--card")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+    code, out, _ = run(capsys, "--json", "eval", p("lcat.folds"),
+                       p("Z2Cat.str"), "-e", expr, "--card")
+    assert code == 2 and json.loads(out)["report"] == {"error": error}
+    theory = tmp_path / "tower.thy"
+    theory.write_text(f"theory tower over lcat {{\n  axiom t: {expr};\n}}\n")
+    code, out, err = run(capsys, "check-model", p("lcat.folds"),
+                         str(theory), p("Z2Cat.str"))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_check_model(capsys):

@@ -1,9 +1,10 @@
 import pytest
 
-from foldsat.errors import (FunctorialityError, InvalidBoundary, NonTotalMap,
-                            NotSaturatedPrecondition, OpenFormula,
-                            SortMismatch, UnboundVariable, UnknownSort)
-from foldsat.finsem import (_hoist_guards, boundary_instances,
+from foldsat.errors import (FoldsError, FunctorialityError, InvalidBoundary,
+                            NonTotalMap, NotSaturatedPrecondition,
+                            OpenFormula, SortMismatch, UnboundVariable,
+                            UnknownSort)
+from foldsat.finsem import (_MAX_BITS, _guarded_chain, boundary_instances,
                             card_iso_elems, check_saturation,
                             equiv_card_via_bijections, eval_card, eval_prop,
                             fiber, satisfies, saturation_profile,
@@ -12,8 +13,8 @@ from foldsat.isogen import ind, iso_formula, variables_over
 from foldsat.sigcore import validate_signature
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
-from foldsat.synkit import (And, Atom, Bottom, Exists, Forall, Iff, Implies,
-                            Or, Top, mk_var)
+from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
+                            Implies, Or, Top, conj, mk_var)
 from paper_checks import boundary_of, equiv_card_via_formula
 
 
@@ -452,19 +453,18 @@ def test_ind_distinguishes_arrows_in_group(models):
 # -- guarded forall chains ----------------------------------------------
 
 def guarded(phi):
-    """``phi`` with the rest of the chain ``_hoist_guards`` rebuilds
-    spliced in below the nodes that keep their place."""
-    place, kept, f = _hoist_guards(phi), [], phi
-    while isinstance(f, Forall) and place[f] is f:
-        kept.append(f.var)
-        f = f.body
-    f = place.get(f, f)
-    for v in reversed(kept):
-        f = Forall(v, f)
+    """The chain ``_guarded_chain`` reads off ``phi``, written out as a
+    formula: each level's guards as one antecedent after its binder."""
+    binders, guards, f = _guarded_chain(phi)
+    for at in range(len(binders), -1, -1):
+        if guards[at]:
+            f = Implies(conj(guards[at]), f)
+        if at:
+            f = Forall(binders[at - 1], f)
     return f
 
 
-def test_hoist_guards_places_each_antecedent_after_its_last_binder():
+def test_guarded_chain_places_each_antecedent_after_its_last_binder():
     axioms = dict(tcat_axioms())
     assert pformat(guarded(axioms["C3-assoc"])) == (
         "forall x:O. forall y:O. forall z:O. forall w:O. forall f:A(x,y). "
@@ -477,15 +477,13 @@ def test_hoist_guards_places_each_antecedent_after_its_last_binder():
     for phi in axioms.values():
         hoisted = guarded(phi)
         assert guarded(hoisted) == hoisted
-        # a node is compiled as it stands, or as guards in front of a
-        # rebuilt chain in which nothing moves again
-        for node, form in _hoist_guards(phi).items():
-            if form is not node:
-                assert all(v is k for k, v in
-                           _hoist_guards(form.rhs).items())
+        # each guard mentions the binder it follows
+        binders, guards, _ = _guarded_chain(phi)
+        for at in range(1, len(binders) + 1):
+            assert all(binders[at - 1] in g.free_vars() for g in guards[at])
 
 
-def test_hoist_guards_builds_nothing_without_a_guard_to_move():
+def test_guarded_chain_keeps_a_chain_whose_guards_are_in_place():
     axioms = dict(tcat_axioms())
     roots = [axioms[n] for n in ("E1-refl", "C1-total", "I1-exists")]
     for signame in ("lrg", "lrg_eq", "lcat"):
@@ -494,26 +492,52 @@ def test_hoist_guards_builds_nothing_without_a_guard_to_move():
             f = iso_formula(sig, K)[2]
             roots.extend(f.args if isinstance(f, And) else (f,))
     for phi in roots:
-        place = _hoist_guards(phi)
-        assert all(form is node for node, form in place.items())
-        f, n = phi, 0
-        while isinstance(f, Forall):
-            assert place[f] is f
-            f, n = f.body, n + 1
-        assert len(place) == n
+        assert guarded(phi) == phi
+        binders, _, end = _guarded_chain(phi)
+        f = phi
+        for v in binders:
+            assert f.var == v
+            f = f.body
+        assert f == end
 
 
-def test_hoist_guards_walks_a_deep_chain_without_recursion(lcat):
+def test_guarded_chain_walks_a_deep_chain_without_recursion(lcat):
     xs = [mk_var(lcat, f"x{i}", "O") for i in range(1500)]
     guard = Atom(mk_var(lcat, "", "A", {"d": xs[0], "c": xs[0]}))
     phi = Implies(guard, Top())
     for x in reversed(xs):
         phi = Forall(x, phi)
-    place = _hoist_guards(phi)
-    assert place[phi] is phi and len(place) == 1501
-    f = place[phi.body]
-    assert f.lhs == guard and f.rhs.var == xs[1]
-    f, n = f.rhs, 0
-    while isinstance(f, Forall):
-        f, n = f.body, n + 1
-    assert n == 1499 and f == Top()
+    binders, guards, end = _guarded_chain(phi)
+    assert binders == xs and end == Top()
+    assert guards[1] == [guard]
+    assert not any(guards[:1] + guards[2:])
+
+
+def test_tcat_check_builds_no_formula_node(monkeypatch):
+    """The guarded chains of the tcat axioms compile with no ``forall``,
+    ``->`` or ``&`` node built for them."""
+    axioms = tcat_axioms()
+    M = corpus()["WalkIso"]  # a fresh structure, so nothing is compiled
+    built = []
+    for cls in (Forall, Implies, And):
+        init = cls.__init__
+
+        def spy(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    assert satisfies(M, axioms)[0]
+    assert built == []
+
+
+def test_a_count_is_exact_up_to_the_bit_bound(models):
+    """64 ** 4096 on Z_2, 24,577 bits, is counted; one power more is
+    refused before it is computed."""
+    M = models["Z2Cat"]
+    O = mk_var(M.sig, "", "O")
+    e = Equiv("O", O, O)
+    assert eval_card(M, Implies(e, Implies(e, e))) == 64 ** 4096
+    with pytest.raises(FoldsError, match=f"exceeds {_MAX_BITS} bits"):
+        eval_card(M, Implies(Implies(e, e), e))
+    with pytest.raises(FoldsError, match=f"exceeds {_MAX_BITS} bits"):
+        eval_card(M, Iff(e, Iff(e, e)))

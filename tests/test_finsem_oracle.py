@@ -14,10 +14,10 @@ import time
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, log2, prod
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from foldsat import finsem, isogen
@@ -28,6 +28,7 @@ from foldsat.finsem import (_permanent, _saturated, boundary_instances,
                             eval_card, fiber, satisfies, saturation_profile,
                             validate_structure)
 from foldsat.isogen import ind, iso_formula
+from foldsat.pretty import pformat
 from foldsat.stdlib import (FiniteCategory, _poset_category,
                             builtin_signature, category_to_structure, corpus,
                             tcat_axioms)
@@ -156,9 +157,19 @@ def brute_permanent(rows):
                for image in permutations(range(n)))
 
 
+def oracle_power(b, a):
+    """``b ** a``, or the evaluator's error when that would pass its bit
+    bound, judged by the logarithm."""
+    if b > 1 and a > finsem._MAX_BITS / log2(b):
+        raise FoldsError(f"a witness count exceeds {finsem._MAX_BITS} bits")
+    return b ** a
+
+
 def naive_card(M, phi, asg=None):
     """Witness count by direct recursion: no memo, fibers by scanning,
-    and ``~=`` as a sum over every bijection of the fibers."""
+    and ``~=`` as a sum over every bijection of the fibers.  It counts
+    every subformula, also where the evaluator stops early, so a power
+    past the evaluator's bit bound is an error here too."""
     def fib(var, asg):
         return scan_fiber(M, var.sort, {q: asg[var.proj_along(q.path)]
                                         for q in M.sig.out(var.sort)})
@@ -175,10 +186,10 @@ def naive_card(M, phi, asg=None):
         if isinstance(f, Or):
             return int(any(rec(a, asg) for a in f.args))
         if isinstance(f, Implies):
-            return rec(f.rhs, asg) ** rec(f.lhs, asg)
+            return oracle_power(rec(f.rhs, asg), rec(f.lhs, asg))
         if isinstance(f, Iff):
             a, b = rec(f.lhs, asg), rec(f.rhs, asg)
-            return (b ** a) * (a ** b)
+            return oracle_power(b, a) * oracle_power(a, b)
         if isinstance(f, (Forall, Exists)):
             counts = [rec(f.body, {**asg, f.var: e})
                       for e in fib(f.var, asg)]
@@ -894,6 +905,81 @@ def test_evaluator_matches_direct_recursion(M):
         for a, b in pairs_in_fibers(M, K):
             assert card_iso_elems(M, K, a, b) \
                 == named_card_iso(M, K, a, b, naive_card), (K, a, b)
+
+
+def check_against_oracle(M, phi):
+    """``eval_card`` against ``naive_card``.  A nested ``->`` or ``<->``
+    can ask for a power tower such as 64 ** (64 ** 64); a formula whose
+    count passes the bit bound in either is not compared."""
+    try:
+        got, want = eval_card(M, phi), naive_card(M, phi)
+    except FoldsError as exc:
+        assert f"exceeds {finsem._MAX_BITS} bits" in str(exc)
+        reject()
+    assert got == want, pformat(phi)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(lcat_structures(size=2), st.data())
+def test_evaluator_matches_direct_recursion_on_random_formulas(M, data):
+    check_against_oracle(M, data.draw(formulas(M.sig, depth=4)))
+
+
+@st.composite
+def guarded_chains(draw, sig):
+    """``sum`` over 0-2 objects, then a chain of 1-6 ``forall`` binders
+    over dependent sorts, some of which rebind a name in scope, ending in
+    a small formula.  Each antecedent conjunct is built over the scope of
+    some level of the chain (none of its binders, at level 0) and written
+    at that level or deeper: an atom or ``~=``, or an untruncated ``sum``
+    whose count can exceed one.  The fibers of ``A(x,y)`` and of the
+    sorts above it may be empty, so guards are moved past empty binders.
+    """
+    base = next(K for K in sig.sorts if not sig.out_gens(K))
+    env, outer = {}, []
+    for name in draw(st.lists(st.sampled_from(NAMES[:2]), max_size=2,
+                              unique=True)):
+        env[name] = mk_var(sig, name, base)
+        outer.append(env[name])
+    scopes, binders = [env], []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from([
+            n for n in NAMES
+            if not any(env.get(n) in w.dep() for w in env.values()
+                       if w is not env.get(n))]))
+        v = _application(draw, sig, env, name) or mk_var(sig, name, base)
+        env = {**env, name: v}
+        binders.append(v)
+        scopes.append(env)
+
+    def guard(scope):
+        if draw(st.booleans()):
+            return draw(formulas(sig, scope, depth=0))
+        w = _application(draw, sig, scope, "k") or mk_var(sig, "k", base)
+        return Exists(w, draw(formulas(sig, {**scope, "k": w}, depth=0)),
+                      untruncated=True)
+
+    written = [[] for _ in scopes]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(binders)))
+        written[draw(st.integers(at, len(binders)))].append(
+            guard(scopes[at]))
+    phi = draw(formulas(sig, env, depth=1))
+    for at in range(len(binders), -1, -1):
+        if written[at]:
+            phi = Implies(written[at][0] if len(written[at]) == 1
+                          else And(tuple(written[at])), phi)
+        if at:
+            phi = Forall(binders[at - 1], phi)
+    for v in reversed(outer):
+        phi = Exists(v, phi, untruncated=True)
+    return phi
+
+
+@settings(SETTINGS, max_examples=100)
+@given(lcat_structures(size=2), st.data())
+def test_guarded_chain_counts_match_direct_recursion(M, data):
+    check_against_oracle(M, data.draw(guarded_chains(M.sig)))
 
 
 @SETTINGS
