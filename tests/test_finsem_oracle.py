@@ -34,7 +34,7 @@ from foldsat.stdlib import (FiniteCategory, _poset_category,
                             tcat_axioms)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall,
                             Formula, Iff, Implies, Or, Top, Variable,
-                            mk_var)
+                            conj, mk_var)
 from paper_checks import boundary_of, element_variable
 from sweep import GUARDED_FORMULAS
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
@@ -966,9 +966,11 @@ def guarded_chains(draw, sig):
             guard(scopes[at]))
     phi = draw(formulas(sig, env, depth=1))
     for at in range(len(binders), -1, -1):
-        if written[at]:
-            phi = Implies(written[at][0] if len(written[at]) == 1
-                          else And(tuple(written[at])), phi)
+        # one antecedent per level, or one implication per conjunct
+        if draw(st.booleans()):
+            written[at] = [conj(written[at])] if written[at] else []
+        for g in reversed(written[at]):
+            phi = Implies(g, phi)
         if at:
             phi = Forall(binders[at - 1], phi)
     for v in reversed(outer):
