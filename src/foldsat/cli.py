@@ -508,7 +508,11 @@ def _cmd_eval(args, sig, M):
         raise OpenFormula("eval requires a closed formula")
     if args.card:
         n = eval_card(M, phi)
-        return _Result(True, [str(n)], witness=n)
+        try:
+            return _Result(True, [str(n)], witness=n)
+        except ValueError:  # more digits than CPython converts to text
+            raise FoldsError(f"a witness count of {n.bit_length()} bits is "
+                             "too long to print") from None
     ok = eval_prop(M, phi)
     return _Result(ok, ["true" if ok else "false"], witness=ok)
 

@@ -4,9 +4,10 @@ A finite structure assigns a finite carrier to every sort and a total
 map to every generating arrow, functorially.  Formulas are evaluated to
 exact witness counts: conjunction and universal quantification multiply,
 untruncated existentials sum over the fiber, implication counts the
-function space, and truncated connectives clamp to one; a power past
-``_MAX_BITS`` bits is an error.  A ``forall`` chain tests each ``->``
-antecedent after the last binder it mentions (``_guarded_chain``).
+function space, and truncated connectives clamp to one; a power or a
+partial product past ``_MAX_BITS`` bits is an error.  A ``forall``
+chain tests each ``->`` antecedent after the last binder it mentions
+(``_guarded_chain``).
 The generated equivalence nodes are evaluated as sums over fiber
 bijections whose graph is pointwise indistinguishable; this is the
 finite-set form of the equivalence data and is cross-checked against the
@@ -23,14 +24,15 @@ above it.  Level 2 is decided only once level 1 holds, on distinct
 elements of one fiber (see ``_saturated``).  Each fiber, or pair of
 boundaries, builds its ``Ind`` counter once (``_ind_counter``), and the
 permanent of ``~=`` runs over column types (``_permanent``).  Both count
-``Ind`` as a product of its conjuncts that stops at the first 0, and
-generate and compile a conjunct only when the product reaches it
+``Ind`` with ``_product``, as for an ``And``, drawing each conjunct from
+``isogen``'s iterator and compiling it only when the product reaches it
 (``_Evaluator._ind_count``), fail-first: on Z_n, two distinct loops
 are told apart at ``A`` by ``I`` or ``eqA``, before any group of ``comp``.
 """
 
 from __future__ import annotations
 
+from itertools import chain, tee
 from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
@@ -275,26 +277,38 @@ def _guarded_chain(phi):
 
 
 _MAX_BITS = 1 << 16  # past any printable count (4300 digits, 14,300 bits)
+_TOO_BIG = f"a witness count exceeds {_MAX_BITS} bits"
 
 
 def _power(b, a):
     """``b ** a``, checked against ``_MAX_BITS`` before it is computed: a
     nested ``->`` or ``<->`` can ask for 64 ** (64 ** 64)."""
     if b > 1 and a * b.bit_length() > _MAX_BITS:
-        raise FoldsError(f"a witness count exceeds {_MAX_BITS} bits")
+        raise FoldsError(_TOO_BIG)
     return b ** a
 
 
-def _product(counts):
-    """The count function of a conjunction, which stops at the first 0."""
+def _product(counts, more=()):
+    """The count function of a conjunction, which stops at the first 0
+    and checks each partial product against ``_MAX_BITS``.  Its factors
+    are ``counts``, then those drawn from the iterator ``more`` only as
+    far as a call reaches; ``factors``, a tee that no call advances,
+    keeps them for later calls.  No product is re-entered while it draws:
+    Ind(x, y) at sort K holds ``~=`` only at sorts strictly above K."""
+    factors = tee(chain(counts, more), 1)[0]
+
     def product(env):
         n = 1
-        for c in counts:
-            n *= c(env)
-            if n == 0:
-                return 0
+        for c in factors.__copy__():
+            k = c(env)
+            if k != 1:
+                n *= k
+                if n == 0:
+                    return 0
+                if n >> _MAX_BITS:
+                    raise FoldsError(_TOO_BIG)
         return n
-    return counts[0] if len(counts) == 1 else product
+    return counts[0] if len(counts) == 1 and more == () else product
 
 
 def _implies(lhs, rhs):
@@ -342,29 +356,14 @@ class _Evaluator:
         return fn
 
     def _ind_count(self, x, y):
-        """The count of Ind(x, y), as a product of its conjuncts' counts
-        that stops at the first 0, like the compiled ``And`` of ``ind``.
-        A conjunct is compiled, and its (R, p) group generated, when the
-        product first reaches it.  Built once per evaluator."""
+        """The count of Ind(x, y), built once per evaluator: the product of
+        its conjuncts' counts, each conjunct compiled, and its (R, p) group
+        generated, only when the product first reaches it."""
         conjuncts = ind_conjuncts(self.sig, x, y)
         product = self._compiled.get(conjuncts)
         if product is None:
-            counts, parts = [], conjuncts.parts
-
-            def product(env):
-                n = 1
-                for c in counts:
-                    n *= c(env)
-                    if n == 0:
-                        return 0
-                while len(counts) < len(parts) or conjuncts.more():
-                    c = self._count(parts[len(counts)])
-                    counts.append(c)
-                    n *= c(env)
-                    if n == 0:
-                        return 0
-                return n
-            self._compiled[conjuncts] = product
+            product = self._compiled[conjuncts] = _product(
+                [], map(self._count, conjuncts))
         return product
 
     def _build(self, phi):
@@ -419,9 +418,12 @@ class _Evaluator:
                 env[slot] = e
                 c = body(env)
                 if forall:
-                    n *= c
-                    if n == 0:
-                        break
+                    if c != 1:
+                        n *= c
+                        if n == 0:
+                            break
+                        if n >> _MAX_BITS:
+                            raise FoldsError(_TOO_BIG)
                 elif truncated:
                     if c:
                         n = 1

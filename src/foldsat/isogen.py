@@ -7,24 +7,25 @@ Filler enumeration works over the hom-classes out of the distinguishing
 sort: the two argument tuples agree on every position except the
 distinguished one (and the positions it forces), and fresh fillers are
 enumerated over all coincidence patterns and named in a fixed order.
-Each coincidence pattern gives one filler pattern, so no two of them are
+Each coincidence pattern gives one conjunct, so no two of them are
 alpha-equal and nothing is deduplicated (a property test pins this).
 Both walks read the signature's fill order: the filler search and
 ``variables_over``, which builds the variables over given boundaries,
 generic ones or those of elements.  ``_ind`` skips each position p of R
 where x and y differ at an arrow c of ``sig.pinned(p)``: a position that
-one variable fills on both sides would hold p∘c of x and of y.
+one variable fills on both sides would hold p∘c of x and of y.  The
+identity is pinned at exactly the positions that factor through another.
 
 The conjuncts are generated one (R, p) group at a time, and only as far
-as they are read: a count reads ``ind_conjuncts`` until a conjunct is 0,
-fail-first (the sorts with fewest positions first), and ``ind`` reads it
-to the end, in print order.  The signature's ``ind_table`` keeps them,
+as they are read: a count iterates ``ind_conjuncts`` until a conjunct is
+0, fail-first (the sorts with fewest positions first), and ``ind`` reads
+it to the end, in print order.  The signature's ``ind_table`` keeps them,
 so every structure over one signature shares them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import tee
 
 from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
 from .pretty import pformat
@@ -34,19 +35,11 @@ from .synkit import (And, Equiv, Exists, Forall, Formula, Implies,
                      mk_var)
 
 
-@dataclass(frozen=True)
-class FillerPattern:
-    """One way of plugging x and y into position p of a sort R."""
-
-    alpha: Variable
-    beta: Variable
-    quantified: tuple  # fresh variables, outermost first
-
-
 def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
              pool: list, used_names: set) -> list:
-    """All filler patterns for Ind_R at position p, one per coincidence
-    pattern of the fillers; p must be a position of R over x's sort that
+    """The conjuncts of Ind_R at position p, one per coincidence pattern
+    of the fillers: ``forall`` over its fresh fillers, deepest first, of
+    ``R(α) ~= R(β)``.  p must be a position of R over x's sort that
     ``_ind`` walks.  ``pool`` is ``x.dep() | y.dep()`` deepest first, and
     ``used_names`` their names."""
     # what the x side and the y side hold at each position of R: p and the
@@ -58,11 +51,11 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
                                    y.proj_along(g.path))
     shared = [(q, below) for q, below in sig.filling(R) if q not in side]
 
-    patterns = []
+    conjuncts = []
 
     # Every position below a shared one comes earlier in the fill order,
     # so each branch sets what it reads and nothing is unset on return.
-    # A pattern quantifies exactly the fresh fillers of its branch.
+    # A conjunct quantifies exactly the fresh fillers of its branch.
     def assign(i, fresh):
         taken = used_names | {v.name for v in fresh}
         if i == len(shared):
@@ -72,8 +65,10 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
             alpha = mk_var(sig, aname, R, {g: a for g, (a, _) in fill})
             beta = mk_var(sig, _fresh_name(R, taken | {aname}), R,
                           {g: b for g, (_, b) in fill})
-            patterns.append(FillerPattern(alpha, beta,
-                                          tuple(deepest_first(sig, fresh))))
+            out = Equiv(R, alpha, beta)
+            for v in reversed(deepest_first(sig, fresh)):
+                out = Forall(v, out)
+            conjuncts.append(out)
             return
         q, below = shared[i]
         S = q.cod
@@ -92,7 +87,7 @@ def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
         assign(i + 1, fresh + [newv])
 
     assign(0, [])
-    return patterns
+    return conjuncts
 
 
 def _fresh_name(sort, used):
@@ -103,39 +98,29 @@ def _fresh_name(sort, used):
     return f"{base}{i}"
 
 
-def _pattern_formula(pat: FillerPattern) -> Formula:
-    out = Equiv(pat.alpha.sort, pat.alpha, pat.beta)
-    for v in reversed(pat.quantified):
-        out = Forall(v, out)
-    return out
-
-
 class _Conjuncts:
-    """The conjuncts of one ``Ind(x, y)`` in read order: ``parts`` holds
-    those generated so far, ``more`` generates the next (R, p) group, and
-    ``formula`` puts every group back in print order."""
+    """The conjuncts of one ``Ind(x, y)``.  Iterating gives them in read
+    order, and generates each (R, p) group when a reader first reaches
+    it; ``formula`` puts every group back in print order."""
 
     def __init__(self, groups):
-        self.parts = []
-        self._groups = groups
-        self._by_index = {}  # print index -> group
+        self._by_index = {}  # print index -> group, once generated
+
+        def walk():
+            for i, group in groups:
+                self._by_index[i] = group
+                yield from group
+        # a tee that no reader advances keeps them all; readers copy it
+        self._start = tee(walk(), 1)[0]
         self._formula = None
 
-    def more(self) -> bool:
-        """Append the next non-empty group to ``parts``; False once every
-        group is generated."""
-        for i, group in self._groups:
-            if group:
-                self._by_index[i] = group
-                self.parts.extend(group)
-                return True
-        return False
+    def __iter__(self):
+        return self._start.__copy__()
 
     def formula(self) -> Formula:
         """Every group, in print order and sorted by ``pformat``."""
         if self._formula is None:
-            while self.more():
-                pass
+            list(self)  # generates every group
             self._formula = conj([c for _, group in sorted(
                 self._by_index.items()) for c in sorted(group, key=pformat)])
         return self._formula
@@ -161,9 +146,10 @@ def _ind(sig: Signature, x: Variable, y: Variable):
     """Ind(x, y)'s conjuncts as ``(print index, group)``, unsorted, one
     (R, p) group at a time: fail-first, the sorts R with fewest positions
     first, ties in print order.  No group comes for a position where x
-    and y differ at an arrow of ``sig.pinned(p)``.  The groups hold the
-    signature, and ``ind_conjuncts`` keeps them in its ``ind_table``: the
-    two are freed together."""
+    and y differ at an arrow of ``sig.pinned(p)``, which holds the
+    identity whenever p's path has two generators or more.  The groups
+    hold the signature, and ``ind_conjuncts`` keeps them in its
+    ``ind_table``: the two are freed together."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
     K = x.sort
@@ -173,22 +159,17 @@ def _ind(sig: Signature, x: Variable, y: Variable):
         for p in sig.hom(R, K)),  # R lies above K: no identity
         key=lambda ip: len(sig.out(ip[1][0])))
 
-    def blocked(p):
-        if x.proj == y.proj:  # x and y differ at the identity at most
-            return x != y and p in sig.factored(p.dom)
-        return any(x.proj_along(c.path) != y.proj_along(c.path)
-                   for c in sig.pinned(p))
-
     def groups():
-        pool = None
+        pool, differ = None, x != y
         for i, (R, p) in positions:
-            if blocked(p):
+            if differ and (len(p.path) > 1 or any(
+                    x.proj_along(c.path) != y.proj_along(c.path)
+                    for c in sig.pinned(p))):
                 continue
             if pool is None:
                 pool = deepest_first(sig, x.dep() | y.dep())
                 used_names = {v.name for v in pool}
-            yield i, [_pattern_formula(pat) for pat in
-                      _fillers(sig, R, p, x, y, pool, used_names)]
+            yield i, _fillers(sig, R, p, x, y, pool, used_names)
     return groups()
 
 

@@ -14,11 +14,34 @@ a boundary reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import CompositionError, CycleError, NameClashError, UnknownSort
 
 Path = tuple  # tuple of generator names, first-applied generator first
+
+
+def _term(cls):
+    """A frozen dataclass that computes its structural hash once, when it
+    is built: ``Arrow`` and ``synkit``'s variables and formula nodes.  The
+    hash equals the one ``dataclass`` computes, but from the children's
+    stored hashes, and ``__init__`` sets fields and hash in one update of
+    the instance dict."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    ns = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    self.__dict__.update({''.join(f'{n}={n}, ' for n in names)}"
+         f"_hash=hash(({''.join(f'{n}, ' for n in names)})))", ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__defaults__ = tuple(
+        f.default for f in fields(cls) if f.default is not MISSING)
+    cls.__hash__ = _stored_hash
+    return cls
+
+
+def _stored_hash(term):
+    return term._hash
 
 
 @dataclass(frozen=True)
@@ -30,7 +53,7 @@ class Gen:
     cod: str
 
 
-@dataclass(frozen=True, init=False)
+@_term
 class Arrow:
     """A hom-class, represented by its canonical generator path: the least
     member by length, then by the declaration index of each generator.
@@ -45,16 +68,6 @@ class Arrow:
     path: Path
     dom: str
     cod: str
-
-    def __init__(self, path, dom, cod):
-        # one write to the instance dict: the generated frozen __init__
-        # sets each field through object.__setattr__, which costs more
-        # than a stored hash saves on a small signature
-        self.__dict__.update(path=path, dom=dom, cod=cod,
-                             _hash=hash((path, dom, cod)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -76,13 +89,12 @@ class Signature:
     (``_ext``, ``_out`` and ``_hom``, see ``_build_classes``) are built
     when ``cls``, ``compose``, ``hom`` or ``out`` first needs them, so a
     command that reads only names and levels never builds them.  The
-    signature owns six more tables of facts derived from them, each
+    signature owns five more tables of facts derived from them, each
     filled on first use:
 
     - ``compose``: ``(first, then) -> composite``
     - ``filling``: per sort K, the positions out of K in fill order,
       each with its generator images as positions of K
-    - ``factored``: per sort K, the positions q∘g, q out of K, g a generator
     - ``pinned``: per position p, the arrows c out of p's codomain such
       that p∘c is a generator image of a position p does not fix
     - ``position_groups``: per sort K, for each sort R above K, the
@@ -113,7 +125,6 @@ class Signature:
         self._ext = self._out = self._hom = None  # see _build_classes
         self._composite = {}
         self._filling = {}
-        self._factored = {}
         self._pinned = {}
         self._position_groups = {}
         self.ind_table = {}
@@ -270,13 +281,6 @@ class Signature:
                           for g in self._out_gens[q.cod]))
                 for q in order)
         return table
-
-    def factored(self, sort) -> frozenset:
-        """The positions out of ``sort`` that factor through another one."""
-        if sort not in self._factored:
-            self._factored[sort] = frozenset(
-                t for _, below in self.filling(sort) for _, t in below)
-        return self._factored[sort]
 
     def pinned(self, p: Arrow) -> tuple:
         """The arrows c out of ``p.cod``, the identity included, such that

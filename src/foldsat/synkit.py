@@ -10,11 +10,10 @@ variable only through its boundary, matching the convention that
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
 from types import MappingProxyType
 
 from .errors import FunctorialityError, SortMismatch, UnknownSort
-from .sigcore import Signature
+from .sigcore import Signature, _term
 
 
 class _once:
@@ -30,31 +29,6 @@ class _once:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
-
-
-def _term(cls):
-    """A frozen dataclass that computes its structural hash once, when it
-    is built.
-
-    The hash equals the one ``dataclass`` would compute, but it hashes a
-    tuple of already hashed children instead of the whole tree.  Like
-    ``sigcore.Arrow``'s, ``__init__`` sets fields and hash in one update.
-    """
-    cls = dataclass(frozen=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
-    ns = {}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         f"    self.__dict__.update({''.join(f'{n}={n}, ' for n in names)}"
-         f"_hash=hash(({''.join(f'{n}, ' for n in names)})))", ns)
-    cls.__init__ = ns["__init__"]
-    cls.__init__.__defaults__ = tuple(
-        f.default for f in fields(cls) if f.default is not MISSING)
-    cls.__hash__ = _stored_hash
-    return cls
-
-
-def _stored_hash(term):
-    return term._hash
 
 
 @_term

@@ -293,6 +293,34 @@ def test_a_count_past_the_bit_bound_is_an_error(capsys, tmp_path, expr):
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+def test_a_forall_product_past_the_bit_bound_is_an_error(capsys):
+    """On Z_12 each tuple of the chain counts 12 ** 1728, under the bound,
+    and the chain multiplies 12 ** 4 of them: the product is refused once
+    it passes the bound, in text and --json, not computed in full."""
+    T = "(sum u:A(x,x). eqA(k,k))"
+    expr = ("sum x:O. forall f:A(x,x). forall g:A(x,x). forall h:A(x,x). "
+            f"forall k:A(x,x). {T} -> ({T} -> ({T} -> {T}))")
+    error = f"a witness count exceeds {_MAX_BITS} bits"
+    argv = ("eval", p("lcat.folds"), str(GOLDEN / "Z12.str"), "-e", expr,
+            "--card")
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 2 and json.loads(out)["report"] == {"error": error}
+
+
+def test_a_count_too_long_to_print_is_an_error(capsys):
+    """64 ** 4096 on Z_2 is under the bit bound but has more digits than
+    CPython converts to text: ``eval --card`` refuses it, in text and
+    --json, and ``eval`` without ``--card`` prints true."""
+    argv = ("eval", p("lcat.folds"), p("Z2Cat.str"), "-e",
+            "(O ~= O) -> ((O ~= O) -> (O ~= O))")
+    error = "a witness count of 24577 bits is too long to print"
+    assert run(capsys, *argv, "--card") == (2, "", f"error: {error}\n")
+    code, out, _ = run(capsys, "--json", *argv, "--card")
+    assert code == 2 and json.loads(out)["report"] == {"error": error}
+    assert run(capsys, *argv) == (0, "true\n", "")
+
+
 def test_check_model(capsys):
     code, out, _ = run(capsys, "check-model", p("lcat.folds"),
                        p("tcat.thy"), p("WalkIso.str"))

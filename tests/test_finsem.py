@@ -531,12 +531,17 @@ def test_tcat_check_builds_no_formula_node(monkeypatch):
 
 
 def test_a_count_is_exact_up_to_the_bit_bound(models):
-    """64 ** 4096 on Z_2, 24,577 bits, is counted; one power more is
-    refused before it is computed."""
+    """64 ** 4096 on Z_2, 24,577 bits, is counted, and so is the product
+    of two; one power more, or a product of three, is refused before it
+    is computed in full."""
     M = models["Z2Cat"]
     O = mk_var(M.sig, "", "O")
     e = Equiv("O", O, O)
-    assert eval_card(M, Implies(e, Implies(e, e))) == 64 ** 4096
+    big = Implies(e, Implies(e, e))
+    assert eval_card(M, big) == 64 ** 4096
+    assert eval_card(M, And((big, big))) == 64 ** 8192
+    with pytest.raises(FoldsError, match=f"exceeds {_MAX_BITS} bits"):
+        eval_card(M, And((big, big, big)))
     with pytest.raises(FoldsError, match=f"exceeds {_MAX_BITS} bits"):
         eval_card(M, Implies(Implies(e, e), e))
     with pytest.raises(FoldsError, match=f"exceeds {_MAX_BITS} bits"):

@@ -948,6 +948,11 @@ def guarded_chains(draw, sig):
             if not any(env.get(n) in w.dep() for w in env.values()
                        if w is not env.get(n))]))
         v = _application(draw, sig, env, name) or mk_var(sig, name, base)
+        # a guard built over an earlier scope may be written past this
+        # binder, so it may not capture a variable that a bound one
+        # depends on: that guard's boundaries could not be consistent
+        if any(v in w.boundary() for w in outer + binders):
+            reject()
         env = {**env, name: v}
         binders.append(v)
         scopes.append(env)

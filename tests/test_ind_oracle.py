@@ -29,8 +29,7 @@ from foldsat.errors import FunctorialityError
 from foldsat.finsem import (FinStructure, boundary_instances, card_iso_elems,
                             eval_card, fiber, saturation_profile,
                             validate_structure)
-from foldsat.isogen import (_pattern_formula, generic_context, ind,
-                            variables_over)
+from foldsat.isogen import generic_context, ind, variables_over
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, category_to_structure, corpus
@@ -182,6 +181,12 @@ def test_level2_generates_only_the_first_group(monkeypatch, n):
     assert all(len(list(isogen._ind(sig, *xy))) == 6 for xy in level2)
 
 
+def factored(sig, R):
+    """The positions of R that factor through another: each q∘g, for q a
+    position of R and g a generator out of q's codomain."""
+    return {t for _, below in sig.filling(R) for _, t in below}
+
+
 def print_order_ind(sig, x, y):
     """Ind(x, y) as ``isogen`` printed and generated it before counts
     read it fail-first: the (R, p) groups in ``compatible_sorts`` and
@@ -194,13 +199,28 @@ def print_order_ind(sig, x, y):
     for R in compatible_sorts(sig, x):
         if R not in compatible_y:
             continue
-        skip = sig.factored(R) if x != y else ()
+        skip = factored(sig, R) if x != y else ()
         for p in sig.hom(R, x.sort):
             if p not in skip:
-                parts += sorted(map(_pattern_formula,
-                                    enumerate_fillers(sig, R, p, x, y)),
+                parts += sorted(enumerate_fillers(sig, R, p, x, y),
                                 key=pformat)
     return conj(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag_signatures())
+def test_identity_is_pinned_exactly_at_factored_positions(raw):
+    """The identity is in ``pinned(p)`` exactly when p = q∘g for another
+    position q: so for x and y that differ only at the identity, ``_ind``
+    skips the positions it skipped when it read ``factored``.  Each p
+    whose path has two generators or more is one, which ``_ind`` skips
+    without reading ``pinned``."""
+    sig = validate_signature(raw)
+    for R in sig.sorts:
+        skip = factored(sig, R)
+        for p in sig.out(R):
+            assert (sig.identity(p.cod) in sig.pinned(p)) == (p in skip), p
+            assert len(p.path) == 1 or p in skip, p
 
 
 def check_print_order(sig, pairs):
@@ -268,7 +288,8 @@ def test_partly_generated_ind_does_not_keep_its_signature():
     sig = parse_signature((CORPUS / "lcat.folds").read_text())
     M = parse_structure((CORPUS / "Z2Cat.str").read_text(), sig)
     assert card_iso_elems(M, "A", *M.carrier("A")) == 0
-    assert any(c.more() for c in sig.ind_table.values())
+    assert any(len(c._by_index) < len(list(isogen._ind(sig, *xy)))
+               for xy, c in sig.ind_table.items())
     gone = weakref.ref(sig)
     del sig, M
     gc.collect()

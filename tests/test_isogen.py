@@ -42,36 +42,45 @@ def parallel_pair(sig):
 # -- _fillers -----------------------------------------------------------
 
 def fillers(sig, R, p, x, y):
-    """``_fillers`` with the pool that ``_ind`` builds once per (x, y)."""
+    """The ``~=`` under the ``forall``s of each conjunct ``_fillers``
+    returns, with the pool that ``_ind`` builds once per (x, y)."""
     pool = deepest_first(sig, x.dep() | y.dep())
-    return _fillers(sig, R, p, x, y, pool, {v.name for v in pool})
+    eqs = []
+    for phi in _fillers(sig, R, p, x, y, pool, {v.name for v in pool}):
+        while isinstance(phi, Forall):
+            phi = phi.body
+        assert isinstance(phi, Equiv) and phi.sort == R
+        eqs.append(phi)
+    return eqs
 
 
 def test_arrow_equality_fillers_three_patterns(lrg_eq):
     x, y, f, g = parallel_pair(lrg_eq)
     p = lrg_eq.cls(("s",))
-    pats = fillers(lrg_eq, "eqA", p, f, g)
+    eqs = fillers(lrg_eq, "eqA", p, f, g)
     # the non-distinguished position is filled by a fresh h, by f, or by g
-    t_fillers = {pat.alpha.proj_map()["t"] for pat in pats}
-    assert len(pats) == 3
+    t_fillers = {eq.alpha.proj_map()["t"] for eq in eqs}
+    assert len(eqs) == 3
     assert f in t_fillers and g in t_fillers
     fresh = (t_fillers - {f, g}).pop()
     assert fresh.proj_map() == {"d": x, "c": y}
-    for pat in pats:
-        assert pat.alpha.proj_map()["s"] == f
-        assert pat.beta.proj_map()["s"] == g
-        assert pat.alpha.proj_map()["t"] == pat.beta.proj_map()["t"]
+    for eq in eqs:
+        assert eq.alpha.proj_map()["s"] == f
+        assert eq.beta.proj_map()["s"] == g
+        assert eq.alpha.proj_map()["t"] == eq.beta.proj_map()["t"]
 
 
 def test_shared_position_forces_equal_objects(lcat):
     """A position of R that p does not fix is filled by one variable on
     both sides, so x and y must agree wherever p reaches its boundary:
-    ``sig.pinned(p)``, at which ``_ind`` walks no position."""
+    ``sig.pinned(p)``, at which ``_ind`` walks no position.  The identity
+    is pinned at p exactly when p factors through another position."""
     x, y, z = obj(lcat, "x"), obj(lcat, "y"), obj(lcat, "z")
     p = lcat.cls(("i", "d"))
     # p is i followed by d (= i.c): i's filler would hold x and y
     assert lcat.pinned(p) == (lcat.identity("O"),)
-    assert lcat.factored("I") == {p}
+    factored = {t for _, below in lcat.filling("I") for _, t in below}
+    assert factored == {p}
     # eqA's t shares s's endpoints, and comp's t1 shares t0's codomain
     d, c = lcat.cls(("d",)), lcat.cls(("c",))
     assert lcat.pinned(lcat.cls(("s",))) == (d, c)
@@ -87,9 +96,9 @@ def test_shared_position_forces_equal_objects(lcat):
 def test_object_fillers_for_arrow_sort(lcat):
     x, y = obj(lcat, "x"), obj(lcat, "y")
     p = lcat.cls(("d",))
-    pats = fillers(lcat, "A", p, x, y)
-    c_fillers = {pat.alpha.proj_map()["c"] for pat in pats}
-    assert len(pats) == 3
+    eqs = fillers(lcat, "A", p, x, y)
+    c_fillers = {eq.alpha.proj_map()["c"] for eq in eqs}
+    assert len(eqs) == 3
     assert x in c_fillers and y in c_fillers
     fresh = (c_fillers - {x, y}).pop()
     assert fresh.proj == ()

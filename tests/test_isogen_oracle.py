@@ -10,13 +10,13 @@ position and finds the clash only on each branch.  Every ``_fillers``
 call made while generating ``Ind`` for the built-in signatures, diamond
 stacks and random DAG signatures, the saturation of the corpus, of
 random lcat structures and of random structures over DAG signatures,
-and ``~=`` between different fibers must return the oracle's patterns,
+and ``~=`` between different fibers must return the oracle's conjuncts,
 and the oracle must find none at every position ``_ind`` skipped.
 
-``_ind`` keeps every pattern ``_fillers`` returns, with no
+``_ind`` keeps every conjunct ``_fillers`` returns, with no
 deduplication: each coincidence pattern of the fillers gives one
-pattern, and fresh variables are named in a fixed order, so no two
-patterns of one position give alpha-equal conjuncts.  ``alpha_eq`` is
+conjunct, and fresh variables are named in a fixed order, so no two
+conjuncts of one position are alpha-equal.  ``alpha_eq`` is
 the oracle for that on random DAG signatures.
 """
 
@@ -31,12 +31,11 @@ from foldsat.cli import parse_formula
 from foldsat.errors import FunctorialityError
 from foldsat.finsem import (check_saturation, eval_card, saturation_profile,
                             validate_structure)
-from foldsat.isogen import (FillerPattern, _fresh_name, _pattern_formula,
-                            generic_context, iso_formula)
+from foldsat.isogen import _fresh_name, generic_context, iso_formula
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, corpus
-from foldsat.synkit import compatible_sorts, mk_var
+from foldsat.synkit import Equiv, Forall, compatible_sorts, mk_var
 from paper_checks import alpha_eq
 from test_finsem_oracle import fresh_ind_tables, lcat_structures
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
@@ -44,8 +43,9 @@ from test_sigcore_oracle import (_codomains_first, dag_signatures,
 
 
 def enumerate_fillers(sig, R, p, x, y):
-    """The filler patterns of Ind_R at position p by backtracking over
-    the shared positions, deepest codomain first."""
+    """The conjuncts of Ind_R at position p, one per filler pattern, by
+    backtracking over the shared positions, deepest codomain first: each
+    is ``R(α) ~= R(β)`` under a ``forall`` for each fresh filler."""
     K = x.sort
     derived = {sig.compose(p, g): g for g in sig.out(K)}
     shared = [q for q in sig.out(R) if q != p and q not in derived]
@@ -91,7 +91,7 @@ def enumerate_fillers(sig, R, p, x, y):
         del val[q]
 
     assign(0, {}, [])
-    patterns = []
+    conjuncts = []
     gen_classes = {g.name: sig.cls((g.name,)) for g in sig.out_gens(R)}
     for val, fresh in results:
         taken = used_names | {v.name for v in fresh}
@@ -103,15 +103,18 @@ def enumerate_fillers(sig, R, p, x, y):
                                       for g, c in gen_classes.items()})
         gamma = (alpha.boundary() | beta.boundary()) - (x.dep() | y.dep())
         order = sorted(gamma, key=lambda v: (-sig.level(v.sort), v.name))
-        patterns.append(FillerPattern(alpha, beta, tuple(order)))
-    return patterns
+        out = Equiv(R, alpha, beta)
+        for v in reversed(order):
+            out = Forall(v, out)
+        conjuncts.append(out)
+    return conjuncts
 
 
 @pytest.fixture
 def checked(monkeypatch):
     """Route every ``_fillers`` call through the oracle, and run the
     oracle at every position of a compatible sort that ``_ind`` did not
-    pass to ``_fillers``, where it must find no pattern.  ``_ind``
+    pass to ``_fillers``, where it must find no conjunct.  ``_ind``
     yields its groups lazily, so the wrapper drains them all before it
     reads which positions were reached.  Yields the list of
     ``_fillers`` results, one per call, and the list of skipped
@@ -229,12 +232,11 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
     real = isogen._fillers
 
     def distinct(sig, R, p, x, y, *pool):
-        pats = real(sig, R, p, x, y, *pool)
-        formulas = [_pattern_formula(pat) for pat in pats]
+        formulas = real(sig, R, p, x, y, *pool)
         for i, f in enumerate(formulas):
             for g in formulas[:i]:
                 assert not alpha_eq(f, g), (R, p, pformat(f))
-        return pats
+        return formulas
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(isogen, "_fillers", distinct)

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 from foldsat.errors import FunctorialityError
+from foldsat.sigcore import Arrow
 from foldsat.stdlib import builtin_signature
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, compatible_sorts,
@@ -160,10 +161,10 @@ def test_free_vars_of_atom_is_boundary(lrg):
 
 
 def test_terms_keep_the_frozen_dataclass_contract():
-    """Each term class builds its instances in one step, and keeps the
-    defaults, keyword construction, repr and immutability of a frozen
-    dataclass; the cached ``dep``, ``boundary`` and free variables rely
-    on the last."""
+    """Each term class, ``sigcore.Arrow`` among them, builds its instances
+    in one step, and keeps the defaults, keyword construction, repr and
+    immutability of a frozen dataclass; the cached ``dep``, ``boundary``
+    and free variables rely on the last."""
     o = Variable("o", "O")
     f = Variable("f", "A", (("d", o), ("c", o)))
     assert o.proj == () and Variable(name="o", sort="O") == o
@@ -178,7 +179,7 @@ def test_terms_keep_the_frozen_dataclass_contract():
         "Equiv(sort='A', alpha=f:A(o,o), beta=f:A(o,o))")
     terms = [o, f, Top(), Bottom(), Atom(f), And((Top(), Bottom())),
              Or((Top(),)), Implies(Top(), Bottom()), Iff(Top(), Top()),
-             Forall(o, Top()), e, Equiv("A", f, f)]
+             Forall(o, Top()), e, Equiv("A", f, f), Arrow(("d",), "A", "O")]
     for t in terms:
         names = [fd.name for fd in fields(t)]
         again = type(t)(**{n: getattr(t, n) for n in names})
