@@ -408,9 +408,6 @@ def parse_theory(text, sig):
 # -- serializers ---------------------------------------------------------
 
 def format_signature(sig) -> str:
-    by_sort = {K: [] for K in sig.sorts}
-    for lhs, rhs in sig.equations:
-        by_sort[sig.gen(lhs[0]).dom].append((lhs, rhs))
     lines = [f"signature {sig.name} {{"]
     for K in sig.sorts:
         gens = sig.out_gens(K)
@@ -418,7 +415,7 @@ def format_signature(sig) -> str:
         if gens:
             decl += " { " + ", ".join(f"{g.name}: {g.cod}"
                                       for g in gens) + " }"
-        eqs = by_sort[K]
+        eqs = sig.equations_at(K)
         if eqs:
             decl += (" eq { "
                      + "; ".join(f"{'.'.join(l)} = {'.'.join(r)}"

@@ -344,6 +344,8 @@ class _Evaluator:
         for v in phi.free_vars():
             if v not in asg:
                 raise UnboundVariable(f"{v.name!r} is not assigned")
+        if phi not in self._compiled:
+            _check_binders(phi)
         return self._count(phi)({self._slot_of(v): e for v, e in asg.items()})
 
     def _slot_of(self, var):
@@ -487,6 +489,34 @@ class _Evaluator:
             _restore(env, sy, saved[1])
             return _permanent(rows)
         return equiv
+
+
+def _check_binders(phi):
+    """Raise ``InvalidBoundary`` at a binder v that rebinds a variable on
+    which the sort of one free in its body depends.  ``scope`` counts the
+    variables of each name in scope, and a binder whose name it lacks
+    costs one lookup.  On the walk's stack, a name ends its binder's body."""
+    scope = {u.name: 1 for w in phi.free_vars() for u in w.dep()}
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t is Forall or t is Exists:
+            v, n = f.var, scope.get(f.var.name, 0)
+            names = n and sorted(w.name for w in f.body.free_vars()
+                                 if v in w.boundary())
+            if names:
+                raise InvalidBoundary(
+                    f"binder {v.name!r} rebinds {v.name!r}, on which the "
+                    f"sort of {names[0]!r} depends")
+            scope[v.name] = n + 1
+            stack += (v.name, f.body)
+        elif t is And or t is Or:
+            stack += f.args
+        elif t is Implies or t is Iff:
+            stack += (f.lhs, f.rhs)
+        elif t is str:
+            scope[f] -= 1
 
 
 def _in_carrier(M, K, e) -> bool:

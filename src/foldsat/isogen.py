@@ -15,6 +15,7 @@ generic ones or those of elements.  ``_ind`` skips each position p of R
 where x and y differ at an arrow c of ``sig.pinned(p)``: a position that
 one variable fills on both sides would hold p∘c of x and of y.  The
 identity is pinned at exactly the positions that factor through another.
+A position at which x or y cannot sit yields nothing (see ``_fillers``).
 
 The conjuncts are generated one (R, p) group at a time, and only as far
 as they are read: a count iterates ``ind_conjuncts`` until a conjunct is
@@ -31,24 +32,24 @@ from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
 from .pretty import pformat
 from .sigcore import Arrow, Signature
 from .synkit import (And, Equiv, Exists, Forall, Formula, Implies,
-                     Variable, compatible_sorts, conj, deepest_first,
-                     mk_var)
+                     Variable, conj, deepest_first, mk_var)
 
 
 def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
              pool: list, used_names: set) -> list:
     """The conjuncts of Ind_R at position p, one per coincidence pattern
     of the fillers: ``forall`` over its fresh fillers, deepest first, of
-    ``R(α) ~= R(β)``.  p must be a position of R over x's sort that
-    ``_ind`` walks.  ``pool`` is ``x.dep() | y.dep()`` deepest first, and
-    ``used_names`` their names."""
+    ``R(α) ~= R(β)``, or none if x or y cannot sit at p, the position of
+    R over x's sort that ``_ind`` walks.  ``pool`` is ``x.dep() | y.dep()``
+    deepest first, and ``used_names`` their names."""
     # what the x side and the y side hold at each position of R: p and the
     # positions p forces, then the shared positions, each filled with one
     # variable on both sides
     side = {p: (x, y)}
     for g in sig.out(x.sort):
-        side[sig.compose(p, g)] = (x.proj_along(g.path),
-                                   y.proj_along(g.path))
+        pair = (x.proj_along(g.path), y.proj_along(g.path))
+        if side.setdefault(sig.compose(p, g), pair) != pair:
+            return []
     shared = [(q, below) for q, below in sig.filling(R) if q not in side]
 
     conjuncts = []
@@ -145,19 +146,16 @@ def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
 def _ind(sig: Signature, x: Variable, y: Variable):
     """Ind(x, y)'s conjuncts as ``(print index, group)``, unsorted, one
     (R, p) group at a time: fail-first, the sorts R with fewest positions
-    first, ties in print order.  No group comes for a position where x
-    and y differ at an arrow of ``sig.pinned(p)``, which holds the
-    identity whenever p's path has two generators or more.  The groups
-    hold the signature, and ``ind_conjuncts`` keeps them in its
-    ``ind_table``: the two are freed together."""
+    first, ties in print order.  No group comes for a position p where x
+    or y cannot sit, or where they differ at an arrow of ``sig.pinned(p)``,
+    which holds the identity whenever p's path has two generators or
+    more.  The groups hold the signature, and ``ind_conjuncts`` keeps
+    them in its ``ind_table``: the two are freed together."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
-    K = x.sort
-    compatible_y = compatible_sorts(sig, y)
-    positions = sorted(enumerate(
-        (R, p) for R in compatible_sorts(sig, x) if R in compatible_y
-        for p in sig.hom(R, K)),  # R lies above K: no identity
-        key=lambda ip: len(sig.out(ip[1][0])))
+    positions = sorted(enumerate((R, p) for R in sig.sorts
+                                 for p in sig.out(R) if p.cod == x.sort),
+                       key=lambda ip: len(sig.out(ip[1][0])))
 
     def groups():
         pool, differ = None, x != y
@@ -169,7 +167,8 @@ def _ind(sig: Signature, x: Variable, y: Variable):
             if pool is None:
                 pool = deepest_first(sig, x.dep() | y.dep())
                 used_names = {v.name for v in pool}
-            yield i, _fillers(sig, R, p, x, y, pool, used_names)
+            if group := _fillers(sig, R, p, x, y, pool, used_names):
+                yield i, group
     return groups()
 
 

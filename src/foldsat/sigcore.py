@@ -70,10 +70,6 @@ class Arrow:
     cod: str
 
     @property
-    def is_identity(self) -> bool:
-        return not self.path
-
-    @property
     def name(self) -> str:
         return ".".join(self.path) if self.path else f"1_{self.dom}"
 
@@ -86,19 +82,16 @@ class Signature:
 
     Immutable after construction; build instances through
     :func:`validate_signature`, which builds the levels.  The hom-classes
-    (``_ext``, ``_out`` and ``_hom``, see ``_build_classes``) are built
-    when ``cls``, ``compose``, ``hom`` or ``out`` first needs them, so a
+    (``_ext`` and ``_out``, see ``_build_classes``) are built when
+    ``cls``, ``compose``, ``hom`` or ``out`` first needs them, so a
     command that reads only names and levels never builds them.  The
-    signature owns five more tables of facts derived from them, each
+    signature owns three more tables of facts derived from them, each
     filled on first use:
 
-    - ``compose``: ``(first, then) -> composite``
     - ``filling``: per sort K, the positions out of K in fill order,
       each with its generator images as positions of K
     - ``pinned``: per position p, the arrows c out of p's codomain such
       that p∘c is a generator image of a position p does not fix
-    - ``position_groups``: per sort K, for each sort R above K, the
-      groups of K's positions that R identifies
     - ``ind_table``: ``(x, y) ->`` Ind(x, y)'s conjuncts, as far as they
       are generated; only ``isogen.ind_conjuncts`` fills it, and every
       structure over the signature shares it
@@ -112,7 +105,6 @@ class Signature:
         self.gens = tuple(gens)
         self.equations = tuple(equations)
         self._gen_by_name = {g.name: g for g in self.gens}
-        self._gen_index = {g.name: i for i, g in enumerate(self.gens)}
         self._out_gens = {s: tuple(g for g in self.gens if g.dom == s)
                           for s in self.sorts}
         self._identity = {s: Arrow((), s, s) for s in self.sorts}
@@ -122,11 +114,9 @@ class Signature:
                 (lhs, rhs))
         self._compute_levels(order)
         self._order = order
-        self._ext = self._out = self._hom = None  # see _build_classes
-        self._composite = {}
+        self._ext = self._out = None  # see _build_classes
         self._filling = {}
         self._pinned = {}
-        self._position_groups = {}
         self.ind_table = {}
 
     # -- construction ----------------------------------------------------
@@ -156,10 +146,10 @@ class Signature:
         equations were checked when the signature was validated.
         """
         sort_index = {s: i for i, s in enumerate(self.sorts)}
+        gen_index = {g.name: i for i, g in enumerate(self.gens)}
         key = {(): (0, ())}  # canonical path -> (length, generator indexes)
         self._ext = {(): {}}
         self._out = {}
-        hom = {}
         for s in reversed(self._order):
             pairs = [(g.name, c) for g in self.out_gens(s)
                      for c in (self._identity[g.cod],) + self._out[g.cod]]
@@ -182,7 +172,7 @@ class Signature:
             for i, (g, c) in enumerate(pairs):
                 n, idx = key[c.path]
                 members.setdefault(find(i), []).append(
-                    ((n + 1, (self._gen_index[g],) + idx), g, c))
+                    ((n + 1, (gen_index[g],) + idx), g, c))
             arrows = []
             for group in members.values():
                 # keys differ within a group, so min never compares g or c
@@ -196,9 +186,6 @@ class Signature:
                 arrows.append(arrow)
             arrows.sort(key=lambda a: (sort_index[a.cod], key[a.path]))
             self._out[s] = tuple(arrows)
-            for a in arrows:
-                hom.setdefault((s, a.cod), []).append(a)
-        self._hom = {k: tuple(v) for k, v in hom.items()}
 
     def _fold(self, path, then: Arrow) -> Arrow:
         """The class of ``path`` followed by ``then``."""
@@ -235,26 +222,18 @@ class Signature:
 
     def compose(self, first: Arrow, then: Arrow) -> Arrow:
         """Composite then∘first (apply ``first``, then ``then``)."""
-        key = (first, then)
-        arrow = self._composite.get(key)
-        if arrow is None:
-            if first.cod != then.dom:
-                raise CompositionError(
-                    f"{first!r} then {then!r} not composable")
-            arrow = self._composite[key] = self._fold(first.path, then)
-        return arrow
+        if first.cod != then.dom:
+            raise CompositionError(f"{first!r} then {then!r} not composable")
+        return self._fold(first.path, then)
 
     def hom(self, dom, cod):
-        """All arrows dom→cod (including the identity when dom == cod)."""
+        """All arrows dom→cod, in ``out`` order after the identity when
+        dom == cod."""
         for s in (dom, cod):
             if s not in self.levels:
                 raise UnknownSort(f"unknown sort {s!r}")
-        if self._hom is None:
-            self._build_classes()
-        arrows = self._hom.get((dom, cod), ())
-        if dom == cod:
-            return (self.identity(dom),) + arrows
-        return arrows
+        ident = (self._identity[dom],) if dom == cod else ()
+        return ident + tuple(a for a in self.out(dom) if a.cod == cod)
 
     def out(self, sort):
         """All non-identity arrows out of ``sort``, deterministic order."""
@@ -296,46 +275,12 @@ class Signature:
                 if q not in fixed for _, t in below if t in fixed))
         return table
 
-    def position_groups(self, sort) -> tuple:
-        """``(R, groups)`` for each sort R strictly above ``sort``, in
-        declaration order: each group lists the positions p of ``sort``
-        that some arrow q: R -> sort sends to one composite p∘q, and has
-        at least two members."""
-        table = self._position_groups.get(sort)
-        if table is None:
-            lv = self.level(sort)
-            # only parallel positions can share a composite
-            parallel = {}
-            for p in self.out(sort):
-                parallel.setdefault(p.cod, []).append(p)
-            parallel = [ps for ps in parallel.values() if len(ps) > 1]
-            table = []
-            for R in self.sorts:
-                if self.levels[R] >= lv:
-                    continue
-                groups = {}  # insertion-ordered set
-                for q in self.hom(R, sort):
-                    for ps in parallel:
-                        by_composite = {}
-                        for p in ps:
-                            by_composite.setdefault(self.compose(q, p),
-                                                    []).append(p)
-                        for group in by_composite.values():
-                            if len(group) > 1:
-                                groups[tuple(group)] = None
-                table.append((R, tuple(groups)))
-            table = self._position_groups[sort] = tuple(table)
-        return table
-
     def equations_at(self, sort):
         """The declared equations whose paths start at ``sort``."""
         return self._equations_at[sort]
 
     def out_gens(self, sort):
         return self._out_gens.get(sort, ())
-
-    def gen(self, name) -> Gen:
-        return self._gen_by_name[name]
 
     def __repr__(self):
         return f"Signature({self.name!r}, {len(self.sorts)} sorts)"

@@ -73,9 +73,6 @@ class FiniteCategory:
     def arrow_map(self):
         return {a: (d, c) for a, d, c in self.arrows}
 
-    def hom(self, x, y):
-        return tuple(a for a, d, c in self.arrows if d == x and c == y)
-
 
 def validate_category(C: FiniteCategory) -> None:
     ends = C.arrow_map()
@@ -190,37 +187,24 @@ def category_to_structure(C: FiniteCategory) -> FinStructure:
 
 # -- oracles ------------------------------------------------------------
 
+def _invertible(C: FiniteCategory) -> list:
+    """The arrows ``(f, x, y)`` of C that have an inverse, C validated."""
+    validate_category(C)
+    return [(f, x, y) for f, x, y in C.arrows
+            if any((d, c) == (y, x) and C.compose[(f, g)] == C.identities[x]
+                   and C.compose[(g, f)] == C.identities[y]
+                   for g, d, c in C.arrows)]
+
+
 def categorical_iso_pairs(C: FiniteCategory) -> set:
     """All object pairs joined by a mutually inverse pair of arrows."""
-    validate_category(C)
-    pairs = set()
-    for f, x, y in C.arrows:
-        for g, d, c in C.arrows:
-            if (d, c) != (y, x):
-                continue
-            if (C.compose[(f, g)] == C.identities[x]
-                    and C.compose[(g, f)] == C.identities[y]):
-                pairs.add((x, y))
-    return pairs
+    return {(x, y) for _, x, y in _invertible(C)}
 
 
 def is_gaunt(C: FiniteCategory) -> bool:
     """No two distinct isomorphic objects and no nontrivial
-    automorphism."""
-    validate_category(C)
-    iso = categorical_iso_pairs(C)
-    if any(x != y for x, y in iso):
-        return False
-    for f, x, y in C.arrows:
-        if x == y and f != C.identities[x]:
-            if (x, x) in iso:
-                # is f itself invertible?
-                for g, d, c in C.arrows:
-                    if (d, c) == (x, x) \
-                            and C.compose[(f, g)] == C.identities[x] \
-                            and C.compose[(g, f)] == C.identities[x]:
-                        return False
-    return True
+    automorphism: every invertible arrow is an identity."""
+    return all(f == C.identities[x] for f, x, _ in _invertible(C))
 
 
 # -- the corpus ---------------------------------------------------------

@@ -275,9 +275,11 @@ def deepest_first(sig: Signature, vars_) -> list:
 # -- compatible sorts ---------------------------------------------------
 
 def compatible_sorts(sig: Signature, x: Variable) -> tuple:
-    """All sorts R strictly above x's sort whose defining equations are
-    respected by x's projection coincidences."""
-    # positions of x that R identifies must project alike
-    return tuple(R for R, groups in sig.position_groups(x.sort)
-                 if all(len({x.proj_along(p.path) for p in g}) == 1
-                        for g in groups))
+    """The sorts R strictly above x's sort that accept x at every
+    position: x projects alike along any two positions of K that an arrow
+    q: R -> K sends to one.  Only ``compat`` reads it."""
+    K, out = x.sort, sig.out(x.sort)
+    return tuple(R for R in sig.sorts if sig.level(R) < sig.level(K)
+                 and all(x.proj_along(a.path) == x.proj_along(b.path)
+                         for q in sig.hom(R, K) for a in out for b in out
+                         if sig.compose(q, a) == sig.compose(q, b)))

@@ -533,6 +533,15 @@ def test_gen_iso_lcat_A_golden(capsys):
     assert out == (GOLDEN / "gen_iso_lcat_A.txt").read_text()
 
 
+# `gen-iso --verbose` for fork's K: R takes x at p2, and at p1 only when
+# x's two points coincide, so Ind holds the three conjuncts of p2 alone
+def test_gen_iso_fork_K_golden(capsys):
+    code, out, _ = run(capsys, "gen-iso", str(GOLDEN / "fork.folds"), "K",
+                       "--verbose")
+    assert code == 0
+    assert out == (GOLDEN / "gen_iso_fork_K.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, max_apex, message", [
     (["gen-iso", p("lcat.folds"), "NOPE"], None, "unknown sort 'NOPE'"),
     (["equiv", p("lcat.folds"), p("WalkIso.str"), p("TermCat.str")], "abc",

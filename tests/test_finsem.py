@@ -163,6 +163,31 @@ def test_invalid_boundary_reports_its_deepest_fault_first():
     assert str(err.value) == "['a'] is not in the carrier of 'O'"
 
 
+def test_binder_that_rebinds_a_dependency_is_rejected(lcat, models):
+    """``exists x:O. forall x:A(x,x). forall x:O. (sum k:comp(a,a,a).
+    true) -> true``, with ``a`` the bound ``x:A(x,x)``: the last binder
+    rebinds the x that a's sort depends on, so k's boundary could not be
+    consistent, and the count is refused, on every structure.  Free
+    variables count too, and rebinding a variable that nothing free
+    depends on is plain shadowing."""
+    M = models["Chain3"]
+    x = mk_var(lcat, "x", "O")
+    a = mk_var(lcat, "x", "A", {"d": x, "c": x})
+    k = mk_var(lcat, "k", "comp", {"t0": a, "t1": a, "t2": a})
+    phi = Exists(x, Forall(a, Forall(x, Implies(
+        Exists(k, Top(), untruncated=True), Top()))))
+    with pytest.raises(InvalidBoundary) as err:
+        eval_card(M, phi)
+    assert str(err.value) \
+        == "binder 'x' rebinds 'x', on which the sort of 'x' depends"
+    # f is free, and x only in its boundary
+    f = mk_var(lcat, "f", "A", {"d": x, "c": x})
+    i = mk_var(lcat, "i", "I", {"i": f})
+    with pytest.raises(InvalidBoundary):
+        eval_card(M, Forall(x, Atom(i)), {f: "id_0"})
+    assert eval_card(M, Exists(x, Forall(x, Top()))) == 1
+
+
 def test_element_pairs_of_one_boundary_pattern_share_their_ind(lcat):
     """Boundary variables are named in the order the walk reaches them,
     not after their elements: two pairs of arrows whose boundaries

@@ -33,7 +33,7 @@ from foldsat.isogen import generic_context, ind, variables_over
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, category_to_structure, corpus
-from foldsat.synkit import compatible_sorts, conj
+from foldsat.synkit import conj
 from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
                                 fresh_ind_tables, lcat_structures, relabel)
@@ -189,15 +189,14 @@ def factored(sig, R):
 
 def print_order_ind(sig, x, y):
     """Ind(x, y) as ``isogen`` printed and generated it before counts
-    read it fail-first: the (R, p) groups in ``compatible_sorts`` and
-    ``sig.hom`` order, each sorted by ``pformat``, with only the
-    ``factored`` skip, and each group enumerated by the brute-force
-    oracle, which finds a position that no filler can take on each
-    branch."""
-    compatible_y = compatible_sorts(sig, y)
+    read it fail-first: the (R, p) groups for every sort R above x's, in
+    declaration and ``sig.hom`` order, each sorted by ``pformat``, with
+    only the ``factored`` skip, and each group enumerated by the
+    brute-force oracle, which finds a position that no filler can take
+    on each branch."""
     parts = []
-    for R in compatible_sorts(sig, x):
-        if R not in compatible_y:
+    for R in sig.sorts:
+        if sig.level(R) >= sig.level(x.sort):
             continue
         skip = factored(sig, R) if x != y else ()
         for p in sig.hom(R, x.sort):

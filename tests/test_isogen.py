@@ -1,12 +1,19 @@
+from pathlib import Path
+
 import pytest
 
+from foldsat.cli import parse_signature, parse_structure
 from foldsat.errors import SortMismatch
-from foldsat.isogen import _fillers, _ind, ind, iso_formula, sort_equiv
+from foldsat.finsem import card_iso_elems, saturation_profile
+from foldsat.isogen import (_fillers, _ind, generic_context, ind,
+                            iso_formula, sort_equiv)
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature
 from foldsat.synkit import (And, Equiv, Exists, Forall, Implies, Top,
                             deepest_first, mk_var)
 from paper_checks import alpha_eq
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +81,9 @@ def test_shared_position_forces_equal_objects(lcat):
     """A position of R that p does not fix is filled by one variable on
     both sides, so x and y must agree wherever p reaches its boundary:
     ``sig.pinned(p)``, at which ``_ind`` walks no position.  The identity
-    is pinned at p exactly when p factors through another position."""
+    is pinned at p exactly when p factors through another position.  A
+    variable cannot sit at a position that sends two of its positions,
+    along which it projects apart, to one."""
     x, y, z = obj(lcat, "x"), obj(lcat, "y"), obj(lcat, "z")
     p = lcat.cls(("i", "d"))
     # p is i followed by d (= i.c): i's filler would hold x and y
@@ -86,11 +95,31 @@ def test_shared_position_forces_equal_objects(lcat):
     assert lcat.pinned(lcat.cls(("s",))) == (d, c)
     assert lcat.pinned(lcat.cls(("t0",))) == (c, d)
     assert lcat.pinned(lcat.cls(("i",))) == ()
-    # every position of comp and eqA over f and g is pinned at c, and I
-    # is compatible with neither
+    # every position of comp and eqA over f and g is pinned at c, and
+    # neither f nor g can sit at I's position i, which sends d and c to
+    # one position
     f, g = arr(lcat, "f", x, y), arr(lcat, "g", x, z)
+    i = lcat.cls(("i",))
+    assert lcat.compose(i, d) == lcat.compose(i, c)
+    assert fillers(lcat, "I", i, f, g) == []
     assert list(_ind(lcat, f, g)) == []
     assert isinstance(ind(lcat, f, g), Top)
+
+
+def test_fit_is_decided_per_position():
+    """fork's R takes K at p2, where nothing is forced, but at p1 only
+    over a boundary whose two points coincide.  So R tells apart the two
+    elements of K over (u, v) that R holds, one of them, at p2: Ind(x, y)
+    at K has a group for (R, p2) alone, and Fork is totally saturated."""
+    sig = parse_signature((GOLDEN / "fork.folds").read_text())
+    M = parse_structure((GOLDEN / "Fork.str").read_text(), sig)
+    positions = [("R", p) for p in sig.hom("R", "K")]
+    assert [p.name for _, p in positions] == ["p1", "p2"]
+    groups = list(_ind(sig, *generic_context(sig, "K")))
+    assert [positions[i] for i, _ in groups] == [("R", sig.cls(("p2",)))]
+    assert card_iso_elems(M, "K", "k1", "k2") == 0
+    assert saturation_profile(M) == {1: True, 2: True, 3: True,
+                                     "total": True}
 
 
 def test_object_fillers_for_arrow_sort(lcat):

@@ -12,6 +12,9 @@ stacks and random DAG signatures, the saturation of the corpus, of
 random lcat structures and of random structures over DAG signatures,
 and ``~=`` between different fibers must return the oracle's conjuncts,
 and the oracle must find none at every position ``_ind`` skipped.
+Where x or y cannot sit at p, ``_fillers`` returns none; the oracle
+judges that by brute force over the pairs of positions of x's sort that
+p sends to one position of R.
 
 ``_ind`` keeps every conjunct ``_fillers`` returns, with no
 deduplication: each coincidence pattern of the fillers gives one
@@ -35,7 +38,7 @@ from foldsat.isogen import _fresh_name, generic_context, iso_formula
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, corpus
-from foldsat.synkit import Equiv, Forall, compatible_sorts, mk_var
+from foldsat.synkit import Equiv, Forall, mk_var
 from paper_checks import alpha_eq
 from test_finsem_oracle import fresh_ind_tables, lcat_structures
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
@@ -45,8 +48,15 @@ from test_sigcore_oracle import (_codomains_first, dag_signatures,
 def enumerate_fillers(sig, R, p, x, y):
     """The conjuncts of Ind_R at position p, one per filler pattern, by
     backtracking over the shared positions, deepest codomain first: each
-    is ``R(α) ~= R(β)`` under a ``forall`` for each fresh filler."""
+    is ``R(α) ~= R(β)`` under a ``forall`` for each fresh filler.  There
+    is none when x or y cannot sit at p: when p sends two positions of
+    x's sort to one position of R, and the variable projects to
+    different variables along them."""
     K = x.sort
+    if any(sig.compose(p, a) == sig.compose(p, b)
+           and z.proj_along(a.path) != z.proj_along(b.path)
+           for a in sig.out(K) for b in sig.out(K) for z in (x, y)):
+        return []
     derived = {sig.compose(p, g): g for g in sig.out(K)}
     shared = [q for q in sig.out(R) if q != p and q not in derived]
     shared.sort(key=lambda q: (-sig.level(q.cod), sig.out(R).index(q)))
@@ -113,7 +123,7 @@ def enumerate_fillers(sig, R, p, x, y):
 @pytest.fixture
 def checked(monkeypatch):
     """Route every ``_fillers`` call through the oracle, and run the
-    oracle at every position of a compatible sort that ``_ind`` did not
+    oracle at every position of a sort above x's that ``_ind`` did not
     pass to ``_fillers``, where it must find no conjunct.  ``_ind``
     yields its groups lazily, so the wrapper drains them all before it
     reads which positions were reached.  Yields the list of
@@ -132,9 +142,10 @@ def checked(monkeypatch):
     def ind(sig, x, y):
         reached.clear()
         groups = list(real_ind(sig, x, y))
-        compatible_y = compatible_sorts(sig, y)
-        for R in compatible_sorts(sig, x):
-            for p in sig.hom(R, x.sort) if R in compatible_y else ():
+        for R in sig.sorts:
+            if sig.level(R) >= sig.level(x.sort):
+                continue
+            for p in sig.hom(R, x.sort):
                 if (R, p) not in reached:
                     assert enumerate_fillers(sig, R, p, x, y) == [], (
                         R, p, x, y)
@@ -160,9 +171,10 @@ def test_pruned_fillers_match_enumeration(checked):
         phi = parse_formula("forall x:O. forall y:O. A(x,y) ~= A(y,x)",
                             M.sig)
         eval_card(M, phi)
-    # every position that no filler can take is skipped by ``_ind``
-    assert len(calls) > 40 and all(calls)
-    assert len(skipped) > 80
+    # 45 positions take fillers; at 10 more x or y cannot sit, and
+    # ``_fillers`` finds none; ``_ind`` skips 93 that no filler can take
+    assert len(calls) == 55 and sum(1 for c in calls if c) == 45
+    assert len(skipped) == 93
 
 
 @settings(max_examples=15, deadline=None,

@@ -110,7 +110,7 @@ def test_hom_endo_is_identity_only():
     sig = builtin_signature("lcat")
     for s in sig.sorts:
         hs = sig.hom(s, s)
-        assert len(hs) == 1 and hs[0].is_identity
+        assert len(hs) == 1 and hs[0].path == ()
 
 
 def test_hom_closure_under_composition():

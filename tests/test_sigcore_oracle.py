@@ -350,19 +350,18 @@ def test_compatible_sorts_compares_positions_per_arrow():
 
 @settings(max_examples=200, deadline=None)
 @given(dag_signatures())
-def test_compose_table_matches_fold(raw):
-    """Each composite, looked up cold and then from the table, is the
-    class the path fold gives; a non-composable pair raises both times."""
+def test_compose_matches_fold(raw):
+    """Each composite is the class the path fold gives, and a
+    non-composable pair raises."""
     sig = validate_signature(raw)
     arrows = [a for s in sig.sorts for a in (sig.identity(s),) + sig.out(s)]
-    for _ in range(2):
-        for f in arrows:
-            for g in arrows:
-                if f.cod == g.dom:
-                    assert sig.compose(f, g) is sig._fold(f.path, g)
-                else:
-                    with pytest.raises(CompositionError):
-                        sig.compose(f, g)
+    for f in arrows:
+        for g in arrows:
+            if f.cod == g.dom:
+                assert sig.compose(f, g) is sig._fold(f.path, g)
+            else:
+                with pytest.raises(CompositionError):
+                    sig.compose(f, g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -389,8 +388,8 @@ def test_filling_lists_each_position_after_its_images(raw):
 
 
 def compatible_sorts_by_loop(sig, x):
-    """``compatible_sorts`` as it was before the signature grouped the
-    positions: every composite recomputed for each variable."""
+    """``compatible_sorts`` by one pass over each arrow q: R -> K, which
+    records x's projection at each composite q∘p and finds a clash."""
     K = x.sort
     lv = sig.level(K)
     if lv == 1:
@@ -410,7 +409,7 @@ def compatible_sorts_by_loop(sig, x):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(dag_signatures(), st.data())
-def test_position_groups_match_compatible_sorts_loop(raw, data):
+def test_compatible_sorts_matches_loop(raw, data):
     by_ends = {}
     for p, d, c in all_paths(raw):
         by_ends.setdefault((d, c), []).append(p)
