@@ -23,23 +23,21 @@ command.  Every command supports ``--json`` emitting ``{"ok": ...,
 "witness": ..., "report": ...}``; exit status is 0 for a positive
 answer, 1 for a negative one and 2 for errors (for ``equiv``, an
 inconclusive bounded search also exits 2).
+The modules a command runs (``finsem``, ``homspan``, ``isogen`` and
+``pretty``) are imported inside the functions that call them, and
+``json`` only under ``--json``, so that ``check-sig`` and ``levels``
+load only the lexer, the parser and the signature core.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from itertools import islice
 
 from .errors import FoldsError, OpenFormula, ParseError
-from .finsem import (check_saturation, eval_card, eval_prop, satisfies,
-                     saturation_profile, validate_structure)
-from .homspan import _hom_search, fibsurj_homs, find_span, hsip_decide
-from .isogen import iso_formula
-from .pretty import pformat
 from .sigcore import validate_signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff, Implies,
                      Or, Top, compatible_sorts, deepest_first, mk_var)
@@ -235,6 +233,7 @@ def parse_structure(text, sig):
         p.expect("}")
         p.accept(";")
     p.done()
+    from .finsem import validate_structure
     return validate_structure(sig, {"carriers": carriers, "maps": maps})
 
 
@@ -444,6 +443,7 @@ def format_structure(M, name) -> str:
 
 
 def format_theory(axioms, name, sig) -> str:
+    from .pretty import pformat
     lines = [f"theory {name} over {sig.name} {{"]
     for axiom_name, phi in axioms:
         lines.append(f"  axiom {axiom_name}: {pformat(phi)};")
@@ -488,6 +488,8 @@ def _cmd_compat(args, sig):
 
 
 def _cmd_gen_iso(args, sig):
+    from .isogen import iso_formula
+    from .pretty import pformat
     x, y, phi = iso_formula(sig, args.sort)
     lines = []
     if args.verbose:
@@ -500,6 +502,7 @@ def _cmd_gen_iso(args, sig):
 
 
 def _cmd_eval(args, sig, M):
+    from .finsem import eval_card, eval_prop
     phi = parse_formula(args.expr, sig)
     if phi.free_vars():
         raise OpenFormula("eval requires a closed formula")
@@ -515,6 +518,7 @@ def _cmd_eval(args, sig, M):
 
 
 def _cmd_check_model(args, sig, theory, M):
+    from .finsem import satisfies
     ok, report = satisfies(M, theory)
     lines = [f"{r['axiom']}: {'ok' if r['ok'] else 'FAILED'}"
              for r in report]
@@ -523,6 +527,7 @@ def _cmd_check_model(args, sig, theory, M):
 
 
 def _cmd_sat(args, sig, M):
+    from .finsem import check_saturation, saturation_profile
     if args.level is not None:
         violations = [v for K in sig.sorts if sig.level(K) <= args.level
                       for v in check_saturation(M, K)]
@@ -543,6 +548,7 @@ def _cmd_sat(args, sig, M):
 
 
 def _cmd_hom(args, sig, M, N):
+    from .homspan import _hom_search, fibsurj_homs
     kind = "fiberwise surjective hom" if args.fibsurj else "hom"
     homs = ((h.maps for h in fibsurj_homs(M, N)) if args.fibsurj
             else _hom_search(M, N))
@@ -569,6 +575,7 @@ def _max_apex(args):
 
 
 def _cmd_equiv(args, sig, M, N):
+    from .homspan import find_span
     res = find_span(M, N, max_apex=_max_apex(args))
     report = {"status": res.status}
     if res.status == "absent":
@@ -587,6 +594,8 @@ def _cmd_equiv(args, sig, M, N):
 
 
 def _cmd_hsip(args, sig, theory, M, N):
+    from .finsem import satisfies
+    from .homspan import hsip_decide
     reports = {}
     for label, S in (("left", M), ("right", N)):
         ok, rep = satisfies(S, theory)
@@ -687,6 +696,8 @@ def _read(path):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    if args.json:
+        import json
     try:
         sig = parse_signature(_read(args.signature))
         # sat's --level is checked before any other file is read

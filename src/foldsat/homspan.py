@@ -15,14 +15,14 @@ a structure isomorphism, which is what the decision procedure computes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import HeightOutOfScope, NotSaturated, SortMismatch
 from .finsem import (FinStructure, boundary_instances, boundary_key,
                      saturation_profile)
+from .sigcore import _term
 
 
-@dataclass(frozen=True)
+@_term(stored_hash=False)
 class Hom:
     """A homomorphism of structures: per-sort total maps."""
 
@@ -174,7 +174,7 @@ def structure_iso(M: FinStructure, N: FinStructure):
     return next(_hom_search(M, N, bijective=True), None)
 
 
-@dataclass(frozen=True)
+@_term(stored_hash=False)
 class Span:
     """A FOLDS-equivalence witness: fiberwise surjections out of apex."""
 
@@ -183,7 +183,7 @@ class Span:
     right: Hom
 
 
-@dataclass(frozen=True)
+@_term(stored_hash=False)
 class SpanResult:
     status: str  # "found" | "absent" | "bound_exceeded"
     span: Span = None

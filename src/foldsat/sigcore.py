@@ -14,29 +14,61 @@ a boundary reads it.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
-
 from .errors import CompositionError, CycleError, NameClashError, UnknownSort
 
 Path = tuple  # tuple of generator names, first-applied generator first
 
 
-def _term(cls):
-    """A frozen dataclass that computes its structural hash once, when it
-    is built: ``Arrow`` and ``synkit``'s variables and formula nodes.  The
-    hash equals the one ``dataclass`` computes, but from the children's
-    stored hashes, and ``__init__`` sets fields and hash in one update of
-    the instance dict."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
-    ns = {}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         f"    self.__dict__.update({''.join(f'{n}={n}, ' for n in names)}"
-         f"_hash=hash(({''.join(f'{n}, ' for n in names)})))", ns)
-    cls.__init__ = ns["__init__"]
-    cls.__init__.__defaults__ = tuple(
-        f.default for f in fields(cls) if f.default is not MISSING)
-    cls.__hash__ = _stored_hash
+class _factory:
+    """A field default made afresh for each instance, as
+    ``dataclasses.field(default_factory=make)`` makes it."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _term(cls=None, *, stored_hash=True):
+    """A frozen value class with the constructor, equality, repr and
+    hash of a frozen dataclass, written without ``dataclasses``, whose
+    code generation would cost every import of the package.
+
+    The fields are the class's own annotations, in order, recorded in
+    ``_fields``; a field's default is the class attribute of its name,
+    and a ``_factory`` default is made afresh for each instance.
+    ``__init__`` and ``__eq__``, which the evaluator and the searches
+    call most, are generated in one ``exec`` per class; ``__repr__``,
+    unless the class defines its own, reads ``_fields``.  By default
+    ``__init__`` also computes the structural hash, once: ``Arrow``,
+    ``Gen`` and ``synkit``'s variables and formula nodes key tables,
+    and a node's hash reads its children's stored hashes.  Records that
+    hold dicts (``stored_hash=False``) hash their fields when asked,
+    which fails as a dataclass's hash fails."""
+    if cls is None:
+        return lambda cls: _term(cls, stored_hash=stored_hash)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    made = [n for n in names if isinstance(cls.__dict__.get(n), _factory)]
+    ns = {f"_{n}": cls.__dict__[n] for n in made}
+    mine, theirs = ("".join(f"{who}.{n}, " for n in names)
+                    for who in ("self", "other"))
+    update = "".join(f"{n}={n}, " for n in names)
+    if stored_hash:
+        update += f"_hash=hash(({''.join(f'{n}, ' for n in names)}))"
+    exec("\n".join([
+        f"def __init__(self, {', '.join(names)}):",
+        *(f"    if {n} is _{n}: {n} = _{n}.make()" for n in made),
+        f"    self.__dict__.update({update})",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented"]), ns)
+    ns["__init__"].__defaults__ = tuple(
+        cls.__dict__[n] for n in names if n in cls.__dict__)
+    cls.__init__, cls.__eq__ = ns["__init__"], ns["__eq__"]
+    cls.__hash__ = _stored_hash if stored_hash else _fields_hash
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _fields_repr
+    cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
+    cls._fields = names
     return cls
 
 
@@ -44,7 +76,26 @@ def _stored_hash(term):
     return term._hash
 
 
-@dataclass(frozen=True)
+def _fields_hash(term):
+    return hash(tuple(getattr(term, n) for n in term._fields))
+
+
+def _fields_repr(term):
+    shown = ", ".join(f"{n}={getattr(term, n)!r}" for n in term._fields)
+    return f"{type(term).__qualname__}({shown})"
+
+
+def _no_setattr(term, name, value):
+    from dataclasses import FrozenInstanceError  # only on this error path
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(term, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_term
 class Gen:
     """A generating (declared) arrow."""
 
@@ -203,15 +254,10 @@ class Signature:
             raise UnknownSort(f"unknown sort {sort!r}")
         return self.levels[sort]
 
-    def identity(self, sort) -> Arrow:
-        if sort not in self.levels:
-            raise UnknownSort(f"unknown sort {sort!r}")
-        return self._identity[sort]
-
     def cls(self, path: Path) -> Arrow:
         """Canonical hom-class of a generator path."""
         if not path:
-            raise ValueError("empty path needs a sort; use identity()")
+            raise ValueError("empty path needs a sort; use hom(s, s)[0]")
         if self._ext is None:
             self._build_classes()
         try:

@@ -7,11 +7,9 @@ that text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidCategory, UnknownName
 from .finsem import FinStructure, validate_structure
-from .sigcore import Signature
+from .sigcore import Signature, _factory, _term
 
 _SIGNATURE_TEXTS = {
     "lrg": """
@@ -57,7 +55,7 @@ def builtin_signature(name: str) -> Signature:
 
 # -- finite categories (oracle-side representation) ---------------------
 
-@dataclass(frozen=True)
+@_term(stored_hash=False)
 class FiniteCategory:
     """Objects, arrows, a composition table and identities.
 
@@ -67,8 +65,8 @@ class FiniteCategory:
     name: str
     objects: tuple
     arrows: tuple  # (arrow name, dom, cod)
-    compose: dict = field(default_factory=dict)
-    identities: dict = field(default_factory=dict)
+    compose: dict = _factory(dict)
+    identities: dict = _factory(dict)
 
     def arrow_map(self):
         return {a: (d, c) for a, d, c in self.arrows}

@@ -12,7 +12,6 @@ saturation) and the corpus.
 import random
 import time
 from collections import Counter
-from dataclasses import fields, is_dataclass
 from itertools import permutations
 from math import factorial, log2, prod
 
@@ -222,9 +221,9 @@ def fresh_hash(term):
             return self.h
 
     def mirror(x):
-        if is_dataclass(x):
-            return Hashed(hash(tuple(mirror(getattr(x, f.name))
-                                     for f in fields(x))))
+        names = getattr(type(x), "_fields", None)
+        if names is not None:
+            return Hashed(hash(tuple(mirror(getattr(x, n)) for n in names)))
         if isinstance(x, tuple):
             return tuple(mirror(a) for a in x)
         return x
@@ -439,7 +438,7 @@ def check_fibers(M, rnd):
                 if rnd.randrange(10):
                     delta[q] = rnd.choice(M.carrier(q.cod) + ("stray",))
             if rnd.randrange(10) == 0:
-                delta[sig.identity(K)] = "stray"
+                delta[sig.hom(K, K)[0]] = "stray"
             try:
                 want = scan_fiber(M, K, delta)
             except InvalidBoundary as exc:
@@ -934,8 +933,9 @@ def guarded_chains(draw, sig):
     at that level or deeper: an atom or ``~=``, or an untruncated ``sum``
     whose count can exceed one.  The fibers of ``A(x,y)`` and of the
     sorts above it may be empty, so guards are moved past empty binders.
-    A binder may equal a variable that the sort of an earlier one depends
-    on, so a guard written past it can rebind that dependency.
+    In a drawn share of chains, a binder rebinds on purpose a variable
+    on which the sort of another in scope depends, so that a guard or
+    the final formula written past it can read a rebound dependency.
     """
     base = next(K for K in sig.sorts if not sig.out_gens(K))
     env, outer = {}, []
@@ -944,12 +944,19 @@ def guarded_chains(draw, sig):
         env[name] = mk_var(sig, name, base)
         outer.append(env[name])
     scopes, binders = [env], []
+    rebind = draw(st.booleans())
     for _ in range(draw(st.integers(1, 6))):
-        name = draw(st.sampled_from([
-            n for n in NAMES
-            if not any(env.get(n) in w.dep() for w in env.values()
-                       if w is not env.get(n))]))
-        v = _application(draw, sig, env, name) or mk_var(sig, name, base)
+        depended = [n for n in NAMES
+                    if any(env.get(n) in w.dep() for w in env.values()
+                           if w is not env.get(n))]
+        if rebind and depended:
+            name = draw(st.sampled_from(depended))
+            v = env[name]
+        else:
+            name = draw(st.sampled_from(
+                [n for n in NAMES if n not in depended]))
+            v = (_application(draw, sig, env, name)
+                 or mk_var(sig, name, base))
         env = {**env, name: v}
         binders.append(v)
         scopes.append(env)
@@ -1090,8 +1097,8 @@ def terms():
     while stack:
         node = stack.pop()
         yield node
-        for f in fields(node):
-            value = getattr(node, f.name)
+        for name in type(node)._fields:
+            value = getattr(node, name)
             for v in (value if isinstance(value, tuple) else (value,)):
                 if isinstance(v, tuple):
                     v = v[1]  # a (generator, variable) projection

@@ -6,7 +6,9 @@ No linter is a dependency, so this is a small AST scan: a name bound by
 an import counts as used when the module reads it, names it in a string
 annotation, or lists it in ``__all__``.  A top-level function or class of
 the package whose name starts with ``_`` counts as read when some module
-of the package names it or reads it as an attribute.  A class of
+of the package names it or reads it as an attribute; a module-level
+``__getattr__`` or ``__dir__`` is read by the import system (PEP 562).
+A class of
 ``errors.py`` counts as used when another module of the package raises
 it, catches it or derives a class from it, or when it is the base of a
 used class.
@@ -78,13 +80,17 @@ def test_no_unused_imports():
     assert not found, "\n".join(found)
 
 
+# module-level functions that attribute access and dir() on the module call
+IMPORT_HOOKS = {"__getattr__", "__dir__"}
+
+
 def private_helpers(tree):
     """(name, line) of each top-level function or class named with a
-    leading ``_``."""
+    leading ``_``, other than the import system's hooks."""
     return [(node.name, node.lineno) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and node.name.startswith("_")]
+            and node.name.startswith("_") and node.name not in IMPORT_HOOKS]
 
 
 def read_names(tree):
@@ -106,8 +112,12 @@ def dead_helpers(texts):
 def test_dead_helpers_are_found():
     texts = {"a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
                   "class _Gone:\n    def _method(self):\n        pass\n",
-             "b": "import a\n\ndef public():\n    return a._used()\n"}
-    assert dead_helpers(texts) == [("a", "_dead", 4), ("a", "_Gone", 7)]
+             "b": "import a\n\ndef public():\n    return a._used()\n",
+             "c": "def __getattr__(name):\n    return name\n\n"
+                  "def __dir__():\n    return []\n\ndef __other__():\n"
+                  "    pass\n"}
+    assert dead_helpers(texts) == [("a", "_dead", 4), ("a", "_Gone", 7),
+                                   ("c", "__other__", 7)]
 
 
 def test_no_dead_helpers():

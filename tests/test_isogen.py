@@ -87,7 +87,7 @@ def test_shared_position_forces_equal_objects(lcat):
     x, y, z = obj(lcat, "x"), obj(lcat, "y"), obj(lcat, "z")
     p = lcat.cls(("i", "d"))
     # p is i followed by d (= i.c): i's filler would hold x and y
-    assert lcat.pinned(p) == (lcat.identity("O"),)
+    assert lcat.pinned(p) == (lcat.hom("O", "O")[0],)
     factored = {t for _, below in lcat.filling("I") for _, t in below}
     assert factored == {p}
     # eqA's t shares s's endpoints, and comp's t1 shares t0's codomain

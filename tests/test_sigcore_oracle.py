@@ -171,8 +171,8 @@ def test_classes_match_path_enumeration(raw):
         a = sig.cls(p)
         assert (a.path, a.dom, a.cod) == (oracle.canon[p], d, c)
     for s in sig.sorts:
-        for f in (sig.identity(s),) + sig.out(s):
-            for g in (sig.identity(f.cod),) + sig.out(f.cod):
+        for f in (sig.hom(s, s)[0],) + sig.out(s):
+            for g in (sig.hom(f.cod, f.cod)[0],) + sig.out(f.cod):
                 h = sig.compose(f, g)
                 assert h.path == (oracle.canon[f.path + g.path]
                                   if f.path + g.path else ())
@@ -354,7 +354,7 @@ def test_compose_matches_fold(raw):
     """Each composite is the class the path fold gives, and a
     non-composable pair raises."""
     sig = validate_signature(raw)
-    arrows = [a for s in sig.sorts for a in (sig.identity(s),) + sig.out(s)]
+    arrows = [a for s in sig.sorts for a in (sig.hom(s, s)[0],) + sig.out(s)]
     for f in arrows:
         for g in arrows:
             if f.cod == g.dom:

@@ -1,10 +1,11 @@
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, field, fields, make_dataclass
 
 import pytest
 
 from foldsat.errors import FunctorialityError
-from foldsat.sigcore import Arrow
-from foldsat.stdlib import builtin_signature
+from foldsat.homspan import Hom, Span, SpanResult, identity_hom
+from foldsat.sigcore import Arrow, Gen
+from foldsat.stdlib import FiniteCategory, builtin_signature, corpus
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, compatible_sorts,
                             mk_var)
@@ -181,9 +182,98 @@ def test_terms_keep_the_frozen_dataclass_contract():
              Or((Top(),)), Implies(Top(), Bottom()), Iff(Top(), Top()),
              Forall(o, Top()), e, Equiv("A", f, f), Arrow(("d",), "A", "O")]
     for t in terms:
-        names = [fd.name for fd in fields(t)]
+        names = type(t)._fields
         again = type(t)(**{n: getattr(t, n) for n in names})
         assert again == t and hash(again) == hash(t) and again is not t
         for n in names or ["extra"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(t, n, None)
+
+
+def _twin_cases():
+    """Each value class, the fields of its ``dataclass(frozen=True)``
+    twin, as ``(name,)`` or ``(name, default)``, and argument tuples to
+    build both from; the first omits every default."""
+    o = Variable("o", "O")
+    f = Variable("f", "A", (("d", o), ("c", o)))
+    M, N = corpus()["TermCat"], corpus()["Z2Cat"]
+    h = identity_hom(M)
+    span = Span(M, h, h)
+    two = [("lhs",), ("rhs",)]
+    return [
+        (Variable, [("name",), ("sort",), ("proj", ())],
+         [("o", "O"), ("f", "A", (("d", o), ("c", o))), ("o", "A")]),
+        (Top, [], [()]),
+        (Bottom, [], [()]),
+        (Atom, [("var",)], [(f,), (o,)]),
+        (And, [("args",)], [((Top(),),), ((Top(), Bottom()),)]),
+        (Or, [("args",)], [((Top(),),), ((Bottom(),),)]),
+        (Implies, two, [(Top(), Bottom()), (Bottom(), Top())]),
+        (Iff, two, [(Top(), Bottom()), (Top(), Bottom())]),
+        (Forall, [("var",), ("body",)], [(o, Top()), (f, Top())]),
+        (Exists, [("var",), ("body",), ("untruncated", False)],
+         [(o, Top()), (o, Top(), True), (o, Top(), False)]),
+        (Equiv, [("sort",), ("alpha",), ("beta",)],
+         [("A", f, f), ("O", o, o)]),
+        (Arrow, [("path",), ("dom",), ("cod",)],
+         [(("d",), "A", "O"), ((), "O", "O")]),
+        (Gen, [("name",), ("dom",), ("cod",)],
+         [("d", "A", "O"), ("c", "A", "O")]),
+        (Hom, [("src",), ("dst",), ("maps",)],
+         [(M, M, h.maps), (M, N, {}), (M, M, dict(h.maps))]),
+        (Span, [("apex",), ("left",), ("right",)], [(M, h, h), (N, h, h)]),
+        (SpanResult, [("status",), ("span", None)],
+         [("absent",), ("found", span), ("absent", None)]),
+        (FiniteCategory, [("name",), ("objects",), ("arrows",),
+                          ("compose", field(default_factory=dict)),
+                          ("identities", field(default_factory=dict))],
+         [("c", (), ()), ("TermCat", ("*",), (("id", "*", "*"),),
+                          {("id", "id"): "id"}, {"*": "id"})]),
+    ]
+
+
+def test_value_classes_match_a_frozen_dataclass_twin():
+    """Every class ``sigcore._term`` builds has the fields, defaults,
+    positional and keyword construction, repr, equality, hash and
+    immutability of the same class declared as a frozen dataclass."""
+    built, twins = [], []
+    for cls, spec, samples in _twin_cases():
+        twin = make_dataclass(cls.__name__, [(n, object, *d)
+                                              for n, *d in spec],
+                              frozen=True)
+        names = tuple(fd.name for fd in fields(twin))
+        assert cls._fields == names, cls
+        for args in samples:
+            t, w = cls(*args), twin(*args)
+            assert all(getattr(t, n) == getattr(w, n) for n in names)
+            assert cls(**{n: getattr(t, n) for n in names}) == t
+            if cls not in (Arrow, Variable):  # each prints its own way
+                assert repr(t) == repr(w)
+            try:
+                expected = hash(w)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    hash(t)
+            else:
+                assert hash(t) == expected
+            for n in names or ["extra"]:
+                for change, message in ((lambda x: setattr(x, n, None),
+                                         "cannot assign to field"),
+                                        (lambda x: delattr(x, n),
+                                         "cannot delete field")):
+                    for x in (t, w):
+                        with pytest.raises(FrozenInstanceError,
+                                           match=f"{message} '{n}'"):
+                            change(x)
+            assert (t == args) is (w == args) is False
+            built.append(t)
+            twins.append(w)
+        for c in (cls, twin):
+            with pytest.raises(TypeError):
+                c(*[None] * (len(names) + 1))
+    # within a class and across classes, such as Implies and Iff
+    assert ([a == b for a in built for b in built]
+            == [a == b for a in twins for b in twins])
+    made = FiniteCategory("c", (), ())
+    assert made.compose == {} and made.compose is not FiniteCategory(
+        "c", (), ()).compose
