@@ -6,6 +6,7 @@ their stdout and stderr, one tab-separated line per run.
 - ``check-sig`` and ``levels`` on every corpus and golden signature;
 - ``gen-iso --verbose`` on every sort of every corpus and golden
   signature;
+- ``compat`` on each ``_COMPAT`` run, a signature with a context;
 - ``sat``, ``sat --total`` and ``sat --level n`` for each level, on
   every corpus and golden structure, lcat's and ``Fork`` over fork;
 - ``eval --card`` of each ``EQUIV_FORMULAS``, the ``~=`` on lcat's ``A``
@@ -50,6 +51,14 @@ _GOLDEN = tuple(f"tests/golden/{n}.str" for n in (
 # a structure over fork, whose R takes K at p2 but not at p1 when K's two
 # positions differ
 _FORK = ("tests/golden/fork.folds", "tests/golden/Fork.str")
+# compat's signatures and contexts: on fork, R takes x at p2 but not at
+# p1; on apart, x:O and x:B each have one sort above them
+_COMPAT = (("corpus/lrg.folds", "x:O"),
+           ("corpus/lrg.folds", "x:O", "f:A(x,x)"),
+           (_LCAT, "x:O", "y:O", "f:A(x,y)"),
+           ("tests/golden/fork.folds", "s:S", "t:S", "x:K(s,t)"),
+           ("tests/golden/apart.folds", "x:O"),
+           ("tests/golden/apart.folds", "x:B"))
 _MALFORMED = (("check-sig", "tests/golden/BadChar.folds"),
               ("levels", "tests/golden/BadChar.folds"),
               ("sat", _LCAT, "tests/golden/Arrow2Dup.str"),
@@ -95,6 +104,7 @@ def commands():
     for path in _SIGNATURES:
         sig = parse_signature((ROOT / path).read_text(encoding="utf-8"))
         runs += [("gen-iso", path, K, "--verbose") for K in sig.sorts]
+    runs += [("compat",) + argv for argv in _COMPAT]
     height = parse_signature(
         (ROOT / _LCAT).read_text(encoding="utf-8")).height
     for M in _CORPUS + _GOLDEN:
