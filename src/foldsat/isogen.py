@@ -12,10 +12,8 @@ alpha-equal and nothing is deduplicated (a property test pins this).
 Both walks read the signature's fill order: the filler search and
 ``variables_over``, which builds the variables over given boundaries,
 generic ones or those of elements.  ``_ind`` skips each position p of R
-where x and y differ at an arrow c of ``sig.pinned(p)``: a position that
-one variable fills on both sides would hold p∘c of x and of y.  The
-identity is pinned at exactly the positions that factor through another.
-A position at which x or y cannot sit yields nothing (see ``_fillers``).
+at which ``synkit.seat`` says x and y cannot sit, and the filler search
+starts from what ``seat`` puts at p and at the positions p forces.
 
 The conjuncts are generated one (R, p) group at a time, and only as far
 as they are read: a count iterates ``ind_conjuncts`` until a conjunct is
@@ -30,26 +28,19 @@ from itertools import tee
 
 from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
 from .pretty import pformat
-from .sigcore import Arrow, Signature
+from .sigcore import Signature
 from .synkit import (And, Equiv, Exists, Forall, Formula, Implies,
-                     Variable, conj, deepest_first, mk_var)
+                     Variable, conj, deepest_first, mk_var, seat)
 
 
-def _fillers(sig: Signature, R: str, p: Arrow, x: Variable, y: Variable,
-             pool: list, used_names: set) -> list:
-    """The conjuncts of Ind_R at position p, one per coincidence pattern
-    of the fillers: ``forall`` over its fresh fillers, deepest first, of
-    ``R(α) ~= R(β)``, or none if x or y cannot sit at p, the position of
-    R over x's sort that ``_ind`` walks.  ``pool`` is ``x.dep() | y.dep()``
-    deepest first, and ``used_names`` their names."""
-    # what the x side and the y side hold at each position of R: p and the
-    # positions p forces, then the shared positions, each filled with one
-    # variable on both sides
-    side = {p: (x, y)}
-    for g in sig.out(x.sort):
-        pair = (x.proj_along(g.path), y.proj_along(g.path))
-        if side.setdefault(sig.compose(p, g), pair) != pair:
-            return []
+def _fillers(sig: Signature, R: str, side: dict, pool: list,
+             used_names: set) -> list:
+    """The conjuncts of Ind_R at a position p of R, one per coincidence
+    pattern of the fillers: ``forall`` over its fresh fillers, deepest
+    first, of ``R(α) ~= R(β)``.  ``side`` is what ``seat`` puts at p and
+    at the positions p forces; the walk adds each shared position to it,
+    filled with one variable on both sides.  ``pool`` is ``x.dep() |
+    y.dep()`` deepest first, and ``used_names`` their names."""
     shared = [(q, below) for q, below in sig.filling(R) if q not in side]
 
     conjuncts = []
@@ -146,11 +137,10 @@ def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
 def _ind(sig: Signature, x: Variable, y: Variable):
     """Ind(x, y)'s conjuncts as ``(print index, group)``, unsorted, one
     (R, p) group at a time: fail-first, the sorts R with fewest positions
-    first, ties in print order.  No group comes for a position p where x
-    or y cannot sit, or where they differ at an arrow of ``sig.pinned(p)``,
-    which holds the identity whenever p's path has two generators or
-    more.  The groups hold the signature, and ``ind_conjuncts`` keeps
-    them in its ``ind_table``: the two are freed together."""
+    first, ties in print order.  No group comes for a position p where
+    ``seat`` rules x and y out.  The groups hold the signature, and
+    ``ind_conjuncts`` keeps them in its ``ind_table``: the two are freed
+    together."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")
     positions = sorted(enumerate((R, p) for R in sig.sorts
@@ -158,17 +148,14 @@ def _ind(sig: Signature, x: Variable, y: Variable):
                        key=lambda ip: len(sig.out(ip[1][0])))
 
     def groups():
-        pool, differ = None, x != y
+        pool = None
         for i, (R, p) in positions:
-            if differ and (len(p.path) > 1 or any(
-                    x.proj_along(c.path) != y.proj_along(c.path)
-                    for c in sig.pinned(p))):
+            if (side := seat(sig, p, x, y)) is None:
                 continue
             if pool is None:
                 pool = deepest_first(sig, x.dep() | y.dep())
                 used_names = {v.name for v in pool}
-            if group := _fillers(sig, R, p, x, y, pool, used_names):
-                yield i, group
+            yield i, _fillers(sig, R, side, pool, used_names)
     return groups()
 
 

@@ -136,13 +136,11 @@ class Signature:
     (``_ext`` and ``_out``, see ``_build_classes``) are built when
     ``cls``, ``compose``, ``hom`` or ``out`` first needs them, so a
     command that reads only names and levels never builds them.  The
-    signature owns three more tables of facts derived from them, each
+    signature owns two more tables of facts derived from them, each
     filled on first use:
 
     - ``filling``: per sort K, the positions out of K in fill order,
       each with its generator images as positions of K
-    - ``pinned``: per position p, the arrows c out of p's codomain such
-      that p∘c is a generator image of a position p does not fix
     - ``ind_table``: ``(x, y) ->`` Ind(x, y)'s conjuncts, as far as they
       are generated; only ``isogen.ind_conjuncts`` fills it, and every
       structure over the signature shares it
@@ -167,7 +165,6 @@ class Signature:
         self._order = order
         self._ext = self._out = None  # see _build_classes
         self._filling = {}
-        self._pinned = {}
         self.ind_table = {}
 
     # -- construction ----------------------------------------------------
@@ -305,20 +302,6 @@ class Signature:
                 (q, tuple((g.name, self.compose(q, self.cls((g.name,))))
                           for g in self._out_gens[q.cod]))
                 for q in order)
-        return table
-
-    def pinned(self, p: Arrow) -> tuple:
-        """The arrows c out of ``p.cod``, the identity included, such that
-        p∘c is a generator image of a position of ``p.dom`` other than p
-        and every p∘c': ``Ind`` fills it with one variable on both sides."""
-        table = self._pinned.get(p)
-        if table is None:
-            fixed = {p: self._identity[p.cod]}
-            for c in self.out(p.cod):
-                fixed[self.compose(p, c)] = c
-            table = self._pinned[p] = tuple(dict.fromkeys(
-                fixed[t] for q, below in self.filling(p.dom)
-                if q not in fixed for _, t in below if t in fixed))
         return table
 
     def equations_at(self, sort):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import FunctorialityError, SortMismatch, UnknownSort
-from .sigcore import Signature, _term
+from .sigcore import Arrow, Signature, _term
 
 
 class _once:
@@ -272,14 +272,36 @@ def deepest_first(sig: Signature, vars_) -> list:
     return [v for _, v in keyed]
 
 
-# -- compatible sorts ---------------------------------------------------
+# -- where a variable sits ---------------------------------------------
+
+def seat(sig: Signature, p: Arrow, x: Variable, y: Variable):
+    """What x and y put at the position p of ``p.dom`` and at each
+    position p∘c that p forces, as ``{position: (x's, y's)}``, or
+    ``None`` when they cannot sit at p: p sends two positions, along
+    which x or y projects apart, to one; or x ≠ y and they differ below
+    a position that p does not fix, which ``Ind`` fills with one
+    variable on both sides, as p itself is when its path has two
+    generators or more."""
+    if x != y and len(p.path) > 1:
+        return None
+    side = {p: (x, y)}
+    for c in sig.out(x.sort):
+        pair = (x.proj_along(c.path), y.proj_along(c.path))
+        if side.setdefault(sig.compose(p, c), pair) != pair:
+            return None
+    shared = [side[t] for q, below in sig.filling(p.dom) if q not in side
+              for _, t in below if t in side]
+    return side if all(a == b for a, b in shared) else None
+
 
 def compatible_sorts(sig: Signature, x: Variable) -> tuple:
-    """The sorts R strictly above x's sort that accept x at every
-    position: x projects alike along any two positions of K that an arrow
-    q: R -> K sends to one.  Only ``compat`` reads it."""
-    K, out = x.sort, sig.out(x.sort)
+    """The sorts R above x's sort K that have a position of sort K and
+    take x at every one: ``seat(sig, q, x, x)`` holds for each q in
+    ``hom(R, K)``.  ``Ind`` walks each position where ``seat`` holds, so
+    R may tell variables of sort K apart without being listed here:
+    fork's R takes x at p2, and at p1 only if x's two points coincide.
+    Only ``compat`` reads it."""
+    K = x.sort
     return tuple(R for R in sig.sorts if sig.level(R) < sig.level(K)
-                 and all(x.proj_along(a.path) == x.proj_along(b.path)
-                         for q in sig.hom(R, K) for a in out for b in out
-                         if sig.compose(q, a) == sig.compose(q, b)))
+                 and all(seat(sig, q, x, x) is not None
+                         for q in sig.hom(R, K)))

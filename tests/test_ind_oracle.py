@@ -9,7 +9,7 @@ whole ``And`` is compiled and counted.  It runs on a copy of each
 structure, so the two share no compiled count.
 
 A count reads the groups fail-first and unsorted, and ``_ind`` walks no
-position that ``sig.pinned`` rules out; ``ind`` must still print the
+position that ``synkit.seat`` rules out; ``ind`` must still print the
 formula it printed before: ``print_order_ind`` is that generation,
 group by group in (R, p) order.
 """
@@ -33,7 +33,7 @@ from foldsat.isogen import generic_context, ind, variables_over
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, category_to_structure, corpus
-from foldsat.synkit import conj
+from foldsat.synkit import conj, seat
 from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
                                 fresh_ind_tables, lcat_structures, relabel)
@@ -151,9 +151,10 @@ def spy_on_groups(monkeypatch):
     drawn = {}
     real = isogen._fillers
 
-    def spy(sig, R, p, x, y, *pool):
-        drawn.setdefault((x, y), []).append((R, p))
-        return real(sig, R, p, x, y, *pool)
+    def spy(sig, R, side, *pool):
+        p, xy = next(iter(side.items()))
+        drawn.setdefault(xy, []).append((R, p))
+        return real(sig, R, side, *pool)
 
     fresh_ind_tables()
     monkeypatch.setattr(isogen, "_fillers", spy)
@@ -208,19 +209,22 @@ def print_order_ind(sig, x, y):
 
 @settings(max_examples=150, deadline=None)
 @given(dag_signatures())
-def test_identity_is_pinned_exactly_at_factored_positions(raw):
-    """The identity is in ``pinned(p)`` exactly when p = q∘g for another
-    position q: so for x and y that differ only at the identity, ``_ind``
-    skips the positions it skipped when it read ``factored``.  Each p
-    whose path has two generators or more is one, which ``_ind`` skips
-    without reading ``pinned``."""
+def test_generic_pair_sits_exactly_off_factored_positions(raw):
+    """Each sort's generic (x, y) differ only at the identity, so
+    ``seat`` rules p out exactly when p = q∘g for another position q, or
+    when x alone cannot sit at p: ``_ind`` skips the positions it
+    skipped when it read ``factored``.  Each p whose path has two
+    generators or more is one, which ``seat`` rules out first."""
     sig = validate_signature(raw)
-    for R in sig.sorts:
-        skip = factored(sig, R)
-        for p in sig.out(R):
-            identity = sig.hom(p.cod, p.cod)[0]
-            assert (identity in sig.pinned(p)) == (p in skip), p
-            assert len(p.path) == 1 or p in skip, p
+    for K in sig.sorts:
+        x, y = generic_context(sig, K)
+        for R in sig.sorts:
+            skip = factored(sig, R)
+            for p in sig.hom(R, K) if R != K else ():
+                alone = seat(sig, p, x, x) is not None
+                assert (seat(sig, p, x, y) is None) \
+                    == (p in skip or not alone), p
+                assert len(p.path) == 1 or p in skip, p
 
 
 def check_print_order(sig, pairs):
@@ -253,7 +257,8 @@ def element_pairs(M):
 
 def test_ind_matches_print_order_on_builtins_and_diamonds():
     """Among lcat's element pairs, those over different boundaries
-    reach positions that only ``sig.pinned`` rules out."""
+    reach positions that ``seat`` rules out although they do not
+    factor through another."""
     for name in ("lrg", "lrg_eq", "lcat"):
         sig = builtin_signature(name)
         check_print_order(sig, generic_pairs(sig))

@@ -10,7 +10,7 @@ from foldsat.isogen import (_fillers, _ind, generic_context, ind,
 from foldsat.pretty import pformat
 from foldsat.stdlib import builtin_signature
 from foldsat.synkit import (And, Equiv, Exists, Forall, Implies, Top,
-                            deepest_first, mk_var)
+                            deepest_first, mk_var, seat)
 from paper_checks import alpha_eq
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,10 +50,13 @@ def parallel_pair(sig):
 
 def fillers(sig, R, p, x, y):
     """The ``~=`` under the ``forall``s of each conjunct ``_fillers``
-    returns, with the pool that ``_ind`` builds once per (x, y)."""
+    returns, with what ``seat`` puts at p and the pool that ``_ind``
+    builds once per (x, y)."""
     pool = deepest_first(sig, x.dep() | y.dep())
     eqs = []
-    for phi in _fillers(sig, R, p, x, y, pool, {v.name for v in pool}):
+    side = seat(sig, p, x, y)
+    assert side is not None
+    for phi in _fillers(sig, R, side, pool, {v.name for v in pool}):
         while isinstance(phi, Forall):
             phi = phi.body
         assert isinstance(phi, Equiv) and phi.sort == R
@@ -79,29 +82,34 @@ def test_arrow_equality_fillers_three_patterns(lrg_eq):
 
 def test_shared_position_forces_equal_objects(lcat):
     """A position of R that p does not fix is filled by one variable on
-    both sides, so x and y must agree wherever p reaches its boundary:
-    ``sig.pinned(p)``, at which ``_ind`` walks no position.  The identity
-    is pinned at p exactly when p factors through another position.  A
-    variable cannot sit at a position that sends two of its positions,
-    along which it projects apart, to one."""
+    both sides, so x and y must agree wherever p reaches its boundary,
+    or ``seat`` rules p out and ``_ind`` walks no group there.  That
+    holds of p itself exactly when p factors through another position.
+    A variable cannot sit at a position that sends two of its
+    positions, along which it projects apart, to one."""
     x, y, z = obj(lcat, "x"), obj(lcat, "y"), obj(lcat, "z")
     p = lcat.cls(("i", "d"))
     # p is i followed by d (= i.c): i's filler would hold x and y
-    assert lcat.pinned(p) == (lcat.hom("O", "O")[0],)
+    assert seat(lcat, p, x, y) is None
+    assert seat(lcat, p, x, x) == {p: (x, x)}
     factored = {t for _, below in lcat.filling("I") for _, t in below}
     assert factored == {p}
     # eqA's t shares s's endpoints, and comp's t1 shares t0's codomain
+    # and t2 its domain, so f and g must agree at both ends
     d, c = lcat.cls(("d",)), lcat.cls(("c",))
-    assert lcat.pinned(lcat.cls(("s",))) == (d, c)
-    assert lcat.pinned(lcat.cls(("t0",))) == (c, d)
-    assert lcat.pinned(lcat.cls(("i",))) == ()
-    # every position of comp and eqA over f and g is pinned at c, and
+    f, g, h = arr(lcat, "f", x, y), arr(lcat, "g", x, z), arr(lcat, "h", x, y)
+    for q in ("s", "t0"):
+        q = lcat.cls((q,))
+        assert seat(lcat, q, f, g) is None and seat(lcat, q, g, f) is None
+        assert seat(lcat, q, f, h) == {q: (f, h), lcat.compose(q, d): (x, x),
+                                       lcat.compose(q, c): (y, y)}
     # neither f nor g can sit at I's position i, which sends d and c to
-    # one position
-    f, g = arr(lcat, "f", x, y), arr(lcat, "g", x, z)
+    # one position; two loops at x can
     i = lcat.cls(("i",))
     assert lcat.compose(i, d) == lcat.compose(i, c)
-    assert fillers(lcat, "I", i, f, g) == []
+    assert seat(lcat, i, f, g) is None and seat(lcat, i, f, f) is None
+    u, v = arr(lcat, "u", x, x), arr(lcat, "v", x, x)
+    assert seat(lcat, i, u, v) == {i: (u, v), lcat.compose(i, d): (x, x)}
     assert list(_ind(lcat, f, g)) == []
     assert isinstance(ind(lcat, f, g), Top)
 

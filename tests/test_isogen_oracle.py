@@ -1,20 +1,21 @@
 """Ind filler generation against the enumeration it pruned.
 
-``isogen._ind`` does not call ``isogen._fillers`` for a position p of R
-at which no filler fits: where x and y differ at an arrow c of
-``sig.pinned(p)``, p∘c lies in the boundary of a position that one
+``isogen._ind`` calls ``isogen._fillers`` only at a position p of R
+where ``synkit.seat`` holds, with what ``seat`` puts at p and at the
+positions p forces.  ``seat`` rules p out where no filler fits: where p
+sends two positions of x's sort, along which x or y projects apart, to
+one position of R, or where x and y differ below a position that one
 variable fills on both sides.  When x and y differ only at the identity,
-those positions are the ones that factor through another.  The oracle is
-the enumeration without that check, kept here: it walks every shared
-position and finds the clash only on each branch.  Every ``_fillers``
-call made while generating ``Ind`` for the built-in signatures, diamond
-stacks and random DAG signatures, the saturation of the corpus, of
-random lcat structures and of random structures over DAG signatures,
-and ``~=`` between different fibers must return the oracle's conjuncts,
-and the oracle must find none at every position ``_ind`` skipped.
-Where x or y cannot sit at p, ``_fillers`` returns none; the oracle
-judges that by brute force over the pairs of positions of x's sort that
-p sends to one position of R.
+the latter are the positions that factor through another.  The oracle
+is the enumeration without ``seat``, kept here: it finds the first clash
+by brute force over the pairs of positions of x's sort, and the second
+only on each branch of its walk over the shared positions.  Every
+``_fillers`` call made while generating ``Ind`` for the built-in
+signatures, diamond stacks and random DAG signatures, the saturation of
+the corpus, of random lcat structures and of random structures over DAG
+signatures, and ``~=`` between different fibers must return the
+oracle's conjuncts, and the oracle must find none at every position
+``_ind`` skipped.
 
 ``_ind`` keeps every conjunct ``_fillers`` returns, with no
 deduplication: each coincidence pattern of the fillers gives one
@@ -132,8 +133,9 @@ def checked(monkeypatch):
     real_fillers, real_ind = isogen._fillers, isogen._ind
     calls, reached, skipped = [], set(), []
 
-    def both(sig, R, p, x, y, *pool):
-        got = real_fillers(sig, R, p, x, y, *pool)
+    def both(sig, R, side, *pool):
+        p, (x, y) = next(iter(side.items()))
+        got = real_fillers(sig, R, side, *pool)
         assert got == enumerate_fillers(sig, R, p, x, y), (R, p, x, y)
         calls.append(got)
         reached.add((R, p))
@@ -171,10 +173,10 @@ def test_pruned_fillers_match_enumeration(checked):
         phi = parse_formula("forall x:O. forall y:O. A(x,y) ~= A(y,x)",
                             M.sig)
         eval_card(M, phi)
-    # 45 positions take fillers; at 10 more x or y cannot sit, and
-    # ``_fillers`` finds none; ``_ind`` skips 93 that no filler can take
-    assert len(calls) == 55 and sum(1 for c in calls if c) == 45
-    assert len(skipped) == 93
+    # 45 positions take fillers; ``_ind`` skips 103 that no filler can
+    # take, ``seat`` ruling each out before ``_fillers`` is called
+    assert len(calls) == 45 and all(calls)
+    assert len(skipped) == 103
 
 
 @settings(max_examples=15, deadline=None,
@@ -243,11 +245,11 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
         return
     real = isogen._fillers
 
-    def distinct(sig, R, p, x, y, *pool):
-        formulas = real(sig, R, p, x, y, *pool)
+    def distinct(sig, R, side, *pool):
+        formulas = real(sig, R, side, *pool)
         for i, f in enumerate(formulas):
             for g in formulas[:i]:
-                assert not alpha_eq(f, g), (R, p, pformat(f))
+                assert not alpha_eq(f, g), (R, side, pformat(f))
         return formulas
 
     with pytest.MonkeyPatch.context() as mp:
