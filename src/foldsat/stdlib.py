@@ -8,7 +8,6 @@ that text.
 from __future__ import annotations
 
 from .errors import InvalidCategory, UnknownName
-from .finsem import FinStructure, validate_structure
 from .sigcore import Signature, _factory, _term
 
 _SIGNATURE_TEXTS = {
@@ -156,9 +155,11 @@ def tcat_axioms():
 
 # -- converters ---------------------------------------------------------
 
-def category_to_structure(C: FiniteCategory) -> FinStructure:
+def category_to_structure(C: FiniteCategory):
     """The lcat-structure of a finite category, with singleton level-1
     fibers exactly where I, arrow equality and composition hold."""
+    # imported here, so that builtin_signature does not load finsem
+    from .finsem import validate_structure
     validate_category(C)
     sig = builtin_signature("lcat")
     ends = C.arrow_map()
@@ -264,9 +265,10 @@ def corpus_categories() -> dict:
     return cats
 
 
-def doubled_i_structure() -> FinStructure:
+def doubled_i_structure():
     """TermCat with a duplicated identity witness: a valid structure
     that is not 1-saturated."""
+    from .finsem import validate_structure
     sig = builtin_signature("lcat")
     return validate_structure(sig, {
         "carriers": {"O": ["*"], "A": ["id"], "I": ["w1", "w2"],

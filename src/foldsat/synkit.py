@@ -276,10 +276,10 @@ def deepest_first(sig: Signature, vars_) -> list:
 
 def seat(sig: Signature, p: Arrow, x: Variable, y: Variable):
     """What x and y put at the position p of ``p.dom`` and at each
-    position p∘c that p forces, as ``{position: (x's, y's)}``, or
-    ``None`` when they cannot sit at p: p sends two positions, along
-    which x or y projects apart, to one; or x ≠ y and they differ below
-    a position that p does not fix, which ``Ind`` fills with one
+    position p∘c that p forces, as ``{position: (x's, y's)}`` with p
+    first, or ``None`` when they cannot sit at p: p sends two positions,
+    along which x or y projects apart, to one; or x ≠ y and they differ
+    below a position that p does not fix, which ``Ind`` fills with one
     variable on both sides, as p itself is when its path has two
     generators or more."""
     if x != y and len(p.path) > 1:
@@ -302,6 +302,5 @@ def compatible_sorts(sig: Signature, x: Variable) -> tuple:
     fork's R takes x at p2, and at p1 only if x's two points coincide.
     Only ``compat`` reads it."""
     K = x.sort
-    return tuple(R for R in sig.sorts if sig.level(R) < sig.level(K)
-                 and all(seat(sig, q, x, x) is not None
-                         for q in sig.hom(R, K)))
+    return tuple(R for R in sig.sorts if R != K and (hom := sig.hom(R, K))
+                 and all(seat(sig, q, x, x) is not None for q in hom))

@@ -11,7 +11,9 @@ structure, so the two share no compiled count.
 A count reads the groups fail-first and unsorted, and ``_ind`` walks no
 position that ``synkit.seat`` rules out; ``ind`` must still print the
 formula it printed before: ``print_order_ind`` is that generation,
-group by group in (R, p) order.
+group by group in (R, p) order.  ``seat`` itself must hold exactly
+where the brute-force enumeration of fillers finds a conjunct, and
+``compatible_sorts`` must be its every-position closure.
 """
 
 import gc
@@ -33,7 +35,7 @@ from foldsat.isogen import generic_context, ind, variables_over
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, category_to_structure, corpus
-from foldsat.synkit import conj, seat
+from foldsat.synkit import compatible_sorts, conj, seat
 from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
                                 fresh_ind_tables, lcat_structures, relabel)
@@ -283,6 +285,38 @@ def test_ind_matches_print_order_on_dag_signatures(raw, data):
     except FunctorialityError:
         return
     check_print_order(sig, element_pairs(M))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_seat_holds_exactly_where_fillers_exist(raw, data):
+    """At every position p of every sort above x's, ``seat(sig, p, x,
+    y)`` holds exactly when the enumeration finds a conjunct, for each
+    sort's generic pairs and the element pairs of a random structure,
+    each also with y = x; and ``compatible_sorts(sig, x)`` lists the
+    sorts that have a position of x's sort and take (x, x) at every
+    one."""
+    order, sig = _codomains_first(raw)
+    if not few_parallel_positions(sig):
+        return
+    pairs = list(generic_pairs(sig))
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+        pairs += [xy for x, y in element_pairs(M) for xy in ((x, y), (x, x))]
+    except FunctorialityError:
+        pass
+    for x, y in dict.fromkeys(pairs):
+        K, fits = x.sort, {}
+        for R in sig.sorts:
+            for p in sig.hom(R, K) if R != K else ():
+                fits[p] = bool(enumerate_fillers(sig, R, p, x, y))
+                assert (seat(sig, p, x, y) is not None) == fits[p], (p, x, y)
+        if x == y:
+            assert compatible_sorts(sig, x) == tuple(
+                R for R in sig.sorts if R != K and sig.hom(R, K)
+                and all(fits[q] for q in sig.hom(R, K)))
 
 
 def test_partly_generated_ind_does_not_keep_its_signature():

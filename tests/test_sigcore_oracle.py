@@ -308,8 +308,9 @@ def _add_fork_equation(raw, by_ends, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(dag_signatures(), st.data())
 def test_compatible_sorts_matches_pairwise_check(raw, data):
-    """R is compatible with x when any two positions of x that some
-    arrow q: R -> K composes to the same class project to one variable.
+    """R is compatible with x when it has an arrow q: R -> K, and any
+    two positions of x that such a q composes to the same class project
+    to one variable.
     So that incompatible sorts occur, an equation g.p1 = g.p2 is added
     where the signature allows one, and x is drawn at a sort with two
     parallel paths out of it where there is one."""
@@ -325,7 +326,7 @@ def test_compatible_sorts_matches_pairwise_check(raw, data):
         or [v for vs in pool.values() for v in vs]))
     K = x.sort
     want = tuple(
-        R for R in sig.sorts if sig.level(R) < sig.level(K)
+        R for R in sig.sorts if sig.level(R) < sig.level(K) and sig.hom(R, K)
         and all(_walk_vars(p1.path, x) == _walk_vars(p2.path, x)
                 for q in sig.hom(R, K) for p1 in sig.out(K)
                 for p2 in sig.out(K)
@@ -389,7 +390,8 @@ def test_filling_lists_each_position_after_its_images(raw):
 
 def compatible_sorts_by_loop(sig, x):
     """``compatible_sorts`` by one pass over each arrow q: R -> K, which
-    records x's projection at each composite q∘p and finds a clash."""
+    records x's projection at each composite q∘p and finds a clash; a
+    sort with no such arrow is not listed."""
     K = x.sort
     lv = sig.level(K)
     if lv == 1:
@@ -399,9 +401,9 @@ def compatible_sorts_by_loop(sig, x):
     for R in sig.sorts:
         if sig.level(R) >= lv:
             continue
-        image = {}
-        if all(image.setdefault((q.path, sig.compose(q, p).path), v) == v
-               for q in sig.hom(R, K) for p, v in positions):
+        image, hom = {}, sig.hom(R, K)
+        if hom and all(image.setdefault((q.path, sig.compose(q, p).path), v)
+                       == v for q in hom for p, v in positions):
             out.append(R)
     return tuple(out)
 

@@ -59,6 +59,17 @@ def test_signature_commands_load_no_search_module(bare, command, out):
     assert not added & NOT_AT_START, sorted(added & NOT_AT_START)
 
 
+def test_builtin_signature_loads_no_search_module(bare):
+    """A built-in signature is parsed from its text: ``stdlib`` imports
+    ``finsem`` only to build a structure."""
+    run = python("-c", "from foldsat import builtin_signature\n"
+                       "builtin_signature('lcat')\n" + SHOW_MODULES)
+    assert run.returncode == 0, run.stderr
+    added = modules(run) - bare
+    assert "foldsat.stdlib" in added
+    assert not added & NOT_AT_START, sorted(added & NOT_AT_START)
+
+
 def test_package_loads_its_modules_on_first_use(bare):
     """Importing the package loads none of its modules; each name of
     ``__all__`` then imports, from the module that defines it."""

@@ -1,7 +1,9 @@
 from dataclasses import FrozenInstanceError, field, fields, make_dataclass
+from pathlib import Path
 
 import pytest
 
+from foldsat.cli import parse_signature
 from foldsat.errors import FunctorialityError
 from foldsat.homspan import Hom, Span, SpanResult, identity_hom
 from foldsat.sigcore import Arrow, Gen
@@ -10,6 +12,8 @@ from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, compatible_sorts,
                             mk_var)
 from paper_checks import alpha_eq, universal_closure
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +148,14 @@ def test_endo_arrow_is_I_compatible(lrg):
     x = obj(lrg, "x")
     f = arr(lrg, "f", x, x)
     assert compatible_sorts(lrg, f) == ("I",)
+
+
+def test_compatible_sorts_need_a_position_of_the_sort():
+    """A sort with no arrow to x's sort is not listed: apart's B sits
+    under R alone and O under A alone."""
+    sig = parse_signature((GOLDEN / "apart.folds").read_text())
+    assert compatible_sorts(sig, mk_var(sig, "x", "O")) == ("A",)
+    assert compatible_sorts(sig, mk_var(sig, "x", "B")) == ("R",)
 
 
 def test_same_boundary_same_compatible_sorts(lrg_eq, lcat):
