@@ -289,9 +289,9 @@ def seat(sig: Signature, p: Arrow, x: Variable, y: Variable):
         pair = (x.proj_along(c.path), y.proj_along(c.path))
         if side.setdefault(sig.compose(p, c), pair) != pair:
             return None
-    shared = [side[t] for q, below in sig.filling(p.dom) if q not in side
-              for _, t in below if t in side]
-    return side if all(a == b for a, b in shared) else None
+    return side if all(side[t][0] == side[t][1]
+                       for q, below in sig.filling(p.dom) if q not in side
+                       for _, t in below if t in side) else None
 
 
 def compatible_sorts(sig: Signature, x: Variable) -> tuple:
