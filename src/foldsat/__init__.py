@@ -13,7 +13,7 @@ __all__ = [
     "validate_structure", "Hom", "Span", "find_span", "hsip_decide",
     "is_fibsurj", "structure_iso", "ind", "iso_formula", "sort_equiv",
     "pformat", "Signature", "validate_signature", "builtin_signature",
-    "corpus", "tcat_axioms", "Variable", "mk_var", "__version__",
+    "tcat_axioms", "Variable", "mk_var", "__version__",
 ]
 
 _HOME = {name: module for module, names in (
@@ -25,7 +25,7 @@ _HOME = {name: module for module, names in (
     ("isogen", "ind iso_formula sort_equiv"),
     ("pretty", "pformat"),
     ("sigcore", "Signature validate_signature"),
-    ("stdlib", "builtin_signature corpus tcat_axioms"),
+    ("stdlib", "builtin_signature tcat_axioms"),
     ("synkit", "Variable mk_var"),
 ) for name in names.split()}
 

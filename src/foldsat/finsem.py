@@ -174,21 +174,12 @@ def boundary_instances(M: FinStructure, K: str) -> list:
     Positions are filled in ``sig.filling(K)`` order, so when position q
     is reached its images along the generators out of q's codomain are
     already chosen, and its candidates are the fiber over them."""
-    filling = M.sig.filling(K)
-    results = []
-
-    def assign(i, val):
-        if i == len(filling):
-            results.append(dict(val))
-            return
-        q, below = filling[i]
-        for e in M.fibers(q.cod).get(tuple(val[t] for _, t in below), ()):
-            val[q] = e
-            assign(i + 1, val)
-            del val[q]
-
-    assign(0, {})
-    return results
+    deltas = [{}]
+    for q, below in M.sig.filling(K):
+        fib = M.fibers(q.cod)
+        deltas = [{**d, q: e} for d in deltas
+                  for e in fib.get(tuple(d[t] for _, t in below), ())]
+    return deltas
 
 
 def fiber(M: FinStructure, K: str, delta) -> tuple:

@@ -19,22 +19,13 @@ from .errors import CompositionError, CycleError, NameClashError, UnknownSort
 Path = tuple  # tuple of generator names, first-applied generator first
 
 
-class _factory:
-    """A field default made afresh for each instance, as
-    ``dataclasses.field(default_factory=make)`` makes it."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def _term(cls=None, *, stored_hash=True):
     """A frozen value class with the constructor, equality, repr and
     hash of a frozen dataclass, written without ``dataclasses``, whose
     code generation would cost every import of the package.
 
     The fields are the class's own annotations, in order, recorded in
-    ``_fields``; a field's default is the class attribute of its name,
-    and a ``_factory`` default is made afresh for each instance.
+    ``_fields``; a field's default is the class attribute of its name.
     ``__init__`` and ``__eq__``, which the evaluator and the searches
     call most, are generated in one ``exec`` per class; ``__repr__``,
     unless the class defines its own, reads ``_fields``.  By default
@@ -46,8 +37,7 @@ def _term(cls=None, *, stored_hash=True):
     if cls is None:
         return lambda cls: _term(cls, stored_hash=stored_hash)
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    made = [n for n in names if isinstance(cls.__dict__.get(n), _factory)]
-    ns = {f"_{n}": cls.__dict__[n] for n in made}
+    ns = {}
     mine, theirs = ("".join(f"{who}.{n}, " for n in names)
                     for who in ("self", "other"))
     update = "".join(f"{n}={n}, " for n in names)
@@ -55,7 +45,6 @@ def _term(cls=None, *, stored_hash=True):
         update += f"_hash=hash(({''.join(f'{n}, ' for n in names)}))"
     exec("\n".join([
         f"def __init__(self, {', '.join(names)}):",
-        *(f"    if {n} is _{n}: {n} = _{n}.make()" for n in made),
         f"    self.__dict__.update({update})",
         "def __eq__(self, other):",
         "    if other.__class__ is self.__class__:",

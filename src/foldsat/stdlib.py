@@ -1,14 +1,16 @@
-"""Built-in signatures, the category theory, converters and oracles.
+"""Built-in signatures, the category theory, finite categories and the
+lcat-structure of one.
 
 The built-in signatures and the theory of categories are written in the
 ``.folds`` and ``.thy`` formats of :mod:`foldsat.cli`, and parsed from
-that text.
+that text.  The corpus of example structures is not kept here: it is
+the ``corpus/*.str`` files, which the tests and the CLI examples read.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidCategory, UnknownName
-from .sigcore import Signature, _factory, _term
+from .sigcore import Signature, _term
 
 _SIGNATURE_TEXTS = {
     "lrg": """
@@ -64,8 +66,8 @@ class FiniteCategory:
     name: str
     objects: tuple
     arrows: tuple  # (arrow name, dom, cod)
-    compose: dict = _factory(dict)
-    identities: dict = _factory(dict)
+    compose: dict
+    identities: dict
 
     def arrow_map(self):
         return {a: (d, c) for a, d, c in self.arrows}
@@ -195,18 +197,13 @@ def _invertible(C: FiniteCategory) -> list:
                    for g, d, c in C.arrows)]
 
 
-def categorical_iso_pairs(C: FiniteCategory) -> set:
-    """All object pairs joined by a mutually inverse pair of arrows."""
-    return {(x, y) for _, x, y in _invertible(C)}
-
-
 def is_gaunt(C: FiniteCategory) -> bool:
     """No two distinct isomorphic objects and no nontrivial
     automorphism: every invertible arrow is an identity."""
     return all(f == C.identities[x] for f, x, _ in _invertible(C))
 
 
-# -- the corpus ---------------------------------------------------------
+# -- posets -------------------------------------------------------------
 
 def _poset_category(name, objects, covers):
     """Thin category of a poset given by its order pairs (reflexive and
@@ -231,59 +228,3 @@ def _poset_category(name, objects, covers):
     identities = {x: names[(x, x)] for x in objects}
     return FiniteCategory(name, tuple(objects), arrows, compose,
                           identities)
-
-
-def corpus_categories() -> dict:
-    """The finite categories of the standard corpus."""
-    cats = {}
-    cats["TermCat"] = FiniteCategory(
-        "TermCat", ("*",), (("id", "*", "*"),),
-        {("id", "id"): "id"}, {"*": "id"})
-    cats["Arrow2"] = _poset_category("Arrow2", ["0", "1"], [("0", "1")])
-    cats["Chain3"] = _poset_category("Chain3", ["0", "1", "2"],
-                                     [("0", "1"), ("1", "2")])
-    cats["WalkIso"] = FiniteCategory(
-        "WalkIso", ("a", "b"),
-        (("ida", "a", "a"), ("idb", "b", "b"),
-         ("u", "a", "b"), ("v", "b", "a")),
-        {("ida", "ida"): "ida", ("idb", "idb"): "idb",
-         ("ida", "u"): "u", ("u", "idb"): "u",
-         ("idb", "v"): "v", ("v", "ida"): "v",
-         ("u", "v"): "ida", ("v", "u"): "idb"},
-        {"a": "ida", "b": "idb"})
-    cats["Z2Cat"] = FiniteCategory(
-        "Z2Cat", ("*",), (("e", "*", "*"), ("s", "*", "*")),
-        {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s",
-         ("s", "s"): "e"},
-        {"*": "e"})
-    for n in (1, 2, 3):
-        objs = [f"o{k}" for k in range(n)]
-        cats[f"Disc{n}"] = _poset_category(f"Disc{n}", objs, [])
-    cats["SquarePoset"] = _poset_category(
-        "SquarePoset", ["bot", "l", "r", "top"],
-        [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")])
-    return cats
-
-
-def doubled_i_structure():
-    """TermCat with a duplicated identity witness: a valid structure
-    that is not 1-saturated."""
-    from .finsem import validate_structure
-    sig = builtin_signature("lcat")
-    return validate_structure(sig, {
-        "carriers": {"O": ["*"], "A": ["id"], "I": ["w1", "w2"],
-                     "eqA": ["e"], "comp": ["m"]},
-        "maps": {"d": {"id": "*"}, "c": {"id": "*"},
-                 "i": {"w1": "id", "w2": "id"},
-                 "s": {"e": "id"}, "t": {"e": "id"},
-                 "t0": {"m": "id"}, "t1": {"m": "id"}, "t2": {"m": "id"}},
-    })
-
-
-def corpus() -> dict:
-    """The standard corpus of lcat-structures: every corpus category as
-    a structure, plus the doubled-identity-witness variant."""
-    out = {name: category_to_structure(C)
-           for name, C in corpus_categories().items()}
-    out["DoubledI"] = doubled_i_structure()
-    return out

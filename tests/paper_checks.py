@@ -8,19 +8,21 @@ expanded equivalence count, equality of formulas up to renaming of bound
 variables, the universal closure of a formula).  The tests compare them
 with what the package computes.  The lexer that tracks every token's
 position as it scans is kept here too, as the oracle of the one in
-``foldsat.cli``.
+``foldsat.cli``, and so is the reader of the corpus, the ``corpus/*.str``
+files.
 """
 
 import re
+from pathlib import Path
 
 from foldsat.errors import FoldsError, ParseError, SortMismatch
 from foldsat.finsem import (FinStructure, card_iso_elems, eval_card,
                             satisfies, saturation_profile)
 from foldsat.homspan import Hom, is_fibsurj
 from foldsat.isogen import sort_equiv, variables_over
-from foldsat.cli import parse_formula
-from foldsat.stdlib import (FiniteCategory, builtin_signature, tcat_axioms,
-                            validate_category)
+from foldsat.cli import parse_formula, parse_structure
+from foldsat.stdlib import (FiniteCategory, _invertible, builtin_signature,
+                            tcat_axioms, validate_category)
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, Variable, deepest_first,
                             mk_var)
@@ -32,6 +34,30 @@ class PreconditionViolation(FoldsError):
 
 class NotAModel(FoldsError):
     """A structure is not a model a category can be read off."""
+
+
+# -- the corpus ----------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+CORPUS_NAMES = ("TermCat", "Arrow2", "Chain3", "WalkIso", "Z2Cat", "Disc1",
+                "Disc2", "Disc3", "SquarePoset", "DoubledI")
+
+
+def corpus() -> dict:
+    """Each ``corpus/<name>.str`` structure, parsed afresh on every call
+    over the one built-in lcat signature: the categories of the paper's
+    examples, and DoubledI, TermCat with a second identity witness, a
+    model of the theory that is not 1-saturated."""
+    lcat = builtin_signature("lcat")
+    return {name: parse_structure((CORPUS / f"{name}.str").read_text(), lcat)
+            for name in CORPUS_NAMES}
+
+
+def corpus_categories() -> dict:
+    """The category read off each corpus structure but DoubledI."""
+    return {name: structure_to_category(M) for name, M in corpus().items()
+            if name != "DoubledI"}
 
 
 # -- the lexer with positions -------------------------------------------
@@ -293,3 +319,8 @@ def structure_to_category(M: FinStructure):
                        identities)
     validate_category(C)
     return C
+
+
+def categorical_iso_pairs(C: FiniteCategory) -> set:
+    """All object pairs joined by a mutually inverse pair of arrows."""
+    return {(x, y) for _, x, y in _invertible(C)}

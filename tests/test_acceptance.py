@@ -14,10 +14,10 @@ from foldsat.homspan import (Hom, find_span, hsip_decide, identity_hom,
                              is_fibsurj, structure_iso)
 from foldsat.isogen import generic_context, ind, iso_formula
 from foldsat.pretty import pformat
-from foldsat.stdlib import (builtin_signature, categorical_iso_pairs,
-                            corpus, corpus_categories, is_gaunt)
+from foldsat.stdlib import builtin_signature, is_gaunt
 from foldsat.synkit import Top, mk_var
-from paper_checks import (check_ind_preservation, equiv_card_via_formula,
+from paper_checks import (categorical_iso_pairs, check_ind_preservation,
+                          corpus, corpus_categories, equiv_card_via_formula,
                           iso_formula_cat, yso_formula)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -12,10 +12,10 @@ from foldsat.finsem import (_MAX_BITS, _guarded_chain, boundary_instances,
 from foldsat.isogen import ind, iso_formula, variables_over
 from foldsat.sigcore import validate_signature
 from foldsat.pretty import pformat
-from foldsat.stdlib import builtin_signature, corpus, tcat_axioms
+from foldsat.stdlib import builtin_signature, tcat_axioms
 from foldsat.synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Iff,
                             Implies, Or, Top, conj, mk_var)
-from paper_checks import boundary_of, equiv_card_via_formula
+from paper_checks import boundary_of, corpus, equiv_card_via_formula
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,9 @@ from foldsat.homspan import (Hom, _hom_search, find_span, hsip_decide,
                              identity_hom, is_fibsurj, structure_iso)
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import (_poset_category, builtin_signature,
-                            category_to_structure, corpus)
+                            category_to_structure)
 from paper_checks import (PreconditionViolation, check_ind_preservation,
-                          compose_homs, is_hom)
+                          compose_homs, corpus, is_hom)
 
 
 @pytest.fixture(scope="module")

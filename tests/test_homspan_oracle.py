@@ -39,8 +39,8 @@ from foldsat.homspan import (Hom, Span, SpanResult, _hom_search,
                              colour_refinement, fibsurj_homs, find_span,
                              identity_hom, is_fibsurj, structure_iso)
 from foldsat.stdlib import (_poset_category, builtin_signature,
-                            category_to_structure, corpus)
-from paper_checks import is_hom
+                            category_to_structure)
+from paper_checks import corpus, is_hom
 from test_finsem_oracle import cyclic, duplicate, relabel
 from test_isogen_oracle import few_parallel_positions
 from test_sigcore_oracle import (_codomains_first, dag_signatures,

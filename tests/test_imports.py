@@ -1,14 +1,15 @@
 """No module of the package or of the tests imports a name it never uses,
-no private helper of the package goes unread, and every error class of
-the package is used by the package.
+no function or class of the package goes unread, and every error class
+of the package is used by the package.
 
 No linter is a dependency, so this is a small AST scan: a name bound by
 an import counts as used when the module reads it, names it in a string
 annotation, or lists it in ``__all__``.  A top-level function or class of
-the package whose name starts with ``_`` counts as read when some module
-of the package names it or reads it as an attribute; a module-level
+the package counts as read when some module of the package or of the
+benchmark names it or reads it as an attribute; a module-level
 ``__getattr__`` or ``__dir__`` is read by the import system (PEP 562).
-A class of
+A public one may also be listed in the package's ``__all__`` instead:
+what the tests alone read lives in the tests.  A class of
 ``errors.py`` counts as used when another module of the package raises
 it, catches it or derives a class from it, or when it is the base of a
 used class.
@@ -19,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "foldsat").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 FILES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
@@ -48,12 +50,16 @@ def used_names(tree):
     for ann in _annotations(tree):
         if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
             used |= used_names(ast.parse(ann.value, mode="eval"))
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
-    return used
+    return used | all_names(tree)
+
+
+def all_names(tree):
+    """The names the module's ``__all__`` lists."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def unused_imports(text):
@@ -84,13 +90,13 @@ def test_no_unused_imports():
 IMPORT_HOOKS = {"__getattr__", "__dir__"}
 
 
-def private_helpers(tree):
-    """(name, line) of each top-level function or class named with a
-    leading ``_``, other than the import system's hooks."""
+def definitions(tree):
+    """(name, line) of each top-level function or class, other than the
+    import system's hooks."""
     return [(node.name, node.lineno) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and node.name.startswith("_") and node.name not in IMPORT_HOOKS]
+            and node.name not in IMPORT_HOOKS]
 
 
 def read_names(tree):
@@ -100,13 +106,27 @@ def read_names(tree):
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def dead_helpers(texts):
-    """(module, name, line) of each private helper that no module of
-    ``texts`` (a map from module name to source) reads."""
+def unread(texts, readers, exported):
+    """(module, name, line) of each definition of ``texts`` (a map from
+    module name to source) that no source of ``texts`` or ``readers``
+    reads and that ``exported`` does not list."""
     trees = {name: ast.parse(text) for name, text in texts.items()}
-    read = set().union(*map(read_names, trees.values()))
-    return [(name, helper, line) for name, tree in trees.items()
-            for helper, line in private_helpers(tree) if helper not in read]
+    read = set().union(*map(read_names, trees.values()),
+                       *(read_names(ast.parse(text)) for text in readers),
+                       exported)
+    return [(module, name, line) for module, tree in trees.items()
+            for name, line in definitions(tree) if name not in read]
+
+
+def dead_helpers(texts, readers=()):
+    """The unread definitions named with a leading ``_``."""
+    return [d for d in unread(texts, readers, ()) if d[1].startswith("_")]
+
+
+def read_by_tests_alone(texts, readers, exported):
+    """The unread, unexported definitions with a public name."""
+    return [d for d in unread(texts, readers, exported)
+            if not d[1].startswith("_")]
 
 
 def test_dead_helpers_are_found():
@@ -118,13 +138,39 @@ def test_dead_helpers_are_found():
                   "    pass\n"}
     assert dead_helpers(texts) == [("a", "_dead", 4), ("a", "_Gone", 7),
                                    ("c", "__other__", 7)]
+    assert dead_helpers(texts, ["import a\n\na._dead()\n"]) \
+        == [("a", "_Gone", 7), ("c", "__other__", 7)]
 
 
 def test_no_dead_helpers():
-    assert SOURCES
+    assert SOURCES and BENCH
     found = [f"src/foldsat/{module}.py:{line}: {name}"
              for module, name, line in dead_helpers(
-                 {path.stem: path.read_text() for path in SOURCES})]
+                 {path.stem: path.read_text() for path in SOURCES},
+                 [path.read_text() for path in BENCH])]
+    assert not found, "\n".join(found)
+
+
+def test_names_read_by_tests_alone_are_found():
+    texts = {"a": "def used():\n    pass\n\ndef benched():\n    pass\n\n"
+                  "def exported():\n    pass\n\nclass Oracle:\n    pass\n\n"
+                  "def _private():\n    pass\n",
+             "b": "from a import used\n\ndef lone():\n    return used()\n"}
+    bench = ["import a\n\nprint(a.benched())\n"]
+    assert read_by_tests_alone(texts, bench, {"exported"}) \
+        == [("a", "Oracle", 10), ("b", "lone", 3)]
+    assert read_by_tests_alone(texts, [], {"exported", "lone"}) \
+        == [("a", "benched", 4), ("a", "Oracle", 10)]
+
+
+def test_no_public_name_is_read_by_tests_alone():
+    assert SOURCES and BENCH
+    exported = all_names(ast.parse(
+        (ROOT / "src" / "foldsat" / "__init__.py").read_text()))
+    found = [f"src/foldsat/{module}.py:{line}: {name}"
+             for module, name, line in read_by_tests_alone(
+                 {path.stem: path.read_text() for path in SOURCES},
+                 [path.read_text() for path in BENCH], exported)]
     assert not found, "\n".join(found)
 
 

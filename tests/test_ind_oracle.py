@@ -19,7 +19,6 @@ where the brute-force enumeration of fillers finds a conjunct, and
 import gc
 import weakref
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,16 +33,15 @@ from foldsat.finsem import (FinStructure, boundary_instances, card_iso_elems,
 from foldsat.isogen import generic_context, ind, variables_over
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
-from foldsat.stdlib import builtin_signature, category_to_structure, corpus
+from foldsat.stdlib import builtin_signature, category_to_structure
 from foldsat.synkit import compatible_sorts, conj, seat
+from paper_checks import CORPUS, corpus
 from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
                                 fresh_ind_tables, lcat_structures, relabel)
 from test_isogen_oracle import enumerate_fillers, few_parallel_positions
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  diamond_stack, draw_structure)
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def eager_ind_count(ev, x, y):

@@ -38,9 +38,9 @@ from foldsat.finsem import (check_saturation, eval_card, saturation_profile,
 from foldsat.isogen import _fresh_name, generic_context, iso_formula
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
-from foldsat.stdlib import builtin_signature, corpus
+from foldsat.stdlib import builtin_signature
 from foldsat.synkit import Equiv, Forall, mk_var
-from paper_checks import alpha_eq
+from paper_checks import alpha_eq, corpus
 from test_finsem_oracle import fresh_ind_tables, lcat_structures
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  diamond_stack, draw_structure)
