@@ -8,7 +8,8 @@ their stdout and stderr, one tab-separated line per run.
   signature;
 - ``compat`` on each ``_COMPAT`` run, a signature with a context;
 - ``sat``, ``sat --total`` and ``sat --level n`` for each level, on
-  every corpus and golden structure, lcat's and ``Fork`` over fork;
+  every corpus and golden structure, lcat's, ``Fork`` over fork and
+  ``Parallel`` over parallel;
 - ``eval --card`` of each ``EQUIV_FORMULAS``, the ``~=`` on lcat's ``A``
   and ``O`` whose ``Ind`` a count reads only in part, and of each
   ``GUARDED_FORMULAS``, the ``forall`` chains whose antecedents the
@@ -42,15 +43,17 @@ _LCAT = "corpus/lcat.folds"
 _THEORY = "corpus/tcat.thy"
 _SIGNATURES = ("corpus/lcat.folds", "corpus/lrg.folds", "corpus/lrg_eq.folds",
                "tests/golden/diamond3.folds", "tests/golden/par3.folds",
-               "tests/golden/fork.folds")
+               "tests/golden/fork.folds", "tests/golden/parallel.folds")
 _CORPUS = tuple(f"corpus/{n}.str" for n in (
     "Arrow2", "Chain3", "Disc1", "Disc2", "Disc3", "DoubledI",
     "SquarePoset", "TermCat", "WalkIso", "Z2Cat"))
 _GOLDEN = tuple(f"tests/golden/{n}.str" for n in (
     "Disc3Rev", "ParallelPair", "SquarePosetRev", "Z12"))
-# a structure over fork, whose R takes K at p2 but not at p1 when K's two
-# positions differ
-_FORK = ("tests/golden/fork.folds", "tests/golden/Fork.str")
+# structures over other signatures: over fork, whose R takes K at p2 but
+# not at p1 when K's two positions differ; over parallel, whose equation
+# relates two parallel paths, S3 sitting over one of S2's two elements
+_OTHER = (("tests/golden/fork.folds", "tests/golden/Fork.str"),
+          ("tests/golden/parallel.folds", "tests/golden/Parallel.str"))
 # compat's signatures and contexts: on fork, R takes x at p2 but not at
 # p1; on apart, x:O and x:B each have one sort above them
 _COMPAT = (("corpus/lrg.folds", "x:O"),
@@ -111,10 +114,11 @@ def commands():
         runs += [("sat", _LCAT, M), ("sat", _LCAT, M, "--total")]
         runs += [("sat", _LCAT, M, "--level", str(n))
                  for n in range(1, height + 1)]
-    fork = parse_signature((ROOT / _FORK[0]).read_text(encoding="utf-8"))
-    runs += [("sat",) + _FORK, ("sat",) + _FORK + ("--total",)]
-    runs += [("sat",) + _FORK + ("--level", str(n))
-             for n in range(1, fork.height + 1)]
+    for pair in _OTHER:
+        sig = parse_signature((ROOT / pair[0]).read_text(encoding="utf-8"))
+        runs += [("sat",) + pair, ("sat",) + pair + ("--total",)]
+        runs += [("sat",) + pair + ("--level", str(n))
+                 for n in range(1, sig.height + 1)]
     for M in _CORPUS + _GOLDEN:
         runs += [("eval", _LCAT, M, "-e", text, "--card")
                  for text in EQUIV_FORMULAS + GUARDED_FORMULAS]
