@@ -431,10 +431,11 @@ class _Evaluator:
         """A function from an environment to the fiber ``var`` ranges
         over, read from the fiber index by the values of ``var.proj``.
         Every boundary looked up is natural: ``mk_var`` checks each
-        variable against the equations (``a*`` and ``b*`` copy the
-        projections of checked ones), quantifiers bind elements of
-        fibers, and ``eval_card`` checks the assignment.  So a boundary
-        missing from the index has an empty fiber."""
+        parsed variable, ``isogen``'s meet the equations by construction
+        (``a*`` and ``b*`` copy the projections of either kind),
+        quantifiers bind elements of fibers, and ``eval_card`` checks
+        the assignment.  So a boundary missing from the index has an
+        empty fiber."""
         slots = [self._slot_of(v) for _, v in var.proj]
         index = self.M.fibers(var.sort)
         if len(slots) > 1:

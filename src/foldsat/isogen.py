@@ -11,9 +11,12 @@ Each coincidence pattern gives one conjunct, so no two of them are
 alpha-equal and nothing is deduplicated (a property test pins this).
 Both walks read the signature's fill order: the filler search and
 ``variables_over``, which builds the variables over given boundaries,
-generic ones or those of elements.  ``_ind`` skips each position p of R
-at which ``synkit.seat`` says x and y cannot sit, and the filler search
-starts from what ``seat`` puts at p and at the positions p forces.
+generic ones or those of elements.  Neither checks its variables
+against the equations: each position is a hom-class, filled from the
+positions below it, so every variable meets them by construction.
+``_ind`` skips each position p of R at which ``synkit.seat`` says x
+and y cannot sit, and the filler search starts from what ``seat`` puts
+at p and at the positions p forces.
 
 The conjuncts are generated one (R, p) group at a time, and only as far
 as they are read: a count iterates ``ind_conjuncts`` until a conjunct is
@@ -24,70 +27,65 @@ so every structure over one signature shares them.
 
 from __future__ import annotations
 
-from itertools import tee
+from itertools import count, tee
 
-from .errors import BoundaryMismatch, FunctorialityError, SortMismatch
+from .errors import BoundaryMismatch, SortMismatch
 from .pretty import pformat
 from .sigcore import Signature
 from .synkit import (And, Equiv, Exists, Forall, Formula, Implies,
-                     Variable, conj, deepest_first, mk_var, seat)
+                     Variable, conj, deepest_first, seat)
 
 
-def _fillers(sig: Signature, R: str, side: dict, pool: list,
+def _fillers(sig: Signature, R: str, side: dict, pool: dict,
              used_names: set) -> list:
     """The conjuncts of Ind_R at a position p of R, one per coincidence
     pattern of the fillers: ``forall`` over its fresh fillers, deepest
     first, of ``R(α) ~= R(β)``.  ``side`` is what ``seat`` puts at p and
     at the positions p forces; the walk adds each shared position to it,
-    filled with one variable on both sides.  ``pool`` is ``x.dep() |
-    y.dep()`` deepest first, and ``used_names`` their names."""
-    shared = [(q, below) for q, below in sig.filling(R) if q not in side]
+    filled with one variable on both sides.  ``pool`` maps each sort to
+    its variables in ``x.dep() | y.dep()``, deepest first, and
+    ``used_names`` holds their names.  A variable at q is built from
+    what sits at the positions below q, unchecked."""
+    shared = [(q, q.cod, below) for q, below in sig.filling(R)
+              if q not in side]
+    gen_cls = [(g.name, sig.cls((g.name,))) for g in sig.out_gens(R)]
 
     conjuncts = []
 
     # Every position below a shared one comes earlier in the fill order,
     # so each branch sets what it reads and nothing is unset on return.
     # A conjunct quantifies exactly the fresh fillers of its branch.
-    def assign(i, fresh):
-        taken = used_names | {v.name for v in fresh}
+    def assign(i, fresh, taken):
         if i == len(shared):
-            fill = [(g.name, side[sig.cls((g.name,))])
-                    for g in sig.out_gens(R)]
             aname = _fresh_name(R, taken)
-            alpha = mk_var(sig, aname, R, {g: a for g, (a, _) in fill})
-            beta = mk_var(sig, _fresh_name(R, taken | {aname}), R,
-                          {g: b for g, (_, b) in fill})
+            alpha = Variable(aname, R, tuple((g, side[c][0])
+                                             for g, c in gen_cls))
+            beta = Variable(_fresh_name(R, taken | {aname}), R,
+                            tuple((g, side[c][1]) for g, c in gen_cls))
             out = Equiv(R, alpha, beta)
             for v in reversed(deepest_first(sig, fresh)):
                 out = Forall(v, out)
             conjuncts.append(out)
             return
-        q, below = shared[i]
-        S = q.cod
+        q, S, below = shared[i]
         # x and y agree at every position below q
-        req = {g: side[t][0] for g, t in below}
-        for v in [v for v in pool + fresh if v.sort == S
-                  and all(v.proj_map()[g] == w for g, w in req.items())]:
-            side[q] = (v, v)
-            assign(i + 1, fresh)
+        proj = tuple((g, side[t][0]) for g, t in below)
+        for v in pool.get(S, []) + [v for v in fresh if v.sort == S]:
+            if v.proj == proj:
+                side[q] = (v, v)
+                assign(i + 1, fresh, taken)
         # one genuinely new filler with exactly the forced boundary
-        try:
-            newv = mk_var(sig, _fresh_name(S, taken), S, req)
-        except FunctorialityError:
-            return
+        newv = Variable(_fresh_name(S, taken), S, proj)
         side[q] = (newv, newv)
-        assign(i + 1, fresh + [newv])
+        assign(i + 1, fresh + [newv], taken | {newv.name})
 
-    assign(0, [])
+    assign(0, [], used_names)
     return conjuncts
 
 
 def _fresh_name(sort, used):
     base = sort[0].lower()
-    i = 1
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
+    return next(n for i in count(1) if (n := f"{base}{i}") not in used)
 
 
 class _Conjuncts:
@@ -153,8 +151,9 @@ def _ind(sig: Signature, x: Variable, y: Variable):
             if (side := seat(sig, p, x, y)) is None:
                 continue
             if pool is None:
-                pool = deepest_first(sig, x.dep() | y.dep())
-                used_names = {v.name for v in pool}
+                pool, used_names = {}, {v.name for v in x.dep() | y.dep()}
+                for v in deepest_first(sig, x.dep() | y.dep()):
+                    pool.setdefault(v.sort, []).append(v)
             yield i, _fillers(sig, R, side, pool, used_names)
     return groups()
 
@@ -203,8 +202,11 @@ def variables_over(sig: Signature, K: str, boundaries, names):
     variable stands for a value at every position of its sort that holds
     it, in any of the boundaries.  Variables are named in the order the
     walk reaches them, not after their values, so boundaries that
-    coincide in one pattern give the same variables."""
+    coincide in one pattern give the same variables.  The boundaries
+    must be natural, as generic ones and those of elements are, since
+    the variables go unchecked."""
     var_of, value_of, used = {}, {}, set(names)
+    gen_cls = [(g.name, sig.cls((g.name,))) for g in sig.out_gens(K)]
     tops = []
     for name, values in zip(names, boundaries):
         at = {}
@@ -212,13 +214,13 @@ def variables_over(sig: Signature, K: str, boundaries, names):
             key = (q.cod, values[q])
             v = var_of.get(key)
             if v is None:
-                v = var_of[key] = mk_var(sig, _fresh_name(q.cod, used),
-                                         q.cod, {g: at[t] for g, t in below})
+                v = var_of[key] = Variable(
+                    _fresh_name(q.cod, used), q.cod,
+                    tuple((g, at[t]) for g, t in below))
                 used.add(v.name)
                 value_of[v] = values[q]
             at[q] = v
-        tops.append(mk_var(sig, name, K, {g.name: at[sig.cls((g.name,))]
-                                          for g in sig.out_gens(K)}))
+        tops.append(Variable(name, K, tuple((g, at[c]) for g, c in gen_cls)))
     return tops, value_of
 
 

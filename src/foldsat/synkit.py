@@ -10,8 +10,6 @@ variable only through its boundary, matching the convention that
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .errors import FunctorialityError, SortMismatch, UnknownSort
 from .sigcore import Arrow, Signature, _term
 
@@ -37,8 +35,8 @@ class Variable:
 
     ``proj`` assigns a variable to every generating arrow out of ``sort``,
     in declaration order.  Equality is structural, so two occurrences of
-    "the same" variable compare equal.  The hash, ``proj_map()``,
-    ``dep()`` and ``boundary()`` are computed once per variable.
+    "the same" variable compare equal.  The hash, the map that
+    ``proj_along`` reads, ``dep()`` and ``boundary()`` are built once.
     """
 
     name: str
@@ -47,11 +45,7 @@ class Variable:
 
     @_once
     def _proj_map(self):
-        return MappingProxyType(dict(self.proj))
-
-    def proj_map(self):
-        """``proj`` as a read-only mapping, built once per variable."""
-        return self._proj_map
+        return dict(self.proj)
 
     def proj_along(self, path) -> "Variable":
         """The projection along a generator path, first generator first."""
@@ -97,9 +91,11 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     Every variable the closure walk checks is then marked valid for
     ``sig`` (it holds ``sig`` itself).  A later walk stops at a marked
     variable, since its own closure holds no broken equation, so it
-    rejects exactly what a full walk would, with the same message.  A
-    marked variable in ``sig.ind_table`` and ``sig`` form a cycle, which
-    the collector frees with the signature.
+    rejects exactly what a full walk would, with the same message.  The
+    parser's and the tests' variables come here; ``isogen`` fills each
+    position from those below it, which meets the equations, and checks
+    none.  A marked variable in ``sig.ind_table`` (a parsed ``~=``'s
+    boundary) and ``sig`` form a cycle, which the collector frees.
     """
     if sort not in sig.levels:
         raise UnknownSort(f"unknown sort {sort!r}")

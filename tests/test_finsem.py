@@ -209,7 +209,7 @@ def test_element_pairs_of_one_boundary_pattern_share_their_ind(lcat):
     assert ind(lcat, x1, y1) is ind(lcat, x2, y2)
     # f ends where h starts: another pattern, and another pair
     (x3, y3), _ = over("f", "h")
-    assert x3.proj_map()["c"] == y3.proj_map()["d"]
+    assert dict(x3.proj)["c"] == dict(y3.proj)["d"]
     assert (x3, y3) != (x1, y1)
 
 

@@ -51,12 +51,15 @@ def parallel_pair(sig):
 def fillers(sig, R, p, x, y):
     """The ``~=`` under the ``forall``s of each conjunct ``_fillers``
     returns, with what ``seat`` puts at p and the pool that ``_ind``
-    builds once per (x, y)."""
-    pool = deepest_first(sig, x.dep() | y.dep())
+    builds once per (x, y): their variables by sort, deepest first."""
+    pool = {}
+    for v in deepest_first(sig, x.dep() | y.dep()):
+        pool.setdefault(v.sort, []).append(v)
     eqs = []
     side = seat(sig, p, x, y)
     assert side is not None
-    for phi in _fillers(sig, R, side, pool, {v.name for v in pool}):
+    names = {v.name for v in x.dep() | y.dep()}
+    for phi in _fillers(sig, R, side, pool, names):
         while isinstance(phi, Forall):
             phi = phi.body
         assert isinstance(phi, Equiv) and phi.sort == R
@@ -69,15 +72,15 @@ def test_arrow_equality_fillers_three_patterns(lrg_eq):
     p = lrg_eq.cls(("s",))
     eqs = fillers(lrg_eq, "eqA", p, f, g)
     # the non-distinguished position is filled by a fresh h, by f, or by g
-    t_fillers = {eq.alpha.proj_map()["t"] for eq in eqs}
+    t_fillers = {dict(eq.alpha.proj)["t"] for eq in eqs}
     assert len(eqs) == 3
     assert f in t_fillers and g in t_fillers
     fresh = (t_fillers - {f, g}).pop()
-    assert fresh.proj_map() == {"d": x, "c": y}
+    assert dict(fresh.proj) == {"d": x, "c": y}
     for eq in eqs:
-        assert eq.alpha.proj_map()["s"] == f
-        assert eq.beta.proj_map()["s"] == g
-        assert eq.alpha.proj_map()["t"] == eq.beta.proj_map()["t"]
+        assert dict(eq.alpha.proj)["s"] == f
+        assert dict(eq.beta.proj)["s"] == g
+        assert dict(eq.alpha.proj)["t"] == dict(eq.beta.proj)["t"]
 
 
 def test_shared_position_forces_equal_objects(lcat):
@@ -134,7 +137,7 @@ def test_object_fillers_for_arrow_sort(lcat):
     x, y = obj(lcat, "x"), obj(lcat, "y")
     p = lcat.cls(("d",))
     eqs = fillers(lcat, "A", p, x, y)
-    c_fillers = {eq.alpha.proj_map()["c"] for eq in eqs}
+    c_fillers = {dict(eq.alpha.proj)["c"] for eq in eqs}
     assert len(eqs) == 3
     assert x in c_fillers and y in c_fillers
     fresh = (c_fillers - {x, y}).pop()

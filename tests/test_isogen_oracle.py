@@ -22,24 +22,34 @@ deduplication: each coincidence pattern of the fillers gives one
 conjunct, and fresh variables are named in a fixed order, so no two
 conjuncts of one position are alpha-equal.  ``alpha_eq`` is
 the oracle for that on random DAG signatures.
+
+``_fillers`` and ``variables_over`` build their variables without
+``mk_var``'s check.  ``mk_var`` is the oracle for that: rebuilt from its
+own projections, every variable of ``iso_formula``, and of the ``Ind``
+its ``~=`` nodes expand to, and every variable over a pair of natural
+boundaries of a structure, must come back equal, on the corpus and
+golden signatures and on random DAG signatures with equations.
 """
 
 from collections import Counter
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from foldsat import isogen
-from foldsat.cli import parse_formula
+from foldsat.cli import parse_formula, parse_signature, parse_structure
 from foldsat.errors import FunctorialityError
-from foldsat.finsem import (check_saturation, eval_card, saturation_profile,
-                            validate_structure)
-from foldsat.isogen import _fresh_name, generic_context, iso_formula
+from foldsat.finsem import (boundary_instances, check_saturation, eval_card,
+                            saturation_profile, validate_structure)
+from foldsat.isogen import (_fresh_name, generic_context, ind, iso_formula,
+                            variables_over)
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature
-from foldsat.synkit import Equiv, Forall, mk_var
+from foldsat.synkit import Equiv, Forall, Formula, Variable, mk_var
 from paper_checks import alpha_eq, corpus
 from test_finsem_oracle import fresh_ind_tables, lcat_structures
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
@@ -88,7 +98,7 @@ def enumerate_fillers(sig, R, p, x, y):
                 return
             req[gen.name] = av
         for v in [v for v in pool + fresh if v.sort == S
-                  and all(v.proj_map()[g] == w for g, w in req.items())]:
+                  and all(dict(v.proj)[g] == w for g, w in req.items())]:
             val[q] = v
             assign(i + 1, val, fresh)
             del val[q]
@@ -256,3 +266,78 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
         mp.setattr(isogen, "_fillers", distinct)
         for K in sig.sorts:
             list(isogen._ind(sig, *generic_context(sig, K)))
+
+
+DIRS = [Path(__file__).resolve().parent.parent / "corpus",
+        Path(__file__).resolve().parent / "golden"]
+# every signature file but the malformed one, with the structures over
+# it but the rejected Arrow2Dup and Z12, whose 1728 boundaries of comp
+# make three million pairs
+SIGNATURES = {path: [M for d in DIRS for M in sorted(d.glob("*.str"))
+                     if M.stem not in ("Arrow2Dup", "Z12")
+                     and f"over {path.stem} " in M.read_text()]
+              for d in DIRS for path in sorted(d.glob("*.folds"))
+              if path.stem != "BadChar"}
+
+
+def assert_checked(sig, variables):
+    """Each variable, with its dependency closure, rebuilt by ``mk_var``
+    from its own projections: no equation may break, and the rebuilt
+    variable must equal it."""
+    for v in set().union(*(v.dep() for v in variables)):
+        assert mk_var(sig, v.name, v.sort, dict(v.proj)) == v, v
+
+
+def assert_ind_checked(sig, x, y, seen):
+    """``assert_checked`` on x, y and every binder and ``~=`` argument of
+    Ind(x, y), then on the ``Ind`` of each ``~=`` node, over the copies
+    of its arguments that the evaluator makes; ``seen`` holds the ``~=``
+    nodes already expanded."""
+    found, stack = [x, y], [ind(sig, x, y)]
+    while stack:
+        phi = stack.pop()
+        if isinstance(phi, Equiv) and phi not in seen:
+            seen.add(phi)
+            if sig.level(phi.sort) > 1:
+                assert_ind_checked(
+                    sig, Variable("a*", phi.sort, phi.alpha.proj),
+                    Variable("b*", phi.sort, phi.beta.proj), seen)
+        for field in phi._fields:
+            value = getattr(phi, field)
+            if isinstance(value, Variable):
+                found.append(value)
+            elif isinstance(value, Formula):
+                stack.append(value)
+            elif isinstance(value, tuple):
+                stack.extend(value)
+    assert_checked(sig, found)
+
+
+@pytest.mark.parametrize("path", SIGNATURES, ids=lambda p: p.name)
+def test_ind_variables_pass_mk_var_on_corpus_and_golden(path):
+    """Every sort's ``Ind``, and ``variables_over`` on every pair of
+    natural boundaries of each structure over the signature."""
+    sig = parse_signature(path.read_text())
+    seen = set()
+    for K in sig.sorts:
+        assert_ind_checked(sig, *generic_context(sig, K), seen)
+    for M in (parse_structure(f.read_text(), sig) for f in SIGNATURES[path]):
+        for K in sig.sorts:
+            deltas = boundary_instances(M, K)
+            for da, db in product(deltas, repeat=2):
+                assert_checked(sig, variables_over(
+                    sig, K, (da, db), ("x*", "y*"))[0])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures())
+def test_ind_variables_pass_mk_var_on_dag_signatures(raw):
+    """Equations between parallel paths included; the signatures that
+    ``few_parallel_positions`` rejects are skipped, as above."""
+    sig = validate_signature(raw)
+    if not few_parallel_positions(sig):
+        return
+    seen = set()
+    for K in sig.sorts:
+        assert_ind_checked(sig, *generic_context(sig, K), seen)
