@@ -35,7 +35,7 @@ import argparse
 import os
 import re
 import sys
-from itertools import islice
+from itertools import count, islice
 
 from .errors import FoldsError, OpenFormula, ParseError
 from .sigcore import validate_signature
@@ -197,11 +197,14 @@ def _header(text, kind, sig):
 def parse_structure(text, sig):
     """``structure NAME over SIG { O = { a, b }; A = { u(a,b) }; I = {
     (ida) }; }``; rows may be named (``w:(ida)`` or ``u(a,b)``),
-    anonymous (``(ida)``) or bare names for empty boundaries."""
+    anonymous (``(ida)``) or bare names for empty boundaries.  The n-th
+    anonymous row of the file, in a sort K, is named ``_<k>n``, k being
+    K in lower case, and n skips each number whose name is a token of
+    the file."""
     p = _header(text, "structure", sig)
     carriers = {K: [] for K in sig.sorts}
     maps = {g.name: {} for g in sig.gens}
-    auto = 0
+    auto, taken = count(1), set(p.tokens)
     while not p.accept("}"):
         at = p.i
         K = p.ident("sort name")
@@ -217,8 +220,8 @@ def parse_structure(text, sig):
                 at = p.i
                 elem, args = _parse_row(p)
                 if elem is None:
-                    auto += 1
-                    elem = f"_{K.lower()}{auto}"
+                    elem = next(n for i in auto
+                                if (n := f"_{K.lower()}{i}") not in taken)
                 elems.append(elem)
                 if args is not None:
                     if len(args) != len(gens):

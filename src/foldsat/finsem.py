@@ -25,9 +25,11 @@ elements of one fiber (see ``_saturated``).  Each fiber, or pair of
 boundaries, builds its ``Ind`` counter once (``_ind_counter``), and the
 permanent of ``~=`` runs over column types (``_permanent``).  Both count
 ``Ind`` with ``_product``, as for an ``And``, drawing each conjunct from
-``isogen``'s iterator and compiling it only when the product reaches it
+``isogen.ind_groups`` and compiling it only when the product reaches it
 (``_Evaluator._ind_count``), fail-first: on Z_n, two distinct loops
 are told apart at ``A`` by ``I`` or ``eqA``, before any group of ``comp``.
+A conjunct is compiled once per structure, as any formula is; the
+product that reads it is not kept.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (FoldsError, FunctorialityError, InvalidBoundary,
                      NonTotalMap, NotSaturatedPrecondition, OpenFormula,
                      SortMismatch, StructureError, UnboundVariable,
                      UnknownName, UnknownSort)
-from .isogen import ind_conjuncts, variables_over
+from .isogen import ind_groups, variables_over
 from .sigcore import Signature
 from .synkit import (And, Atom, Bottom, Equiv, Exists, Forall, Formula, Iff,
                      Implies, Or, Top, Variable)
@@ -315,21 +317,21 @@ class _Evaluator:
 
     Each formula is compiled once into a count function over an
     environment that maps variable slots (small integers, one per
-    variable) to elements; ``_compiled`` is the one cache, and a count
-    function keeps no table of its own.  So a subformula that does not
-    mention an enclosing binder is counted again for each value of that
-    binder.  Quantifiers bind their variable in place and restore it
-    afterwards.  A ``forall`` chain is compiled as one count function,
-    inside out from its ``_guarded_chain``, so an antecedent such as
-    ``comp(f,g,h)`` prunes the tuples below its last variable instead of
-    being tested on every tuple of the chain.
+    variable) to elements; ``_compiled``, keyed by formula, is the one
+    cache, and a count function keeps no table of its own.  So a
+    subformula that does not mention an enclosing binder is counted again
+    for each value of that binder.  Quantifiers bind their variable in
+    place and restore it afterwards.  A ``forall`` chain is compiled as
+    one count function, inside out from its ``_guarded_chain``, so an
+    antecedent such as ``comp(f,g,h)`` prunes the tuples below its last
+    variable instead of being tested on every tuple of the chain.
     """
 
     def __init__(self, M: FinStructure):
         self.M = M
         self.sig = M.sig
         self._slot = {}  # variable -> slot
-        self._compiled = {}  # formula, or Ind's conjuncts -> count function
+        self._compiled = {}  # formula -> count function
 
     def card(self, phi, asg):
         for v in phi.free_vars():
@@ -349,15 +351,12 @@ class _Evaluator:
         return fn
 
     def _ind_count(self, x, y):
-        """The count of Ind(x, y), built once per evaluator: the product of
-        its conjuncts' counts, each conjunct compiled, and its (R, p) group
-        generated, only when the product first reaches it."""
-        conjuncts = ind_conjuncts(self.sig, x, y)
-        product = self._compiled.get(conjuncts)
-        if product is None:
-            product = self._compiled[conjuncts] = _product(
-                [], map(self._count, conjuncts))
-        return product
+        """The count of Ind(x, y): the product of its conjuncts' counts,
+        each conjunct compiled, and its (R, p) group generated, only when
+        the product first reaches it."""
+        return _product([], (self._count(c)
+                             for _, group in ind_groups(self.sig, x, y)
+                             for c in group))
 
     def _build(self, phi):
         """The count function of one node."""

@@ -19,10 +19,11 @@ and y cannot sit, and the filler search starts from what ``seat`` puts
 at p and at the positions p forces.
 
 The conjuncts are generated one (R, p) group at a time, and only as far
-as they are read: a count iterates ``ind_conjuncts`` until a conjunct is
-0, fail-first (the sorts with fewest positions first), and ``ind`` reads
-it to the end, in print order.  The signature's ``ind_table`` keeps them,
-so every structure over one signature shares them.
+as they are read: a count iterates ``ind_groups`` until a conjunct is 0,
+fail-first (the sorts with fewest positions first), and ``ind`` reads
+them to the end and sorts them into print order.  The signature's
+``ind_table`` keeps them, so every structure over one signature shares
+them.
 """
 
 from __future__ import annotations
@@ -88,48 +89,24 @@ def _fresh_name(sort, used):
     return next(n for i in count(1) if (n := f"{base}{i}") not in used)
 
 
-class _Conjuncts:
-    """The conjuncts of one ``Ind(x, y)``.  Iterating gives them in read
-    order, and generates each (R, p) group when a reader first reaches
-    it; ``formula`` puts every group back in print order."""
-
-    def __init__(self, groups):
-        self._by_index = {}  # print index -> group, once generated
-
-        def walk():
-            for i, group in groups:
-                self._by_index[i] = group
-                yield from group
-        # a tee that no reader advances keeps them all; readers copy it
-        self._start = tee(walk(), 1)[0]
-        self._formula = None
-
-    def __iter__(self):
-        return self._start.__copy__()
-
-    def formula(self) -> Formula:
-        """Every group, in print order and sorted by ``pformat``."""
-        if self._formula is None:
-            list(self)  # generates every group
-            self._formula = conj([c for _, group in sorted(
-                self._by_index.items()) for c in sorted(group, key=pformat)])
-        return self._formula
-
-
-def ind_conjuncts(sig: Signature, x: Variable, y: Variable) -> _Conjuncts:
-    """The conjuncts of Ind(x, y), generated as far as they are read and
-    kept in ``sig.ind_table``."""
-    seq = sig.ind_table.get((x, y))
-    if seq is None:
-        seq = sig.ind_table[(x, y)] = _Conjuncts(_ind(sig, x, y))
-    return seq
+def ind_groups(sig: Signature, x: Variable, y: Variable):
+    """An iterator over Ind(x, y)'s ``(print index, group)`` pairs in
+    ``_ind``'s order, each group generated when a reader first reaches
+    it.  ``sig.ind_table`` keeps a tee of ``_ind`` that no reader
+    advances, and each call returns a copy of it."""
+    groups = sig.ind_table.get((x, y))
+    if groups is None:
+        groups = sig.ind_table[(x, y)] = tee(_ind(sig, x, y), 1)[0]
+    return groups.__copy__()
 
 
 def ind(sig: Signature, x: Variable, y: Variable) -> Formula:
-    """The indistinguishability formula Ind(x, y), every conjunct
-    generated; when the boundaries coincide this is the isomorphism
-    formula x ~ y."""
-    return ind_conjuncts(sig, x, y).formula()
+    """The indistinguishability formula Ind(x, y), every group in print
+    order and sorted by ``pformat``; when the boundaries coincide this
+    is the isomorphism formula x ~ y."""
+    # print indices are distinct, so no two groups are compared
+    return conj([c for _, group in sorted(ind_groups(sig, x, y))
+                 for c in sorted(group, key=pformat)])
 
 
 def _ind(sig: Signature, x: Variable, y: Variable):
@@ -137,7 +114,7 @@ def _ind(sig: Signature, x: Variable, y: Variable):
     (R, p) group at a time: fail-first, the sorts R with fewest positions
     first, ties in print order.  No group comes for a position p where
     ``seat`` rules x and y out.  The groups hold the signature, and
-    ``ind_conjuncts`` keeps them in its ``ind_table``: the two are freed
+    ``ind_groups`` keeps them in its ``ind_table``: the two are freed
     together."""
     if x.sort != y.sort:
         raise SortMismatch(f"{x!r} and {y!r} have different sorts")

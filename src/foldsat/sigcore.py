@@ -130,9 +130,9 @@ class Signature:
 
     - ``filling``: per sort K, the positions out of K in fill order,
       each with its generator images as positions of K
-    - ``ind_table``: ``(x, y) ->`` Ind(x, y)'s conjuncts, as far as they
-      are generated; only ``isogen.ind_conjuncts`` fills it, and every
-      structure over the signature shares it
+    - ``ind_table``: ``(x, y) ->`` Ind(x, y)'s ``(print index, group)``
+      pairs, as far as they are generated; only ``isogen.ind_groups``
+      fills it, and every structure over the signature shares it
     """
 
     def __init__(self, name, sorts, gens, equations, order, _token=None):

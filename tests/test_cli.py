@@ -373,6 +373,24 @@ def test_duplicate_element_name_is_an_error(capsys, tmp_path):
     assert code == 0 and "total: yes" in out
 
 
+@pytest.mark.parametrize("rows, names", [
+    ("(x,x), _a1(x,x)", ("_a2", "_a1")),
+    ("_a2(x,x), (x,x), (x,x)", ("_a2", "_a1", "_a3")),
+    ("(x,x), (x,x)", ("_a1", "_a2")),
+])
+def test_anonymous_rows_skip_the_names_of_the_file(capsys, tmp_path, lcat,
+                                                   rows, names):
+    """An anonymous row is never named after a token of the file, so a
+    file that names a row ``_a1`` or ``_a2`` is not rejected for a
+    duplicate; without such a token the rows are ``_a1``, ``_a2``, …"""
+    text = f"structure X over lcat {{ O = {{ x }}; A = {{ {rows} }}; }}"
+    assert parse_structure(text, lcat).carrier("A") == names
+    path = tmp_path / "X.str"
+    path.write_text(text)
+    code, _, err = run(capsys, "sat", p("lcat.folds"), str(path))
+    assert (code, err) == (0, "")
+
+
 def test_hom(capsys):
     code, out, _ = run(capsys, "hom", p("lcat.folds"), p("Arrow2.str"),
                        p("TermCat.str"))

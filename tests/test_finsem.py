@@ -4,7 +4,9 @@ from foldsat.errors import (FoldsError, FunctorialityError, InvalidBoundary,
                             NonTotalMap, NotSaturatedPrecondition,
                             OpenFormula, SortMismatch, UnboundVariable,
                             UnknownSort)
-from foldsat.finsem import (_MAX_BITS, _guarded_chain, boundary_instances,
+from foldsat import isogen
+from foldsat.finsem import (_MAX_BITS, FinStructure, _Evaluator,
+                            _guarded_chain, boundary_instances,
                             card_iso_elems, check_saturation,
                             equiv_card_via_bijections, eval_card, eval_prop,
                             fiber, satisfies, saturation_profile,
@@ -188,10 +190,12 @@ def test_binder_that_rebinds_a_dependency_is_rejected(lcat, models):
     assert eval_card(M, Exists(x, Forall(x, Top()))) == 1
 
 
-def test_element_pairs_of_one_boundary_pattern_share_their_ind(lcat):
+def test_element_pairs_of_one_boundary_pattern_share_their_ind(
+        monkeypatch, lcat):
     """Boundary variables are named in the order the walk reaches them,
     not after their elements: two pairs of arrows whose boundaries
-    coincide in one pattern get the same x* and y*, and so one ``Ind``."""
+    coincide in one pattern get the same x* and y*, and so one ``Ind``,
+    generated once and kept in one entry of the signature's table."""
     M = validate_structure(lcat, {
         "carriers": {"O": ["a", "b", "c"], "A": ["f", "g", "h", "k"]},
         "maps": {"d": {"f": "a", "g": "a", "h": "b", "k": "b"},
@@ -206,7 +210,17 @@ def test_element_pairs_of_one_boundary_pattern_share_their_ind(lcat):
     assert (x1, y1) == (x2, y2) and x1.proj == y1.proj
     assert sorted(values1.values()) == ["a", "b"]
     assert sorted(values2.values()) == ["b", "c"]
-    assert ind(lcat, x1, y1) is ind(lcat, x2, y2)
+    generated = []
+    real = isogen._ind
+
+    def spy(sig, x, y):
+        generated.append((x, y))
+        return real(sig, x, y)
+
+    monkeypatch.setattr(isogen, "_ind", spy)
+    lcat.ind_table.clear()
+    assert ind(lcat, x1, y1) == ind(lcat, x2, y2)
+    assert generated == [(x1, y1)] and list(lcat.ind_table) == [(x1, y1)]
     # f ends where h starts: another pattern, and another pair
     (x3, y3), _ = over("f", "h")
     assert dict(x3.proj)["c"] == dict(y3.proj)["d"]
@@ -340,12 +354,24 @@ def test_card_iso_elems_rejects_elements_outside_the_carrier(models, K, a,
     assert str(err.value) == f"{bad!r} is not an element of {K!r}"
 
 
-def test_repeated_card_iso_elems_through_compile_cache(models):
-    """The second call runs the ``Ind`` count the first one compiled."""
-    M = models["Z2Cat"]
+def test_repeated_card_iso_elems_through_compile_cache(monkeypatch, models):
+    """Each conjunct of ``Ind`` is compiled once per structure: the second
+    call draws the conjuncts again, and compiles none of them."""
+    Z2 = models["Z2Cat"]
+    M = FinStructure(Z2.sig, Z2.carriers, Z2.maps)  # nothing compiled yet
+    built = []
+    real = _Evaluator._build
+
+    def spy(self, phi):
+        built.append(phi)
+        return real(self, phi)
+
+    monkeypatch.setattr(_Evaluator, "_build", spy)
     a = card_iso_elems(M, "O", "*", "*")
+    assert built
+    built.clear()
     b = card_iso_elems(M, "O", "*", "*")
-    assert a == b
+    assert a == b and built == []
 
 
 # -- satisfies ----------------------------------------------------------

@@ -35,7 +35,7 @@ from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
 from foldsat.stdlib import builtin_signature, category_to_structure
 from foldsat.synkit import compatible_sorts, conj, seat
-from paper_checks import CORPUS, corpus
+from paper_checks import CORPUS, CORPUS_NAMES, corpus
 from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
                                 fresh_ind_tables, lcat_structures, relabel)
@@ -237,6 +237,22 @@ def check_print_order(sig, pairs):
         assert pformat(ind(sig, x, y)) == pformat(want)
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_ind_after_a_partial_count_is_in_print_order(name):
+    """``ind`` sorts the groups that a count drew fail-first, and stopped
+    drawing at a 0, back into print order: saturating a corpus structure
+    leaves Z2Cat's ``Ind`` partly generated, and then every ``Ind`` of
+    the table prints as ``print_order_ind`` does."""
+    sig = builtin_signature("lcat")
+    fresh_ind_tables()
+    saturation_profile(parse_structure(
+        (CORPUS / f"{name}.str").read_text(), sig))
+    for x, y in list(sig.ind_table):
+        want = print_order_ind(sig, x, y)
+        assert ind(sig, x, y) == want, (x, y)
+        assert pformat(ind(sig, x, y)) == pformat(want)
+
+
 def generic_pairs(sig):
     """Each sort's generic context (x, y) and (x, x)."""
     for K in sig.sorts:
@@ -317,16 +333,26 @@ def test_seat_holds_exactly_where_fillers_exist(raw, data):
                 and all(fits[q] for q in sig.hom(R, K)))
 
 
-def test_partly_generated_ind_does_not_keep_its_signature():
+def test_partly_generated_ind_does_not_keep_its_signature(monkeypatch):
     """Z_2's two loops are told apart in the first group of their
-    ``Ind``, which leaves later groups to generate.  That entry of the
-    signature's ``ind_table`` holds the signature, and the two still go
-    together."""
+    ``Ind``, which leaves later groups to generate: the count builds
+    fewer groups (one ``_fillers`` call each) than its ``Ind`` has.  That
+    entry of the signature's ``ind_table`` holds the signature, and the
+    two still go together."""
     sig = parse_signature((CORPUS / "lcat.folds").read_text())
     M = parse_structure((CORPUS / "Z2Cat.str").read_text(), sig)
+    built = []
+    real = isogen._fillers
+
+    def spy(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(isogen, "_fillers", spy)
     assert card_iso_elems(M, "A", *M.carrier("A")) == 0
-    assert any(len(c._by_index) < len(list(isogen._ind(sig, *xy)))
-               for xy, c in sig.ind_table.items())
+    monkeypatch.undo()
+    assert built and len(built) < sum(len(list(isogen._ind(sig, *xy)))
+                                      for xy in sig.ind_table)
     gone = weakref.ref(sig)
     del sig, M
     gc.collect()
