@@ -15,6 +15,11 @@ reported before any syntax error.  Tokens carry no position: a
 token.  Reading a file takes time linear in its length, and positions
 cost only when an error is raised.
 
+The formula parser builds each distinct variable (name, sort and the
+variables its arguments resolve to) once per parse, so a binder or a
+boundary written again is the same object, and binds each quantifier's
+variable in place, restoring the old binding after the body.
+
 The commands are rows of one table, ``_COMMANDS``, from which the
 argument parser is built.  Every command takes a signature file first;
 :func:`main` parses it, then each theory or structure file the command
@@ -99,6 +104,8 @@ class _Parser:
         self.tokens = _lex(text)
         self.tokens.append("")
         self.i = 0
+        # (name, sort, filler variables) -> the variable mk_var built
+        self.vars = {}
 
     def error(self, message, i=None):
         """A ``ParseError`` at token ``i`` (default: the current one)."""
@@ -271,26 +278,33 @@ def parse_formula(text, sig, env=None):
     return phi
 
 
+_QUANTS = {"forall": Forall, "exists": Exists,
+           "sum": lambda v, body: Exists(v, body, untruncated=True)}
+
+
 def _quant(p, sig, env):
-    for kw, node, untrunc in (("forall", Forall, False),
-                              ("exists", Exists, False),
-                              ("sum", Exists, True)):
-        if p.accept(kw):
-            at = p.i
-            v = _parse_decl(p, sig, env)
-            old = env.get(v.name)
-            for w in env.values():
-                if w is not old and old in w.dep():
-                    raise p.error(f"binder {v.name!r} rebinds {v.name!r}, on "
-                                  f"which the sort of {w.name!r} depends", at)
-            p.expect(".")
-            inner = dict(env)
-            inner[v.name] = v
-            body = _quant(p, sig, inner)
-            if untrunc:
-                return node(v, body, untruncated=True)
-            return node(v, body)
-    return _iff(p, sig, env)
+    # each binder is bound in the caller's own env while its body is
+    # parsed, and the old binding restored after; an error discards env
+    node = _QUANTS.get(p.tokens[p.i])
+    if node is None:
+        return _iff(p, sig, env)
+    p.i += 1
+    at = p.i
+    v = _parse_decl(p, sig, env)
+    old = env.get(v.name)
+    if old is not None:
+        for w in env.values():
+            if w is not old and old in w.dep():
+                raise p.error(f"binder {v.name!r} rebinds {v.name!r}, on "
+                              f"which the sort of {w.name!r} depends", at)
+    p.expect(".")
+    env[v.name] = v
+    body = _quant(p, sig, env)
+    if old is None:
+        del env[v.name]
+    else:
+        env[v.name] = old
+    return node(v, body)
 
 
 def _parse_decl(p, sig, env):
@@ -317,10 +331,15 @@ def _sort_app(p, sig, env, name):
             fillers[g.name] = env[a]
     elif gens:
         raise p.error(f"sort {K} takes {len(gens)} arguments", at)
-    try:
-        return mk_var(sig, name, K, fillers)
-    except FoldsError as exc:
-        raise p.error(str(exc), at)
+    # keyed by the variables the names resolve to, which shadowing changes
+    key = (name, K, *fillers.values())
+    v = p.vars.get(key)
+    if v is None:
+        try:
+            v = p.vars[key] = mk_var(sig, name, K, fillers)
+        except FoldsError as exc:
+            raise p.error(str(exc), at)
+    return v
 
 
 def _iff(p, sig, env):

@@ -92,10 +92,12 @@ def mk_var(sig: Signature, name: str, sort: str, fillers=None) -> Variable:
     ``sig`` (it holds ``sig`` itself).  A later walk stops at a marked
     variable, since its own closure holds no broken equation, so it
     rejects exactly what a full walk would, with the same message.  The
-    parser's and the tests' variables come here; ``isogen`` fills each
-    position from those below it, which meets the equations, and checks
-    none.  A marked variable in ``sig.ind_table`` (a parsed ``~=``'s
-    boundary) and ``sig`` form a cycle, which the collector frees.
+    parser's and the tests' variables come here; the parser builds each
+    distinct variable once per parse (binding quantifiers in place) and
+    reuses it wherever it recurs.  ``isogen`` fills each position from
+    those below it, which meets the equations, and checks none.  A
+    marked variable in ``sig.ind_table`` (a parsed ``~=``'s boundary) and
+    ``sig`` form a cycle, which the collector frees.
     """
     if sort not in sig.levels:
         raise UnknownSort(f"unknown sort {sort!r}")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from foldsat import cli
 from foldsat.cli import (format_signature, format_structure, format_theory,
                          main, parse_formula, parse_signature,
                          parse_structure, parse_theory)
@@ -18,6 +19,7 @@ from foldsat.isogen import iso_formula
 from foldsat.pretty import pformat
 from foldsat.sigcore import Signature
 from foldsat.stdlib import builtin_signature, tcat_axioms
+from foldsat.synkit import Variable
 from paper_checks import CORPUS, corpus
 from test_finsem_oracle import formulas
 
@@ -102,6 +104,57 @@ def test_parse_inverts_pformat_on_generated_formulas(phi):
 def test_parsing_twice_gives_equal_formulas(lcat):
     text = "forall x:O. forall f:A(x,x). I(f) & A(x,x) ~= A(x,x)"
     assert parse_formula(text, lcat) == parse_formula(text, lcat)
+
+
+def _variables(phi):
+    """Every variable object of ``phi``'s nodes, with its projections."""
+    out, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Variable):
+            out.append(node)
+            stack.extend(v for _, v in node.proj)
+        elif isinstance(node, tuple):
+            stack.extend(node)
+        elif hasattr(node, "_fields"):
+            stack.extend(getattr(node, f) for f in node._fields)
+    return out
+
+
+def test_a_parse_builds_each_distinct_variable_once(monkeypatch, lcat):
+    """tcat's 11 axioms write 86 variables, binders and the boundaries of
+    atoms and ~= sides, of which 35 differ: each is built once, and equal
+    variables across the axioms are one object."""
+    calls = []
+    real = cli.mk_var
+    monkeypatch.setattr(cli, "mk_var",
+                        lambda *a: calls.append(a) or real(*a))
+    axioms = parse_theory((CORPUS / "tcat.thy").read_text(), lcat)
+    monkeypatch.undo()
+    assert len(calls) == 35
+    variables = [v for _, phi in axioms for v in _variables(phi)]
+    assert len({id(v) for v in variables}) == len(set(variables)) == 35
+    for _, phi in axioms:
+        assert parse_formula(pformat(phi), lcat) == phi
+
+
+@pytest.mark.parametrize("text, renamed, card", [
+    # the inner x:A(y,y) is bound only in its own scope: A(x,x) after
+    # it reads the outer x:O
+    ("sum y:O. sum x:O. ((sum x:A(y,y). true) & A(x,x))",
+     "sum y:O. sum x:O. ((sum z:A(y,y). true) & A(x,x))", 9),
+    # both eqA(f,f) are written alike, but each f is another arrow: a
+    # parsed variable is keyed by what its arguments name, not by them
+    ("sum y:O. sum x:O. ((sum f:A(y,y). eqA(f,f)) & "
+     "(sum f:A(x,y). eqA(f,f)))",
+     "sum y:O. sum x:O. ((sum f:A(y,y). eqA(f,f)) & "
+     "(sum g:A(x,y). eqA(g,g)))", 6),
+], ids=["restored", "keyed"])
+def test_a_shadowing_binder_ends_with_its_scope(lcat, models, text,
+                                                renamed, card):
+    for formula in (text, renamed):
+        assert eval_card(models["Chain3"], parse_formula(formula, lcat)) \
+            == card
 
 
 def test_parse_errors(lcat):
@@ -662,7 +715,7 @@ def test_json_output(capsys):
 
 
 @pytest.mark.parametrize("depth", [300, 1500])
-def test_deeply_nested_formula_is_an_error(capsys, depth):
+def test_deeply_nested_formula_is_an_error(capsys, tmp_path, depth):
     expr = "".join(f"forall x_{i}:O. " for i in range(depth)) + "true"
     code, out, err = run(capsys, "eval", p("lcat.folds"), p("Chain3.str"),
                          "-e", expr)
@@ -671,6 +724,12 @@ def test_deeply_nested_formula_is_an_error(capsys, depth):
                        p("Chain3.str"), "-e", expr)
     assert code == 2
     assert json.loads(out)["report"] == {"error": "input nested too deeply"}
+    # the same formula as the one axiom of a theory
+    thy = tmp_path / "deep.thy"
+    thy.write_text(f"theory deep over lcat {{\n  axiom deep: {expr};\n}}\n")
+    code, out, err = run(capsys, "check-model", p("lcat.folds"), str(thy),
+                         p("Chain3.str"))
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
 # -- mutated inputs through main -------------------------------------------
