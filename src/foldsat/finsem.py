@@ -20,21 +20,22 @@ Nothing lies above a level-1 sort, so its ``Ind`` is ``Top``: its
 ``~=`` counts every bijection, and it is saturated when each of its
 fibers has at most one element.  Saturation is decided level by level
 from the bottom: the first violation settles its level and every level
-above it.  Level 2 is decided only once level 1 holds, on distinct
-elements of one fiber (see ``_saturated``).  Each fiber, or pair of
-boundaries, builds its ``Ind`` counter once (``_ind_counter``), and the
-permanent of ``~=`` runs over column types (``_permanent``).  Both count
-``Ind`` with ``_product``, as for an ``And``, drawing each conjunct from
-``isogen.ind_groups`` and compiling it only when the product reaches it
-(``_Evaluator._ind_count``), fail-first: on Z_n, two distinct loops
-are told apart at ``A`` by ``I`` or ``eqA``, before any group of ``comp``.
+above it.  The decision asks only whether card(x ~ y) = [x = y], so
+nothing is counted exactly: level 2 is read off the level-1 fibers, and
+above it a pair stops at the first conjunct of its ``Ind`` that settles
+it (see ``_saturated``).  ``check_saturation`` and ``~=`` count exactly,
+multiplying the conjuncts with ``_product``, as for an ``And``; the
+permanent of ``~=`` runs over column types (``_permanent``).  Each fiber,
+or pair of boundaries, draws its ``Ind`` conjuncts once (``_ind_over``),
+each from ``isogen.ind_groups`` and compiled only when a reader first
+reaches it (``_Evaluator._ind_factors``), fail-first.
 A conjunct is compiled once per structure, as any formula is; the
 product that reads it is not kept.
 """
 
 from __future__ import annotations
 
-from itertools import chain, tee
+from itertools import tee
 from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
@@ -281,18 +282,22 @@ def _power(b, a):
     return b ** a
 
 
-def _product(counts, more=()):
+def _product(counts):
     """The count function of a conjunction, which stops at the first 0
-    and checks each partial product against ``_MAX_BITS``.  Its factors
-    are ``counts``, then those drawn from the iterator ``more`` only as
-    far as a call reaches; ``factors``, a tee that no call advances,
-    keeps them for later calls.  No product is re-entered while it draws:
-    Ind(x, y) at sort K holds ``~=`` only at sorts strictly above K."""
-    factors = tee(chain(counts, more), 1)[0]
+    and checks each partial product against ``_MAX_BITS``.  ``counts``
+    is a list of count functions, or a tee of them that no call advances
+    (``_Evaluator._ind_factors``): each call reads a copy, so it draws
+    them only as far as it reaches.  No product is re-entered while it
+    draws: Ind(x, y) at sort K holds ``~=`` only at sorts strictly above
+    K."""
+    if isinstance(counts, list):
+        if len(counts) == 1:
+            return counts[0]
+        counts = tee(counts, 1)[0]
 
     def product(env):
         n = 1
-        for c in factors.__copy__():
+        for c in counts.__copy__():
             k = c(env)
             if k != 1:
                 n *= k
@@ -301,7 +306,7 @@ def _product(counts, more=()):
                 if n >> _MAX_BITS:
                     raise FoldsError(_TOO_BIG)
         return n
-    return counts[0] if len(counts) == 1 and more == () else product
+    return product
 
 
 def _implies(lhs, rhs):
@@ -350,13 +355,17 @@ class _Evaluator:
             fn = self._compiled[phi] = self._build(phi)
         return fn
 
+    def _ind_factors(self, x, y):
+        """The count functions of Ind(x, y)'s conjuncts, as a tee that no
+        reader advances: each reader copies it, and a conjunct is
+        compiled, and its (R, p) group generated, only when a copy first
+        reaches it."""
+        return tee((self._count(c) for _, group in ind_groups(self.sig, x, y)
+                    for c in group), 1)[0]
+
     def _ind_count(self, x, y):
-        """The count of Ind(x, y): the product of its conjuncts' counts,
-        each conjunct compiled, and its (R, p) group generated, only when
-        the product first reaches it."""
-        return _product([], (self._count(c)
-                             for _, group in ind_groups(self.sig, x, y)
-                             for c in group))
+        """The count of Ind(x, y): the product of its conjuncts' counts."""
+        return _product(self._ind_factors(x, y))
 
     def _build(self, phi):
         """The count function of one node."""
@@ -450,9 +459,13 @@ class _Evaluator:
         """Sum over fiber bijections of the product of pointwise
         indistinguishability counts: the permanent of their matrix, each
         entry an ``_ind_count``.  On a level-1 sort every entry is 1, so
-        two fibers of n elements give n!."""
+        two fibers of n elements give n!, and no entry is built."""
         f1, f2 = self._fiber_fn(node.alpha), self._fiber_fn(node.beta)
-        top = self.sig.level(node.sort) == 1
+        if self.sig.level(node.sort) == 1:
+            def bijections(env):
+                n = len(f1(env))
+                return factorial(n) if n == len(f2(env)) else 0
+            return bijections
         xv = Variable("a*", node.sort, node.alpha.proj)
         yv = Variable("b*", node.sort, node.beta.proj)
         sx, sy = self._slot_of(xv), self._slot_of(yv)
@@ -463,8 +476,6 @@ class _Evaluator:
             left, right = f1(env), f2(env)
             if len(left) != len(right):
                 return 0
-            if top:
-                return factorial(len(left))
             if inner is None:
                 inner = self._ind_count(xv, yv)
             saved = env.get(sx, _UNSET), env.get(sy, _UNSET)
@@ -564,22 +575,35 @@ def satisfies(M: FinStructure, theory):
 
 # -- element-indexed indistinguishability -------------------------------
 
-def _ind_counter(M: FinStructure, K: str, da, db):
-    """card of Ind(x*, y*), x* and y* over the boundaries da and db of K,
-    as a function of the elements a, b they stand for: one
-    ``_ind_count``, which generates and compiles the conjuncts as far as
-    the pairs need, and each call binds x*, y* in one environment, where
-    every quantifier and ``~=`` restores the slot it binds."""
+def _ind_over(M: FinStructure, K: str, da, db):
+    """Ind(x*, y*), x* and y* over the boundaries da and db of K: its
+    conjuncts' count functions, drawn lazily (``_Evaluator._ind_factors``),
+    and a function that binds x*, y* to the elements a, b they stand for
+    in one environment, where every quantifier and ``~=`` restores the
+    slot it binds, and returns it."""
     ev = M.evaluator()
     (xv, yv), value_of = variables_over(M.sig, K, (da, db), ("x*", "y*"))
-    count = ev._ind_count(xv, yv)
     env = {ev._slot_of(v): e for v, e in value_of.items()}
     sx, sy = ev._slot_of(xv), ev._slot_of(yv)
 
-    def card(a, b):
+    def bind(a, b):
         env[sx], env[sy] = a, b
-        return count(env)
-    return card
+        return env
+    return ev._ind_factors(xv, yv), bind
+
+
+def _ind_counter(M: FinStructure, K: str, da, db):
+    """card of Ind(x*, y*), x* and y* over the boundaries da and db of K,
+    as a function of the elements a, b they stand for: the product of
+    the conjuncts ``_ind_over`` draws, as far as the pairs need."""
+    factors, bind = _ind_over(M, K, da, db)
+    count = _product(factors)
+    return lambda a, b: count(bind(a, b))
+
+
+def _boundary(M: FinStructure, K: str, e) -> dict:
+    """The boundary of the element e of K: its image at each position."""
+    return {q: M.apply(q.path, e) for q in M.sig.out(K)}
 
 
 def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
@@ -587,47 +611,83 @@ def card_iso_elems(M: FinStructure, K: str, a, b) -> int:
     of a and b, which must be elements of K."""
     _check_element(M, K, a)
     _check_element(M, K, b)
-    da, db = ({q: M.apply(q.path, e) for q in M.sig.out(K)} for e in (a, b))
-    return _ind_counter(M, K, da, db)(a, b)
-
-
-def _violations(M: FinStructure, K: str, distinct=False):
-    """The violations of card(x ~ y) = [x = y] over the fibers of K (of
-    distinct x, y only if ``distinct``), one at a time, fiber by fiber
-    and pair by pair, with one ``Ind`` counter per fiber with a pair."""
-    top = M.sig.level(K) == 1
-    index = M.fibers(K)
-    for delta in boundary_instances(M, K):
-        F = index.get(boundary_key(M.sig, K, delta), ())
-        pairs = [(a, b) for a in F for b in F if not distinct or a != b]
-        card = None if top or not pairs else _ind_counter(M, K, delta, delta)
-        for a, b in pairs:
-            c = 1 if top else card(a, b)
-            if c != (1 if a == b else 0):
-                yield {
-                    "sort": K,
-                    "boundary": {q.name: e for q, e in delta.items()},
-                    "pair": (a, b),
-                    "card": c,
-                }
+    return _ind_counter(M, K, _boundary(M, K, a), _boundary(M, K, b))(a, b)
 
 
 def check_saturation(M: FinStructure, K: str) -> list:
-    """All violations of card(x ~ y) = [x = y] over the fibers of K."""
-    return list(_violations(M, K))
+    """All violations of card(x ~ y) = [x = y] over the fibers of K, each
+    with its exact card, boundary by boundary in fill order and pair by
+    pair, from one ``Ind`` counter per non-empty fiber (none on level 1,
+    where every card is 1)."""
+    top = M.sig.level(K) == 1
+    index = M.fibers(K)
+    found = []
+    for delta in boundary_instances(M, K):
+        F = index.get(boundary_key(M.sig, K, delta), ())
+        card = None if top or not F else _ind_counter(M, K, delta, delta)
+        for a in F:
+            for b in F:
+                c = 1 if top else card(a, b)
+                if c != (1 if a == b else 0):
+                    found.append({
+                        "sort": K,
+                        "boundary": {q.name: e for q, e in delta.items()},
+                        "pair": (a, b),
+                        "card": c,
+                    })
+    return found
+
+
+def _level2_saturated(M: FinStructure, K: str) -> bool:
+    """Whether the level-2 sort K is saturated, given that level 1 is.
+    Each position p into K is a generator class out of a level-1 sort
+    R, whose fibers hold at most one element, so each ``~=`` in Ind(a,
+    b) is 0! or 1!, and 0 only when R's fiber over a boundary with a at
+    p is empty and that with b at p is not, or the other way round.  So
+    card Ind(a, a) is 1, and for a, b in one fiber card Ind(a, b) is 1
+    iff, at each p, the keys of R's non-empty fibers with a at p are
+    those with b at p, p's entries dropped.  These reduced keys, tagged
+    with p, are an element's profile: no two in one fiber may share
+    one.  Only the elements of fibers of two or more need one."""
+    sig = M.sig
+    shared = [F for F in M.fibers(K).values() if len(F) > 1]
+    profiles = {e: set() for F in shared for e in F}
+    for R in sig.sorts if shared else ():
+        classes = [sig.cls((g.name,)) for g in sig.out_gens(R)]
+        for p in dict.fromkeys(q for q in classes if q.cod == K):
+            at = [i for i, q in enumerate(classes) if q == p]
+            for key in M.fibers(R):
+                profile = profiles.get(key[at[0]])
+                if profile is not None:
+                    profile.add((p, tuple(e for i, e in enumerate(key)
+                                          if i not in at)))
+    return all(len({frozenset(profiles[e]) for e in F}) == len(F)
+               for F in shared)
 
 
 def _saturated(M: FinStructure, K: str) -> bool:
     """Whether K has no violation, given that every level below K's is
-    saturated.  On level 1: no fiber of two.  On level 2: no two
-    distinct elements of one fiber with a non-zero ``Ind``.  Every sort
-    above a level-2 sort has level 1 and, by the precondition, fibers of
-    at most one element, so each ``~=`` in its ``Ind`` is 0! or 1!, and
-    card Ind(a, a) is 1.  Above level 2 this fails (on Z_2, card(x ~ x)
-    is 64 at ``O``)."""
-    if M.sig.level(K) == 1:
+    saturated, with no exact count.  Level 1: no fiber of two.  Level 2:
+    ``_level2_saturated``, with no ``Ind``.  Above, the conjuncts' counts
+    are non-negative integers, so card Ind(a, a) is 1 iff each is 1, and
+    card Ind(a, b) is 0 iff one is 0: a pair stops at the first conjunct
+    that settles it (on Z_n, at ``O``, the first: ``A(x,x) ~= A(y,x)``
+    counts n!), and nothing is multiplied."""
+    level = M.sig.level(K)
+    if level == 1:
         return all(len(F) <= 1 for F in M.fibers(K).values())
-    return next(_violations(M, K, M.sig.level(K) == 2), None) is None
+    if level == 2:
+        return _level2_saturated(M, K)
+    for F in M.fibers(K).values():
+        delta = _boundary(M, K, F[0])
+        factors, bind = _ind_over(M, K, delta, delta)
+        for a in F:
+            for b in F:
+                env = bind(a, b)
+                counts = (c(env) for c in factors.__copy__())
+                if any(n != 1 for n in counts) if a == b else all(counts):
+                    return False
+    return True
 
 
 def saturation_profile(M: FinStructure) -> dict:
@@ -637,11 +697,8 @@ def saturation_profile(M: FinStructure) -> dict:
     most n is, so levels are decided bottom-up: a level holds when no
     sort of that level has a violation, and once one level fails every
     level above it is false without a sort above it being checked.
-    Level 1 is read off the fiber sizes, with no ``Ind`` at all.  Level
-    2 is reached only when level 1 holds, and then ``Ind`` is generated
-    only for distinct elements of one fiber (see ``_saturated``), so a
-    level-2 sort whose fibers are all singletons needs none.  Each sort
-    above level 2 stops at its first violation.
+    Each sort's yes/no is ``_saturated``'s: no level counts exactly,
+    and levels 1 and 2 generate no ``Ind``.
     """
     if M._profile is not None:
         return dict(M._profile)

@@ -557,15 +557,15 @@ def test_name_free_card_iso_and_violations_on_corpus():
 
 
 def check_violations(M):
-    """Every pair of every fiber of every sort: ``_violations``, with one
-    ``Ind`` counter per fiber, lists the violations the element-named
+    """Every pair of every fiber of every sort: ``check_saturation``, with
+    one ``Ind`` counter per fiber, lists the violations the element-named
     oracle finds, with the same cards."""
     def by_pair(vs):
         return {(frozenset(v["boundary"].items()), v["pair"]): v["card"]
                 for v in vs}
 
     for K in M.sig.sorts:
-        got = list(finsem._violations(M, K))
+        got = check_saturation(M, K)
         want = violations(M, K, named_card_iso)
         assert len(got) == len(want) and by_pair(got) == by_pair(want), K
 
@@ -691,21 +691,21 @@ def spy_on_ind(monkeypatch):
 
 
 def spy_on_card_iso(monkeypatch):
-    """The ``(sort, a, b)`` of the pairs whose ``Ind`` is counted from
-    now on inside ``finsem``: the calls of the counters that
-    ``_ind_counter`` returns."""
+    """The ``(sort, a, b)`` of the pairs whose ``Ind`` is read from now on
+    inside ``finsem``, counted or decided: the calls of the binders that
+    ``_ind_over`` returns."""
     asked = []
-    real = finsem._ind_counter
+    real = finsem._ind_over
 
     def spy(M, K, da, db):
-        card = real(M, K, da, db)
+        factors, bind = real(M, K, da, db)
 
-        def counted(a, b):
+        def bound(a, b):
             asked.append((K, a, b))
-            return card(a, b)
-        return counted
+            return bind(a, b)
+        return factors, bound
 
-    monkeypatch.setattr(finsem, "_ind_counter", spy)
+    monkeypatch.setattr(finsem, "_ind_over", spy)
     return asked
 
 
@@ -793,17 +793,6 @@ def test_profile_generates_no_ind_for_singleton_fibers(monkeypatch, name):
     assert saturation_profile(M)[2]
     assert generated[0] == "O"
     assert not [key for key in asked if key[0] == "A"]
-
-
-def test_profile_checks_no_diagonal_pair_at_level2(monkeypatch):
-    """Z_2's one ``A`` fiber has two elements: only its two distinct
-    pairs are checked, never an element against itself."""
-    M = corpus()["Z2Cat"]
-    asked = spy_on_card_iso(monkeypatch)
-    assert saturation_profile(M) == {1: True, 2: True, 3: False,
-                                     "total": False}
-    level2 = sorted(key for key in asked if key[0] == "A")
-    assert level2 == [("A", "e", "s"), ("A", "s", "e")]
 
 
 # -- the evaluator ------------------------------------------------------------

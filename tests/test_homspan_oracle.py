@@ -202,14 +202,14 @@ def span_inputs(golden=False):
     """The corpus, Z_1-Z_5 and the indiscrete categories on 2 and 3
     objects; with ``golden``, also every golden structure over lcat but
     Z12, whose hom searches run for minutes, and Arrow2Dup, which is
-    rejected.  Fork and Parallel are over other signatures."""
+    rejected.  Fork, Parallel and Par6Split are over other signatures."""
     models = dict(corpus())
     if golden:
         lcat = builtin_signature("lcat")
         models.update((path.stem, parse_structure(path.read_text(), lcat))
                       for path in sorted(GOLDEN.glob("*.str"))
                       if path.stem not in ("Z12", "Arrow2Dup", "Fork",
-                                           "Parallel"))
+                                           "Parallel", "Par6Split"))
     models.update((f"Z{n}", category_to_structure(cyclic(n)))
                   for n in range(1, 6))
     models.update((f"I{n}", category_to_structure(indiscrete(n)))

@@ -19,6 +19,8 @@ where the brute-force enumeration of fillers finds a conjunct, and
 import gc
 import weakref
 from itertools import product
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,8 +30,8 @@ from foldsat import finsem, isogen
 from foldsat.cli import main, parse_formula, parse_signature, parse_structure
 from foldsat.errors import FunctorialityError
 from foldsat.finsem import (FinStructure, boundary_instances, card_iso_elems,
-                            eval_card, fiber, saturation_profile,
-                            validate_structure)
+                            check_saturation, eval_card, fiber,
+                            saturation_profile, validate_structure)
 from foldsat.isogen import generic_context, ind, variables_over
 from foldsat.pretty import pformat
 from foldsat.sigcore import validate_signature
@@ -38,10 +40,13 @@ from foldsat.synkit import compatible_sorts, conj, seat
 from paper_checks import CORPUS, CORPUS_NAMES, corpus
 from sweep import EQUIV_FORMULAS
 from test_finsem_oracle import (cyclic, duplicate, eager_profile,
-                                fresh_ind_tables, lcat_structures, relabel)
+                                fresh_ind_tables, lcat_structures, relabel,
+                                spy_on_card_iso, spy_on_ind)
 from test_isogen_oracle import enumerate_fillers, few_parallel_positions
 from test_sigcore_oracle import (_codomains_first, dag_signatures,
                                  diamond_stack, draw_structure)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def eager_ind_count(ev, x, y):
@@ -163,23 +168,116 @@ def spy_on_groups(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_level2_generates_only_the_first_group(monkeypatch, n):
-    """Z_n's one ``A`` fiber holds n loops.  Ind(x*, y*) reads the sorts
-    with fewest positions first: ``I``'s one group, then ``eqA``'s two,
-    then ``comp``'s three.  Every two distinct loops are told apart by
-    the first group of ``I`` (on Z_2) or of ``eqA``: level-2 saturation
-    generates no later group and no group of ``comp``, and the profile
-    is the one every sort's full check gives."""
+    """Z_n's one ``A`` fiber holds n loops.  The profile decides level 2
+    from the level-1 fibers and draws no group of ``A``.  An exact count
+    of Ind(x*, y*) reads the sorts with fewest positions first: ``I``'s
+    one group, then ``eqA``'s two, then ``comp``'s three.  Every two
+    distinct loops are told apart by the first group of ``I`` (on Z_2)
+    or of ``eqA``: their counts generate no later group and no group of
+    ``comp``.  ``check_saturation`` then counts each loop against
+    itself, which reads all six."""
     want = eager_profile(category_to_structure(cyclic(n)))
     M = category_to_structure(cyclic(n))
     drawn = spy_on_groups(monkeypatch)
     assert saturation_profile(M) == want
+    assert not [xy for xy in drawn if xy[0].sort == "A"]
+    loops = M.carrier("A")
+    assert all(card_iso_elems(M, "A", a, b) == 0
+               for a in loops for b in loops if a != b)
     sig = M.sig
     first = [(R, sig.hom(R, "A")[0]) for R in ("I", "eqA")]
     level2 = [xy for xy in drawn if xy[0].sort == "A" and xy[0].name == "x*"]
     assert level2 and all(drawn[xy] == first[:1 if n == 2 else 2]
                           for xy in level2)
+    assert check_saturation(M, "A") == []
+    assert all(len(drawn[xy]) == 6 for xy in level2)
     monkeypatch.undo()
     assert all(len(list(isogen._ind(sig, *xy))) == 6 for xy in level2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_profile_stops_at_the_first_conjunct_at_o(monkeypatch, n):
+    """Z_n's object against itself: the first conjunct of Ind(x*, y*)
+    at ``O`` counts the n! bijections of the loops, not 1, which settles
+    level 3.  The profile generates only the first (R, p) group of
+    ``O``'s ``Ind`` and compiles that one conjunct: its ``~=`` reads
+    ``A``'s ``Ind`` over two different boundaries, where ``seat`` rules
+    out every position."""
+    M = category_to_structure(cyclic(n))
+    drawn = spy_on_groups(monkeypatch)
+    assert saturation_profile(M) == {1: True, 2: True, 3: False,
+                                     "total": False}
+    assert list(drawn.values()) == [[("A", M.sig.hom("A", "O")[0])]]
+    compiled = list(M.evaluator()._compiled)
+    assert [pformat(phi) for phi in compiled] == ["A(x*,x*) ~= A(y*,x*)"]
+    o, = M.carrier("O")
+    assert eval_card(M, compiled[0],
+                     dict.fromkeys(compiled[0].free_vars(), o)) \
+        == factorial(n)
+
+
+def test_profile_reads_no_ind_of_a_on_z2cat(monkeypatch):
+    """Z_2's one ``A`` fiber has two elements, which their profiles over
+    the level-1 fibers tell apart: level 2 generates no ``A``-sort
+    ``Ind`` and reads no ``A`` pair, while ``check_saturation`` still
+    counts card(x ~ x) = 64 at ``O``."""
+    M = corpus()["Z2Cat"]
+    drawn = spy_on_groups(monkeypatch)
+    asked = spy_on_card_iso(monkeypatch)
+    assert saturation_profile(M) == {1: True, 2: True, 3: False,
+                                     "total": False}
+    assert not [xy for xy in drawn if xy[0].sort == "A"]
+    assert not [key for key in asked if key[0] == "A"]
+    assert [(v["pair"], v["card"]) for v in check_saturation(M, "O")] \
+        == [(("*", "*"), 64)]
+
+
+def test_par6_split_profile_generates_no_ind(monkeypatch):
+    """par6's S has six positions in R, so its ``Ind`` takes seconds to
+    generate.  Par6Split's two elements of S lie over one point and R is
+    empty: they share the empty profile, and level 2 fails with no
+    ``Ind`` generated."""
+    sig = parse_signature((GOLDEN / "par6.folds").read_text())
+    M = parse_structure((GOLDEN / "Par6Split.str").read_text(), sig)
+    generated = spy_on_ind(monkeypatch)
+    assert saturation_profile(M) == {1: True, 2: False, 3: False,
+                                     "total": False}
+    assert generated == []
+
+
+@pytest.mark.parametrize("rows, level2", [("r1(s1,s1), r2(s2,s2)", False),
+                                          ("r1(s1,s1)", True)])
+def test_level2_profile_drops_every_generator_of_a_position(rows, level2):
+    """R's generators p and q are one position, so a key of R holds an
+    element of S twice and drops both entries for its profile.  With an
+    element of R over each of s1 and s2, nothing tells them apart."""
+    sig = parse_signature("signature twin { sort O; sort S { d: O }; "
+                          "sort R { p: S, q: S } eq { p = q }; }")
+    M = parse_structure("structure T over twin { O = { o }; "
+                        f"S = {{ s1(o), s2(o) }}; R = {{ {rows} }}; }}", sig)
+    assert saturation_profile(M)[2] == level2
+    assert saturation_profile(M) == eager_profile(M)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dag_signatures(), st.data())
+def test_saturation_profile_matches_eager_profile_on_dag_signatures(raw,
+                                                                    data):
+    """Equations, parallel arrows and heights up to 4 reach both the
+    level-2 rule and the decision above level 2, which stops each pair
+    at the first conjunct that settles it; the oracle counts every pair
+    of every sort exactly.  Signatures that ``few_parallel_positions``
+    rejects are skipped, as in the other oracles."""
+    order, sig = _codomains_first(raw)
+    if not few_parallel_positions(sig):
+        return
+    try:
+        M = validate_structure(sig, dict(zip(
+            ("carriers", "maps"), draw_structure(sig, order, data))))
+    except FunctorialityError:
+        return
+    assert saturation_profile(M) == eager_profile(M)
 
 
 def factored(sig, R):

@@ -183,9 +183,11 @@ def test_pruned_fillers_match_enumeration(checked):
         phi = parse_formula("forall x:O. forall y:O. A(x,y) ~= A(y,x)",
                             M.sig)
         eval_card(M, phi)
-    # 45 positions take fillers; ``_ind`` skips 103 that no filler can
-    # take, ``seat`` ruling each out before ``_fillers`` is called
-    assert len(calls) == 45 and all(calls)
+    # 39 positions take fillers; ``_ind`` skips 103 that no filler can
+    # take, ``seat`` ruling each out before ``_fillers`` is called.  The
+    # profile decides level 2 with no ``Ind``: Z2Cat's two loops, told
+    # apart there, generate none
+    assert len(calls) == 39 and all(calls)
     assert len(skipped) == 103
 
 
@@ -270,14 +272,16 @@ def test_no_two_filler_patterns_are_alpha_equal(raw):
 
 DIRS = [Path(__file__).resolve().parent.parent / "corpus",
         Path(__file__).resolve().parent / "golden"]
-# every signature file but the malformed one, with the structures over
-# it but the rejected Arrow2Dup and Z12, whose 1728 boundaries of comp
-# make three million pairs
+# every signature file but the malformed one and par6, with the
+# structures over it but the rejected Arrow2Dup and Z12, whose 1728
+# boundaries of comp make three million pairs.  par6 has six positions
+# into S, which ``few_parallel_positions`` rejects: checking its Ind
+# took 24 s on a 2-core x86-64 machine
 SIGNATURES = {path: [M for d in DIRS for M in sorted(d.glob("*.str"))
                      if M.stem not in ("Arrow2Dup", "Z12")
                      and f"over {path.stem} " in M.read_text()]
               for d in DIRS for path in sorted(d.glob("*.folds"))
-              if path.stem != "BadChar"}
+              if path.stem not in ("BadChar", "par6")}
 
 
 def assert_checked(sig, variables):
