@@ -17,7 +17,8 @@ their stdout and stderr, one tab-separated line per run.
 - ``check-model`` with ``corpus/tcat.thy`` on every corpus and golden
   structure;
 - ``hom``, ``hom --fibsurj``, ``hsip``, ``equiv`` and ``equiv
-  --max-apex 3`` on every ordered pair of corpus structures;
+  --max-apex 3`` on every ordered pair of corpus structures, and on
+  each ``_GOLDEN_PAIRS`` pair;
 - the malformed inputs under ``tests/golden``.
 
 Paths are relative to the repository, and every run is made there, in
@@ -54,6 +55,11 @@ _GOLDEN = tuple(f"tests/golden/{n}.str" for n in (
 # relates two parallel paths, S3 sitting over one of S2's two elements
 _OTHER = (("tests/golden/fork.folds", "tests/golden/Fork.str"),
           ("tests/golden/parallel.folds", "tests/golden/Parallel.str"))
+# pairs with a golden structure, for the hom and span searches
+_GOLDEN_PAIRS = (("corpus/SquarePoset.str", "tests/golden/SquarePosetRev.str"),
+                 ("corpus/Disc3.str", "tests/golden/Disc3Rev.str"),
+                 ("tests/golden/Z12.str", "corpus/Z2Cat.str"),
+                 ("corpus/Z2Cat.str", "tests/golden/Z12.str"))
 # compat's signatures and contexts: on fork, R takes x at p2 but not at
 # p1; on apart, x:O and x:B each have one sort above them
 _COMPAT = (("corpus/lrg.folds", "x:O"),
@@ -123,12 +129,12 @@ def commands():
         runs += [("eval", _LCAT, M, "-e", text, "--card")
                  for text in EQUIV_FORMULAS + GUARDED_FORMULAS]
     runs += [("check-model", _LCAT, _THEORY, M) for M in _CORPUS + _GOLDEN]
-    for M in _CORPUS:
-        for N in _CORPUS:
-            runs += [("hom", _LCAT, M, N), ("hom", _LCAT, M, N, "--fibsurj"),
-                     ("hsip", _LCAT, _THEORY, M, N),
-                     ("equiv", _LCAT, M, N),
-                     ("equiv", _LCAT, M, N, "--max-apex", "3")]
+    pairs = [(M, N) for M in _CORPUS for N in _CORPUS] + list(_GOLDEN_PAIRS)
+    for M, N in pairs:
+        runs += [("hom", _LCAT, M, N), ("hom", _LCAT, M, N, "--fibsurj"),
+                 ("hsip", _LCAT, _THEORY, M, N),
+                 ("equiv", _LCAT, M, N),
+                 ("equiv", _LCAT, M, N, "--max-apex", "3")]
     runs += _MALFORMED
     return [flag + list(argv) for argv in runs for flag in ([], ["--json"])]
 
