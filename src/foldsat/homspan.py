@@ -5,16 +5,23 @@ A homomorphism is a natural family of carrier maps.  The search for
 one runs fiber by fiber: an element's images are the elements of the
 target's fiber over the images of its generator images, read from the
 target's fiber index (``FinStructure.fibers``), which the search never
-writes.  Fiberwise surjectivity is a predicate, checked over every
-boundary instance of the domain.  Two structures are equivalent when a
-span of fiberwise surjections joins them; for totally saturated
-structures of a height-3 signature this coincides with the existence of
-a structure isomorphism, which is what the decision procedure computes.
+writes.  It checks forward: that fiber is looked up as soon as the
+element's last generator image is mapped, and an empty one cuts the
+branch there.  A search for an isomorphism also keeps only the
+elements of the colour ``colour_refinement`` gives the element, and
+gives up before searching when some colour has more elements in one
+structure than in the other.  Fiberwise surjectivity is a predicate,
+checked over every boundary instance of the domain.  Two structures are
+equivalent when a span of fiberwise surjections joins them; for totally
+saturated structures of a height-3 signature this coincides with the
+existence of a structure isomorphism, which is what the decision
+procedure computes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 
 from .errors import HeightOutOfScope, NotSaturated, SortMismatch
 from .finsem import (FinStructure, boundary_instances, boundary_key,
@@ -56,43 +63,54 @@ def is_fibsurj(h: Hom) -> bool:
 
 
 def colour_refinement(M: FinStructure, N: FinStructure):
-    """Stable colours of the elements of M and N, refined jointly.
+    """Colours of the elements of M and N, refined jointly: the stable
+    colours, or the colours of the first round whose colour-class sizes
+    differ between M and N.
 
     An element starts with the index of its sort.  In each round its new
-    colour ranks, over both structures, the triple of its old colour,
+    colour numbers, over both structures, the triple of its old colour,
     the colours of its images along ``out_gens`` in declaration order
     and the sorted (generator, colour) pairs of the elements that map
-    onto it.  Rounds stop when the number of colours stops growing (McKay
-    & Piperno, "Practical graph isomorphism, II", 2014).  A colour
-    depends on structure only, so an isomorphism preserves it.  Returns
-    one map per structure: (sort, element) -> colour.
+    onto it.  Colours are numbered by first appearance, M's elements
+    first, in one table for both structures; the elements, their images
+    and their preimages are indexed once, as integers.  Rounds stop when
+    the number of colours stops growing (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014), or as soon as some colour has more
+    elements in one structure than in the other.  A colour depends on
+    structure only, so an isomorphism preserves every round's colours:
+    a round whose class sizes differ proves that none exists, and so do
+    the stable colours that refine it.  Returns one map per structure:
+    (sort, element) -> colour.
     """
     sig = M.sig
     structs = (M, N)
-    colours = [{(K, e): i for i, K in enumerate(sig.sorts)
-                for e in S.carrier(K)} for S in structs]
-    preimages = [{x: [] for x in col} for col in colours]
-    for S, pre in zip(structs, preimages):
-        for g in sig.gens:
+    # (sort, element) -> its number: M's elements first, then N's
+    number = count()
+    index = [{(K, e): next(number) for K in sig.sorts for e in S.carrier(K)}
+             for S in structs]
+    m = len(index[0])
+    sort_of = {K: i for i, K in enumerate(sig.sorts)}
+    colours = [sort_of[K] for at in index for K, _ in at]
+    images = [[at[g.cod, S.apply_gen(g.name, e)] for g in sig.out_gens(K)]
+              for S, at in zip(structs, index) for K, e in at]
+    preimages = [[] for _ in images]
+    for S, at in zip(structs, index):
+        for n, g in enumerate(sig.gens):
             for d in S.carrier(g.dom):
-                pre[g.cod, S.apply_gen(g.name, d)].append((g.name,
-                                                           (g.dom, d)))
-    count = len({c for col in colours for c in col.values()})
-    while True:
-        keys = [{(K, e): (c,
-                          tuple(col[g.cod, S.apply_gen(g.name, e)]
-                                for g in sig.out_gens(K)),
-                          tuple(sorted((name, col[y])
-                                       for name, y in pre[K, e])))
-                 for (K, e), c in col.items()}
-                for S, col, pre in zip(structs, colours, preimages)]
-        palette = sorted(set(keys[0].values()) | set(keys[1].values()))
-        if len(palette) == count:
-            return colours
-        rank = {key: i for i, key in enumerate(palette)}
-        colours = [{x: rank[key] for x, key in by_elem.items()}
-                   for by_elem in keys]
-        count = len(palette)
+                preimages[at[g.cod, S.apply_gen(g.name, d)]].append(
+                    (n, at[g.dom, d]))
+    size = len(set(colours))
+    while Counter(colours[:m]) == Counter(colours[m:]):
+        table = {}
+        new = [table.setdefault(
+            (c, tuple(colours[y] for y in img),
+             tuple(sorted((n, colours[x]) for n, x in pre))),
+            len(table))
+            for c, img, pre in zip(colours, images, preimages)]
+        if len(table) == size:
+            break
+        colours, size = new, len(table)
+    return dict(zip(index[0], colours[:m])), dict(zip(index[1], colours[m:]))
 
 
 def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
@@ -102,36 +120,68 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
     tried from N's fiber over theirs, in carrier order: the elements
     that keep the family natural along every generator.
 
-    ``bijective`` restricts to per-sort bijections and keeps from each
-    fiber only the elements with the stable colour of the element
-    mapped (``colour_refinement``).  An isomorphism preserves colours,
-    so this cuts only branches that hold none, and the bijections come
-    in the same order as without the colours.  The search keeps its own
-    stack, so its depth is not bounded by the recursion limit.
+    The search checks forward (Haralick & Elliott, "Increasing tree
+    search efficiency for constraint satisfaction problems", 1980): an
+    element's fiber is looked up, and stored for its own turn, at the
+    depth where its last generator image is mapped, and the branch is
+    cut there if that fiber is empty.
+
+    ``bijective`` restricts to per-sort bijections and stores from each
+    fiber only the elements with the colour of the element mapped
+    (``colour_refinement``), so the forward check also cuts a branch
+    whose fiber holds no element of that colour.  An isomorphism
+    preserves colours, and a natural family needs non-empty fibers, so
+    both cuts drop only branches that hold no map, and the maps come in
+    the same order as without them.  The search keeps its own stack, so
+    its depth is not bounded by the recursion limit.
     """
     if M.sig is not N.sig:
         raise SortMismatch("structures are over different signatures")
     sig = M.sig
-    sorts = sorted(sig.sorts, key=lambda K: (-sig.level(K),
-                                             sig.sorts.index(K)))
-    # each element with its fiber's key, as (sort, element) per generator
-    elems = [(K, e, tuple((g.cod, M.apply_gen(g.name, e))
-                          for g in sig.out_gens(K)))
-             for K in sorts for e in M.carrier(K)]
     if bijective:
         mcol, ncol = colour_refinement(M, N)
         if Counter(mcol.values()) != Counter(ncol.values()):
             return
     maps = {K: {} for K in sig.sorts}
+    # each element of M with its generator images, as (their sort's
+    # map, image); depth[K][e] is its place in elems, and checks[i]
+    # lists the elements whose last generator image is elems[i]
+    elems, depth, checks, roots = [], {}, [], []
+    for K in sorted(sig.sorts, key=lambda K: (-sig.level(K),
+                                              sig.sorts.index(K))):
+        gens = [(maps[g.cod], M.maps[g.name], depth[g.cod])
+                for g in sig.out_gens(K)]
+        at = depth[K] = {}
+        for e in M.carrier(K):
+            at[e] = j = len(elems)
+            elems.append((K, e, [(m, t[e]) for m, t, _ in gens]))
+            checks.append([])
+            (checks[max([d[t[e]] for _, t, d in gens])] if gens
+             else roots).append(j)
+    over = [None] * len(elems)  # each element's images to try
+
+    def alive(js):
+        # store, as the images to try, each listed element's fiber, of
+        # its colour when bijective: is none of them empty?
+        for j in js:
+            K, e, below = elems[j]
+            fib = N.fibers(K).get(tuple([m[b] for m, b in below]), ())
+            if bijective:
+                c = mcol[K, e]
+                fib = [v for v in fib if ncol[K, v] == c]
+            over[j] = fib
+            if not fib:
+                return False
+        return True
 
     def candidates(i):
-        K, e, below = elems[i]
-        over = N.fibers(K).get(tuple(maps[c][b] for c, b in below), ())
         if bijective:
-            return (v for v in over
-                    if v not in used[K] and ncol[K, v] == mcol[K, e])
-        return iter(over)
+            taken = used[elems[i][0]]
+            return (v for v in over[i] if v not in taken)
+        return iter(over[i])
 
+    if not alive(roots):
+        return
     if not elems:
         yield maps
         return
@@ -151,6 +201,10 @@ def _hom_search(M: FinStructure, N: FinStructure, bijective=False):
         maps[K][e] = v
         if bijective:
             used[K].add(v)
+        if not alive(checks[i]):
+            del maps[K][e]
+            used[K].discard(v)
+            continue
         if i + 1 < len(elems):
             stack.append(candidates(i + 1))
             continue

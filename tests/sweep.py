@@ -55,11 +55,16 @@ _GOLDEN = tuple(f"tests/golden/{n}.str" for n in (
 # relates two parallel paths, S3 sitting over one of S2's two elements
 _OTHER = (("tests/golden/fork.folds", "tests/golden/Fork.str"),
           ("tests/golden/parallel.folds", "tests/golden/Parallel.str"))
-# pairs with a golden structure, for the hom and span searches
+# pairs with a golden structure, for the hom and span searches; the
+# last three search homs into Z12, whose twelve arrows share one fiber,
+# so only the forward check on comp cuts them
 _GOLDEN_PAIRS = (("corpus/SquarePoset.str", "tests/golden/SquarePosetRev.str"),
                  ("corpus/Disc3.str", "tests/golden/Disc3Rev.str"),
                  ("tests/golden/Z12.str", "corpus/Z2Cat.str"),
-                 ("corpus/Z2Cat.str", "tests/golden/Z12.str"))
+                 ("corpus/Z2Cat.str", "tests/golden/Z12.str"),
+                 ("corpus/SquarePoset.str", "tests/golden/Z12.str"),
+                 ("tests/golden/SquarePosetRev.str", "tests/golden/Z12.str"),
+                 ("tests/golden/Z12.str", "tests/golden/Z12.str"))
 # compat's signatures and contexts: on fork, R takes x at p2 but not at
 # p1; on apart, x:O and x:B each have one sort above them
 _COMPAT = (("corpus/lrg.folds", "x:O"),

@@ -2,6 +2,14 @@
 fiberwise-surjectivity check and the span search against the versions
 they replaced.
 
+The forward-checked ``homspan._hom_search`` must yield exactly the maps
+of ``unpruned_hom_search``, the search before it, which looks each
+fiber up only at its element's own depth, plain and bijective; and
+``colour_refinement``, which may stop at the first round whose colour
+counts differ, must agree with ``stable_colours``, the refinement run to
+its stable colours: the same partition whenever its counts agree, and
+differing counts exactly when the stable ones differ.
+
 The search oracle is the recursive backtracking over whole carriers that
 ``homspan._hom_search`` was before colour refinement, kept here.
 ``structure_iso`` must return exactly its first bijection, or ``None``
@@ -23,14 +31,16 @@ answers, and every leg ``find_span`` returns must be a hom the oracle
 accepts.
 """
 
+from collections import Counter
 from itertools import count, islice, permutations, product
+from math import factorial
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from foldsat import homspan
-from foldsat.cli import parse_structure
+from foldsat.cli import parse_signature, parse_structure
 from foldsat.errors import FunctorialityError, SortMismatch
 from foldsat.finsem import (boundary_instances, fiber, saturation_profile,
                             validate_structure)
@@ -201,15 +211,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def span_inputs(golden=False):
     """The corpus, Z_1-Z_5 and the indiscrete categories on 2 and 3
     objects; with ``golden``, also every golden structure over lcat but
-    Z12, whose hom searches run for minutes, and Arrow2Dup, which is
-    rejected.  Fork, Parallel and Par6Split are over other signatures."""
+    Z12 and the two crowns, whose products with the others are large,
+    and Arrow2Dup, which is rejected.  Fork, Parallel and Par6Split are
+    over other signatures."""
     models = dict(corpus())
     if golden:
         lcat = builtin_signature("lcat")
         models.update((path.stem, parse_structure(path.read_text(), lcat))
                       for path in sorted(GOLDEN.glob("*.str"))
-                      if path.stem not in ("Z12", "Arrow2Dup", "Fork",
-                                           "Parallel", "Par6Split"))
+                      if path.stem not in ("Z12", "Crown6", "Crown33",
+                                           "Arrow2Dup", "Fork", "Parallel",
+                                           "Par6Split"))
     models.update((f"Z{n}", category_to_structure(cyclic(n)))
                   for n in range(1, 6))
     models.update((f"I{n}", category_to_structure(indiscrete(n)))
@@ -295,6 +307,193 @@ def test_hom_search_order_matches_oracle(M, N):
     assert list(islice(_hom_search(M, N), 60)) == want
 
 
+# -- forward checking and the early-exit colouring ---------------------------
+
+def stable_colours(M, N):
+    """The jointly refined stable colours, each round ranked over a
+    sorted palette of every element's key, recomputed from the
+    structures, with no early exit."""
+    sig = M.sig
+    structs = (M, N)
+    colours = [{(K, e): i for i, K in enumerate(sig.sorts)
+                for e in S.carrier(K)} for S in structs]
+    preimages = [{x: [] for x in col} for col in colours]
+    for S, pre in zip(structs, preimages):
+        for g in sig.gens:
+            for d in S.carrier(g.dom):
+                pre[g.cod, S.apply_gen(g.name, d)].append((g.name,
+                                                           (g.dom, d)))
+    count = len({c for col in colours for c in col.values()})
+    while True:
+        keys = [{(K, e): (c,
+                          tuple(col[g.cod, S.apply_gen(g.name, e)]
+                                for g in sig.out_gens(K)),
+                          tuple(sorted((name, col[y])
+                                       for name, y in pre[K, e])))
+                 for (K, e), c in col.items()}
+                for S, col, pre in zip(structs, colours, preimages)]
+        palette = sorted(set(keys[0].values()) | set(keys[1].values()))
+        if len(palette) == count:
+            return colours
+        rank = {key: i for i, key in enumerate(palette)}
+        colours = [{x: rank[key] for x, key in by_elem.items()}
+                   for by_elem in keys]
+        count = len(palette)
+
+
+def unpruned_hom_search(M, N, bijective=False):
+    """The iterative search with no forward check: an element's fiber is
+    looked up at its own depth, and, when ``bijective``, filtered by the
+    ``stable_colours``."""
+    sig = M.sig
+    sorts = sorted(sig.sorts, key=lambda K: (-sig.level(K),
+                                             sig.sorts.index(K)))
+    elems = [(K, e, tuple((g.cod, M.apply_gen(g.name, e))
+                          for g in sig.out_gens(K)))
+             for K in sorts for e in M.carrier(K)]
+    if bijective:
+        mcol, ncol = stable_colours(M, N)
+        if Counter(mcol.values()) != Counter(ncol.values()):
+            return
+    maps = {K: {} for K in sig.sorts}
+
+    def candidates(i):
+        K, e, below = elems[i]
+        over = N.fibers(K).get(tuple(maps[c][b] for c, b in below), ())
+        if bijective:
+            return (v for v in over
+                    if v not in used[K] and ncol[K, v] == mcol[K, e])
+        return iter(over)
+
+    if not elems:
+        yield maps
+        return
+    used = {K: set() for K in sig.sorts}
+    end = object()
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        K, e, _ = elems[i]
+        v = next(stack[-1], end)
+        if v is end:
+            stack.pop()
+            if stack:
+                K, e, _ = elems[i - 1]
+                used[K].discard(maps[K].pop(e))
+            continue
+        maps[K][e] = v
+        if bijective:
+            used[K].add(v)
+        if i + 1 < len(elems):
+            stack.append(candidates(i + 1))
+            continue
+        yield {K: dict(maps[K]) for K in sig.sorts}
+        del maps[K][e]
+        used[K].discard(v)
+
+
+def vee(up):
+    """V (two objects below a third) or Λ (two above it): not
+    isomorphic, told apart by the first round of colours."""
+    covers = [("a", "c"), ("b", "c")] if up else [("c", "a"), ("c", "b")]
+    return category_to_structure(_poset_category("V" if up else "L",
+                                                 ["a", "b", "c"], covers))
+
+
+V, LAMBDA = vee(True), vee(False)
+LCAT = builtin_signature("lcat")
+# the crown posets of one 12-cycle and of two 6-cycles: no isomorphism,
+# and every round gives both the same colour counts
+CROWN6, CROWN33 = (parse_structure((GOLDEN / f"{name}.str").read_text(),
+                                   LCAT) for name in ("Crown6", "Crown33"))
+
+
+def assert_colours_match_stable(M, N):
+    """``colour_refinement`` either runs to the stable colours, or stops
+    early, at colours the stable ones refine, and only when the stable
+    colour counts of M and N differ."""
+    got, want = colour_refinement(M, N), stable_colours(M, N)
+    assert [list(c) for c in got] == [list(c) for c in want]
+    new = [c for col in got for c in col.values()]
+    stable = [c for col in want for c in col.values()]
+    # every round's colours are coarser than the stable ones
+    assert len(set(zip(new, stable))) == len(set(stable))
+    counts = [Counter(col.values()) for col in got]
+    if counts[0] == counts[1]:
+        assert len(set(new)) == len(set(stable))
+    stable_counts = [Counter(col.values()) for col in want]
+    assert (counts[0] == counts[1]) == (stable_counts[0] == stable_counts[1])
+
+
+same_sized_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(small_structures(n), small_structures(n)))
+copies = st.tuples(small_structures(), st.randoms(
+    use_true_random=False)).map(lambda p: (p[0], relabel(p[0],
+                                                          shuffler(p[1]))))
+
+
+@SETTINGS
+@example((V, LAMBDA))
+@example((LAMBDA, V))
+@example((CROWN6, CROWN33))
+@given(st.one_of(st.tuples(small_structures(), small_structures()),
+                 same_sized_pairs, copies))
+def test_colours_match_stable_colours(pair):
+    assert_colours_match_stable(*pair)
+
+
+@SETTINGS
+@example((V, LAMBDA))
+@example((LAMBDA, V))
+@example((V, V))
+@example((Z4, Z6))
+@given(st.one_of(st.tuples(small_structures(), small_structures()),
+                 same_sized_pairs, copies))
+def test_forward_checked_search_matches_unpruned_search(pair):
+    M, N = pair
+    for bijective in (False, True):
+        want = list(islice(unpruned_hom_search(M, N, bijective), 60))
+        assert list(islice(_hom_search(M, N, bijective), 60)) == want
+
+
+def test_crowns_are_not_isomorphic():
+    assert structure_iso(CROWN6, CROWN33) is None
+    assert structure_iso(CROWN33, CROWN6) is None
+    assert structure_iso(CROWN6, CROWN6) == identity_hom(CROWN6).maps
+
+
+MARKED = parse_signature(
+    "signature marked { sort V; sort E { s: V, t: V }; sort P { e: E }; }")
+
+
+def marked_cycles(name, cycles):
+    """A complete digraph over ``sum(cycles)`` vertices whose edges to
+    each vertex's successor on its cycle are marked by an element of P."""
+    succ = {f"v{c}_{i}": f"v{c}_{(i + 1) % k}"
+            for c, k in enumerate(cycles) for i in range(k)}
+    edges = [f"e_{x}_{y}({x},{y})" for x in succ for y in succ if x != y]
+    marks = [f"p_{x}(e_{x}_{y})" for x, y in succ.items()]
+    return parse_structure(
+        f"structure {name} over marked {{ V = {{ {', '.join(succ)} }}; "
+        f"E = {{ {', '.join(edges)} }}; P = {{ {', '.join(marks)} }}; }}",
+        MARKED)
+
+
+def test_forward_check_cuts_by_colour():
+    """Every edge's fiber is non-empty, and every vertex has one colour,
+    so only the edges' colours (marked or not) can cut a map of the
+    vertices before every vertex has an image: an 8-cycle against two
+    4-cycles is rejected in far fewer fiber lookups than the 8! maps of
+    the vertices that a search cutting only empty fibers completes."""
+    M, N = marked_cycles("C8", (8,)), marked_cycles("C44", (4, 4))
+    lookups = []
+    fibers = N.fibers
+    N.fibers = lambda K: lookups.append(K) or fibers(K)
+    assert structure_iso(M, N) is None
+    assert len(lookups) < factorial(8)
+    assert structure_iso(M, marked_cycles("C8copy", (8,))) is not None
+
+
 # -- random DAG signatures ---------------------------------------------------
 
 def structures_over(sig, order, data, n):
@@ -330,6 +529,9 @@ def test_searches_match_oracle_on_dag_signatures(raw, data, rnd):
         want = list(islice(oracle_hom_search(A, B), 60))
         assert list(islice(_hom_search(A, B), 60)) == want
         assert structure_iso(A, B) == oracle_iso(A, B)
+        assert list(islice(_hom_search(A, B, True), 60)) == list(
+            islice(unpruned_hom_search(A, B, True), 60))
+        assert_colours_match_stable(A, B)
         for maps in want:
             h = Hom(A, B, maps)
             assert is_fibsurj(h) == oracle_is_fibsurj(h)[0]
@@ -407,8 +609,8 @@ def test_find_span_matches_oracle_on_corpus(monkeypatch):
     """Every leg ``find_span`` returns is checked here, since it checks
     none of the identity, isomorphism and projection legs itself.
     ``find_span`` and the oracle replay one run of each hom search for
-    all four bounds: a search from SquarePoset or I3 into Z_5 takes
-    seconds."""
+    all four bounds: the search from SquarePoset into Z_5 lists 125
+    homs."""
     search = replayed(_hom_search)
     monkeypatch.setattr(homspan, "_hom_search", search)
     models = span_inputs()

@@ -280,6 +280,19 @@ def test_saturation_profile_matches_eager_profile_on_dag_signatures(raw,
     assert saturation_profile(M) == eager_profile(M)
 
 
+def test_saturation_profile_checks_the_diagonal_pair_of_parallel():
+    """Parallel's one level-3 violation is a diagonal pair, card(m ~ m)
+    = 2, which the random DAG structures above seldom reach alone: a
+    decision that compared only distinct elements would call level 3
+    saturated."""
+    sig = parse_signature((GOLDEN / "parallel.folds").read_text())
+    M = parse_structure((GOLDEN / "Parallel.str").read_text(), sig)
+    assert [(v["pair"], v["card"]) for v in check_saturation(M, "S1")] == [
+        (("m", "m"), 2)]
+    assert saturation_profile(M) == eager_profile(M)
+    assert saturation_profile(M)[2] and not saturation_profile(M)[3]
+
+
 def factored(sig, R):
     """The positions of R that factor through another: each q∘g, for q a
     position of R and g a generator out of q's codomain."""
